@@ -19,17 +19,17 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .dynamics import (SuperOperatorFamily, ck_checklist, ctmc_embedding,
-                       diagonal_preservation_check, propagate)
+from .dynamics import (CK_TOLERANCE, SuperOperatorFamily, ck_checklist,
+                       ctmc_embedding, diagonal_preservation_check, propagate)
 from .errors import DimensionMismatchError, ValidationError
-from .kernels import (KernelFamily, ProbabilityVector, RateMatrix,
-                      c_divisibility_check, ctmc_propagate,
+from .kernels import (TOL_PROB, TOL_STOCH, KernelFamily, ProbabilityVector,
+                      RateMatrix, c_divisibility_check, ctmc_propagate,
                       dtmc_to_ctmc_scaling, theta_markov_triviality_demo,
                       validate_kernel)
-from .lifts import (DensityOperator, KrausMap, barandes_column_lift,
-                    canonical_lift, check_cptp, compatibility_check,
-                    embed_diagonal, induced_kernel, q_divisibility_check,
-                    readout, theta_conjugation_lift)
+from .lifts import (TOL_HERM, TOL_PSD, TOL_TP, DensityOperator, KrausMap,
+                    barandes_column_lift, canonical_lift, check_cptp,
+                    compatibility_check, embed_diagonal, induced_kernel,
+                    q_divisibility_check, readout, theta_conjugation_lift)
 from .division import theorem1_check
 from .memory import mod_square, two_step_kernel
 from .serialization import (SerializationError, complex_matrix_from_json,
@@ -106,8 +106,8 @@ def _cmd_validate(args) -> int:
     if kind == "kernel":
         matrix = real_matrix_from_json(obj)
         ker = validate_kernel(matrix,
-                              tol_entry=tol if tol else 1e-12,
-                              tol_colsum=tol if tol else 1e-10)
+                              tol_entry=tol if tol else TOL_PROB,
+                              tol_colsum=tol if tol else TOL_STOCH)
         report["verdicts"] = {
             "passed": ker.passed,
             "max_negative_entry": ker.max_negative_entry,
@@ -126,8 +126,8 @@ def _cmd_validate(args) -> int:
             if kind == "density" or round(side ** 0.5) ** 2 != side:
                 report["kind"] = "density"
                 try:
-                    DensityOperator(matrix, tol_herm=tol or 1e-10,
-                                    tol_psd=tol or 1e-9)
+                    DensityOperator(matrix, tol_herm=tol or TOL_HERM,
+                                    tol_psd=tol or TOL_PSD)
                     passed, reason = True, "valid density operator"
                 except ValidationError as exc:
                     passed, reason = False, str(exc)
@@ -138,7 +138,7 @@ def _cmd_validate(args) -> int:
                 return EXIT_PASS if passed else EXIT_DOMAIN_FAILURE
         map_ = (kraus_from_json(obj) if kind == "kraus"
                 else superoperator_from_json(obj))
-        cptp = check_cptp(map_, tol_tp=tol or 1e-10, tol_psd=tol or 1e-9)
+        cptp = check_cptp(map_, tol_tp=tol or TOL_TP, tol_psd=tol or TOL_PSD)
         report["verdicts"] = {
             "passed": cptp.passed,
             "trace_preserving": cptp.trace_preserving,
@@ -165,7 +165,7 @@ def _cmd_lift(args) -> int:
         inputs["theta"] = args.theta
     report = _base_report("lift", args, inputs)
     gamma = kernel_from_json(load_json(args.kernel))
-    tol = args.tol or 1e-12
+    tol = args.tol or TOL_PROB  # the default of compatibility_check
 
     if args.method == "canonical":
         kmap = canonical_lift(gamma)
@@ -215,14 +215,15 @@ def _cmd_divisibility(args) -> int:
     inputs = {"later": args.later, "earlier": args.earlier}
     report = _base_report("divisibility", args, inputs)
     report["mode"] = args.mode
-    tol = args.tol or 1e-9
+    # Without --tol each check runs at its own default tolerance.
+    tol = (args.tol,) if args.tol else ()
     later_obj = load_json(args.later)
     earlier_obj = load_json(args.earlier)
 
     if args.mode == "classical":
         gamma_20 = kernel_from_json(later_obj)
         gamma_10 = kernel_from_json(earlier_obj)
-        result = c_divisibility_check(gamma_20, gamma_10, tol)
+        result = c_divisibility_check(gamma_20, gamma_10, *tol)
         report["verdicts"] = {
             "divisible": result.divisible,
             "route": result.route,
@@ -234,7 +235,7 @@ def _cmd_divisibility(args) -> int:
     elif args.mode == "quantum":
         e_20 = superoperator_from_json(later_obj)
         e_10 = superoperator_from_json(earlier_obj)
-        result = q_divisibility_check(e_20, e_10, tol)
+        result = q_divisibility_check(e_20, e_10, *tol)
         report["verdicts"] = {"verdict": result.verdict, "reason": result.reason}
         if result.cptp_report is not None:
             report["verdicts"]["witness_tp_residual"] = result.cptp_report.tp_residual
@@ -246,7 +247,7 @@ def _cmd_divisibility(args) -> int:
     else:  # theorem1
         e_10 = superoperator_from_json(earlier_obj)
         e_20 = superoperator_from_json(later_obj)
-        verdict_obj = theorem1_check(e_10, e_20, tol)
+        verdict_obj = theorem1_check(e_10, e_20, *tol)
         report["verdicts"] = {
             "theorem_applies": verdict_obj.theorem_applies,
             "q_divisible": verdict_obj.q_divisible,
@@ -385,7 +386,7 @@ def _demo_ck_checklist(args, report):
     grid = args.grid or [0.0, 0.4, 1.0]
     family = _build_family(args.kind, obj, grid)
     result = ck_checklist(family, fd_step=args.fd_step,
-                          tolerance=args.tol or 1e-6)
+                          tolerance=args.tol or CK_TOLERANCE)
     report["tables"]["identity_residuals"] = {
         str(t): r for t, r in result.identity_residuals.items()}
     report["tables"]["forward_residuals"] = {

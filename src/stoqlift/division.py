@@ -21,8 +21,8 @@ import numpy as np
 
 from .errors import DimensionMismatchError, ValidationError
 from .kernels import (CDivisibilityResult, ProbabilityVector, StochasticKernel,
-                      TOL_STOCH, c_divisibility_check)
-from .lifts import (QDivisibilityResult, SuperOperator, TOL_PSD,
+                      TOL_PROB, TOL_STOCH, c_divisibility_check)
+from .lifts import (QDivisibilityResult, SuperOperator, TOL_PSD, TOL_TP,
                     check_cptp, q_divisibility_check, superop_kernel_extract,
                     unvec, vec)
 
@@ -84,7 +84,7 @@ class DivisionVerdict:
     c_result: CDivisibilityResult | None = None
 
 
-def _offdiagonal_mass(matrix: np.ndarray) -> float:
+def _offdiagonal_max(matrix: np.ndarray) -> float:
     off = matrix - np.diag(np.diag(matrix))
     return float(np.abs(off).max())
 
@@ -98,7 +98,7 @@ def theorem1_check(e_10: SuperOperator, e_20: SuperOperator,
     channels.
     """
     for name, e in (("e_10", e_10), ("e_20", e_20)):
-        report = check_cptp(e, tol_tp=max(1e-10, tolerance),
+        report = check_cptp(e, tol_tp=max(TOL_TP, tolerance),
                             tol_psd=max(TOL_PSD, tolerance))
         if not report.passed:
             raise ValidationError(
@@ -112,25 +112,24 @@ def theorem1_check(e_10: SuperOperator, e_20: SuperOperator,
     q_result = q_divisibility_check(e_20, e_10, tolerance)
     q_divisible = q_result.verdict == "divisible"
 
-    worst_mass = 0.0
-    for i in range(n):
-        proj = np.zeros((n, n), dtype=complex)
-        proj[i, i] = 1.0
-        state_t1 = unvec(e_10.matrix @ vec(proj))
-        worst_mass = max(worst_mass, _offdiagonal_mass(state_t1))
+    # Column i(N+1) of e_10 is vec(e_10(|i><i|)); its rows off the diagonal
+    # positions i(N+1) hold the off-diagonal entries of that image.
+    diagonal = np.arange(n) * (n + 1)
+    images = e_10.matrix[:, diagonal]
+    worst_mass = float(np.abs(np.delete(images, diagonal, axis=0)).max(initial=0.0))
     all_diagonal = worst_mass <= tolerance
 
     gamma_10 = StochasticKernel(superop_kernel_extract(e_10),
-                                tol_entry=max(1e-12, tolerance),
+                                tol_entry=max(TOL_PROB, tolerance),
                                 tol_colsum=max(TOL_STOCH, tolerance))
     gamma_20 = StochasticKernel(superop_kernel_extract(e_20),
-                                tol_entry=max(1e-12, tolerance),
+                                tol_entry=max(TOL_PROB, tolerance),
                                 tol_colsum=max(TOL_STOCH, tolerance))
 
     if q_divisible and all_diagonal:
         witness_kernel = StochasticKernel(
             superop_kernel_extract(q_result.witness),
-            tol_entry=max(1e-12, tolerance),
+            tol_entry=max(TOL_PROB, tolerance),
             tol_colsum=max(TOL_STOCH, tolerance))
         residual = float(np.abs(
             gamma_20.matrix - witness_kernel.matrix @ gamma_10.matrix).max())
@@ -233,7 +232,7 @@ def environment_division_scenario(p_env: ProbabilityVector,
 
         worst_block = max(worst_block,
                           _block_offdiagonal_mass(joint1, n_sys, n_env))
-        worst_reduced = max(worst_reduced, _offdiagonal_mass(reduced1))
+        worst_reduced = max(worst_reduced, _offdiagonal_max(reduced1))
         kernel_t1[:, i] = np.real(np.diag(reduced1))
 
         joint2 = unvec(post_joint.matrix @ vec(joint1))

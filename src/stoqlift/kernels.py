@@ -398,7 +398,7 @@ class ShortTimeReport:
     leakage_masses: tuple[float, ...]
 
 
-def _offdiagonal_mass(matrix: np.ndarray) -> float:
+def _offdiagonal_l1(matrix: np.ndarray) -> float:
     off = matrix[~np.eye(matrix.shape[0], dtype=bool)]
     return float(np.abs(off).sum())
 
@@ -427,7 +427,7 @@ def short_time_derivatives(family: KernelFamily, t: float,
         + (h2 / (h1 * gap)) * g1 - (h1 / (h2 * gap)) * g2
     d2 = 2.0 * (eye / (h1 * h2) - g1 / (h1 * gap) + g2 / (h2 * gap))
 
-    masses = [_offdiagonal_mass(values[h]) for h in hs]
+    masses = [_offdiagonal_l1(values[h]) for h in hs]
     floored = np.maximum(masses, np.finfo(float).tiny)
     slope = float(np.polyfit(np.log(hs), np.log(floored), 1)[0])
     return ShortTimeReport(_frozen(d1), _frozen(d2), h1, slope,

@@ -8,6 +8,9 @@ column-stochasticity of the induced kernel, complete positivity to its
 entrywise nonnegativity.
 
 Vectorization is column-stacking throughout: ``vec(A X B) = kron(B.T, A) vec(X)``.
+Kraus operators are stored as one read-only ``(r, N, N)`` array, so a Choi
+matrix is the one product ``V V^dagger`` of the stacked vecs, and one index
+reshuffle (an involution) turns it into the Liouville matrix and back.
 """
 
 from __future__ import annotations
@@ -49,15 +52,17 @@ def unvec(vector: np.ndarray) -> np.ndarray:
     return v.reshape(n, n, order="F")
 
 
+def _reshuffle(matrix: np.ndarray, n: int) -> np.ndarray:
+    """Liouville matrix <-> Choi matrix index reshuffle (an involution)."""
+    return matrix.reshape(n, n, n, n).transpose(3, 1, 2, 0).reshape(n * n, n * n)
+
+
 def diagonal_injection(n: int) -> np.ndarray:
     """The n^2 x n matrix D with vec(diag(p)) = D p.
 
     Its transpose extracts the diagonal of a vectorized operator.
     """
-    d = np.zeros((n * n, n))
-    for i in range(n):
-        d[i * (n + 1), i] = 1.0
-    return d
+    return np.eye(n * n)[:, ::n + 1].copy()
 
 
 def dephasing_projector(n: int) -> np.ndarray:
@@ -106,41 +111,57 @@ class DensityOperator:
 class KrausMap:
     """Operator-sum map ``rho -> sum_b K_b rho K_b^dagger``.
 
-    Near-zero operators (Frobenius norm below ``KRAUS_DROP_NORM``) are
-    dropped at construction. Trace preservation is recorded as a checked
-    flag, not required: short-time maps are only trace preserving to leading
-    order. ``canonical_reduction`` re-extracts at most N^2 operators from the
-    Choi spectrum when a redundant set has accumulated, e.g. by composition.
+    The operators are stored as one read-only ``(r, N, N)`` complex array, a
+    copy of the input. Near-zero operators (Frobenius norm below
+    ``KRAUS_DROP_NORM``) are dropped at construction. Trace preservation is
+    recorded as a checked flag, not required: short-time maps are only trace
+    preserving to leading order. ``canonical_reduction`` re-extracts at most
+    N^2 operators from the Choi spectrum when a redundant set has
+    accumulated, e.g. by composition.
     """
 
     def __init__(self, operators: Iterable[np.ndarray], tol_tp: float = TOL_TP):
-        ops = []
-        for op in operators:
-            m = _square_complex(op, "Kraus operator")
-            if np.linalg.norm(m) >= KRAUS_DROP_NORM:
-                ops.append(_frozen(m.copy()))
+        ops = [_square_complex(op, "Kraus operator") for op in operators]
+        ops = [m for m in ops if np.linalg.norm(m) >= KRAUS_DROP_NORM]
         if not ops:
             raise ValidationError("Kraus map needs at least one nonzero operator")
         n = ops[0].shape[0]
         if any(op.shape[0] != n for op in ops):
             raise DimensionMismatchError("Kraus operators must share one dimension")
-        self._operators = tuple(ops)
-        completeness = sum(op.conj().T @ op for op in ops)
+        self._stack = _frozen(np.stack(ops))
+        # sum_b K_b^dagger K_b as one product over the stacked rows of all K_b.
+        rows = self._stack.reshape(-1, n)
         self.completeness_residual = float(
-            np.abs(completeness - np.eye(n)).max())
+            np.abs(rows.conj().T @ rows - np.eye(n)).max())
         self.trace_preserving = self.completeness_residual <= tol_tp
 
     @property
     def operators(self) -> tuple[np.ndarray, ...]:
-        return self._operators
+        """The operators in input order, as read-only views of the stack."""
+        return tuple(self._stack)
 
     @property
     def n(self) -> int:
-        return self._operators[0].shape[0]
+        return self._stack.shape[1]
 
     @property
     def rank(self) -> int:
-        return len(self._operators)
+        return len(self._stack)
+
+    def _choi(self) -> np.ndarray:
+        """``V^T conj(V)``, where row b of V is the column-stacked vec of K_b."""
+        v = self._stack.transpose(0, 2, 1).reshape(self.rank, -1)
+        return v.T @ v.conj()
+
+    def _tp_residual(self) -> float:
+        return self.completeness_residual
+
+    def _induced(self) -> tuple[np.ndarray, dict]:
+        """Squared-moduli dictionary, checked against the left-right reading
+        ``sum_b K_b o conj(K_b)`` of the same action (equal up to rounding)."""
+        kernel = (np.abs(self._stack) ** 2).sum(axis=0)
+        action = (self._stack * self._stack.conj()).real.sum(axis=0)
+        return kernel, {"dictionary_residual": float(np.abs(kernel - action).max())}
 
     def canonical_reduction(self, cutoff: float = PINV_RCOND) -> "KrausMap":
         """Minimal Kraus set (at most N^2 operators) from the Choi spectrum."""
@@ -174,6 +195,21 @@ class LeftRightMap:
     def n(self) -> int:
         return self.left_ops[0].shape[0]
 
+    def _choi(self) -> np.ndarray:
+        """``sum_b vec(A_b) vec(B_b^T)^T``; a row of B_b is a column of B_b^T."""
+        left, right = np.stack(self.left_ops), np.stack(self.right_ops)
+        r = len(left)
+        return left.transpose(0, 2, 1).reshape(r, -1).T @ right.reshape(r, -1)
+
+    def _induced(self) -> tuple[np.ndarray, dict]:
+        """Diagonal action ``sum_b A_b o B_b^T``, with the trace condition."""
+        left, right = np.stack(self.left_ops), np.stack(self.right_ops)
+        kernel = np.real((left * right.transpose(0, 2, 1)).sum(axis=0))
+        trace_cond = (right @ left).sum(axis=0)
+        return kernel, {"trace_condition_residual":
+                        float(np.abs(trace_cond - np.eye(self.n)).max()),
+                        "has_negative_entries": bool(kernel.min() < -TOL_PROB)}
+
     def __repr__(self):
         return f"LeftRightMap(n={self.n}, terms={len(self.left_ops)})"
 
@@ -202,6 +238,18 @@ class SuperOperator:
     @classmethod
     def identity(cls, n: int) -> "SuperOperator":
         return cls(np.eye(n * n, dtype=complex))
+
+    def _choi(self) -> np.ndarray:
+        return _reshuffle(self._matrix, self._n)
+
+    def _tp_residual(self) -> float:
+        vec_id = vec(np.eye(self._n))
+        return float(np.abs(vec_id @ self._matrix - vec_id).max())
+
+    def _induced(self) -> tuple[np.ndarray, dict]:
+        """Index lookup ``S[j(N+1), i(N+1)]``: diagonal in, diagonal out."""
+        d = np.arange(self._n) * (self._n + 1)
+        return np.real(self._matrix[np.ix_(d, d)]), {}
 
     def __repr__(self):
         return f"SuperOperator(n={self.n})"
@@ -236,46 +284,32 @@ class ChoiMatrix:
 MapLike = Union[KrausMap, LeftRightMap, SuperOperator]
 
 
-def _apply_matrix(map_: MapLike, x: np.ndarray) -> np.ndarray:
-    """Apply any supported map representation to a raw matrix."""
-    if isinstance(map_, KrausMap):
-        return sum(k @ x @ k.conj().T for k in map_.operators)
-    if isinstance(map_, LeftRightMap):
-        return sum(a @ x @ b for a, b in zip(map_.left_ops, map_.right_ops))
-    if isinstance(map_, SuperOperator):
-        return unvec(map_.matrix @ vec(x))
-    raise TypeError(f"unsupported map type {type(map_).__name__}")
+def _supported(map_, *types):
+    if not isinstance(map_, types):
+        raise TypeError(f"unsupported map type {type(map_).__name__}")
+    return map_
 
 
 def choi_from_kraus(kmap: KrausMap) -> ChoiMatrix:
-    n = kmap.n
-    choi = np.zeros((n * n, n * n), dtype=complex)
-    for k in kmap.operators:
-        v = vec(k)
-        choi += np.outer(v, v.conj())
-    return ChoiMatrix(choi)
+    """Choi matrix ``sum_b vec(K_b) vec(K_b)^dagger`` as one product."""
+    return ChoiMatrix(kmap._choi())
 
 
 def choi_from_superoperator(s: SuperOperator) -> ChoiMatrix:
     """Reshuffle a superoperator into its Choi matrix (an involution)."""
-    n = s.n
-    choi = s.matrix.reshape(n, n, n, n).transpose(3, 1, 2, 0).reshape(n * n, n * n)
-    return ChoiMatrix(choi)
+    return ChoiMatrix(s._choi())
 
 
 def kraus_from_choi(choi: ChoiMatrix, cutoff: float = PINV_RCOND) -> KrausMap:
     """Kraus operators from the eigendecomposition of a PSD Choi matrix."""
     n = round(choi.matrix.shape[0] ** 0.5)
-    eigvals, eigvecs = np.linalg.eigh(
-        (choi.matrix + choi.matrix.conj().T) / 2.0)
+    eigvals, eigvecs = np.linalg.eigh((choi.matrix + choi.matrix.conj().T) / 2.0)
     scale = max(float(eigvals.max()), 1.0)
-    ops = []
-    for lam, v in zip(eigvals[::-1], eigvecs.T[::-1]):
-        if lam > cutoff * scale:
-            ops.append(np.sqrt(lam) * unvec(v))
-    if not ops:
+    keep = eigvals[::-1] > cutoff * scale
+    if not keep.any():
         raise ValidationError("Choi matrix has no positive spectral weight")
-    return KrausMap(ops)
+    vecs = (eigvecs[:, ::-1][:, keep] * np.sqrt(eigvals[::-1][keep])).T
+    return KrausMap(vecs.reshape(-1, n, n).transpose(0, 2, 1))
 
 
 def embed_diagonal(p: ProbabilityVector) -> DensityOperator:
@@ -314,7 +348,8 @@ def apply_kraus(kmap: KrausMap, rho: DensityOperator) -> DensityOperator:
     if kmap.n != rho.n:
         raise DimensionMismatchError(
             f"map dimension {kmap.n} does not match state dimension {rho.n}")
-    return DensityOperator(_apply_matrix(kmap, rho.matrix))
+    k = kmap._stack
+    return DensityOperator((k @ rho.matrix @ k.conj().transpose(0, 2, 1)).sum(axis=0))
 
 
 @dataclass(frozen=True)
@@ -334,16 +369,8 @@ class CptpReport:
 def check_cptp(map_: KrausMap | SuperOperator, tol_tp: float = TOL_TP,
                tol_psd: float = TOL_PSD) -> CptpReport:
     """Report whether a map is a quantum channel (CPTP)."""
-    if isinstance(map_, KrausMap):
-        completeness = sum(k.conj().T @ k for k in map_.operators)
-        tp_residual = float(np.abs(completeness - np.eye(map_.n)).max())
-        choi = choi_from_kraus(map_)
-    elif isinstance(map_, SuperOperator):
-        vec_id = vec(np.eye(map_.n))
-        tp_residual = float(np.abs(vec_id @ map_.matrix - vec_id).max())
-        choi = choi_from_superoperator(map_)
-    else:
-        raise TypeError(f"unsupported map type {type(map_).__name__}")
+    tp_residual = _supported(map_, KrausMap, SuperOperator)._tp_residual()
+    choi = ChoiMatrix(map_._choi())
     return CptpReport(tp_residual <= tol_tp, tp_residual,
                       choi.is_completely_positive(tol_psd),
                       choi.min_eigenvalue)
@@ -355,9 +382,10 @@ class InducedKernelReport:
 
     Entry (j, i) is the diagonal weight the map sends from basis projector i
     to basis projector j. For Kraus input ``dictionary_residual`` compares
-    against the squared-moduli dictionary (the two routes agree identically);
-    for left-right input the trace condition ``sum_b B_b A_b = I`` and
-    entrywise negativity are flagged, since nothing enforces them there.
+    the squared moduli with the action ``sum_b K_b o conj(K_b)`` (the two
+    routes agree identically); for left-right input the trace condition
+    ``sum_b B_b A_b = I`` and entrywise negativity are flagged, since
+    nothing enforces them there.
     """
 
     kernel: np.ndarray
@@ -368,26 +396,9 @@ class InducedKernelReport:
 
 
 def induced_kernel(map_: MapLike) -> InducedKernelReport:
-    """Probe the diagonal of a map on the basis projectors."""
-    n = map_.n
-    kernel = np.empty((n, n))
-    for i in range(n):
-        proj = np.zeros((n, n), dtype=complex)
-        proj[i, i] = 1.0
-        kernel[:, i] = np.real(np.diag(_apply_matrix(map_, proj)))
-    validation = validate_kernel(kernel)
-    if isinstance(map_, KrausMap):
-        moduli = sum(np.abs(k) ** 2 for k in map_.operators)
-        return InducedKernelReport(
-            _frozen(kernel), validation,
-            dictionary_residual=float(np.abs(kernel - moduli).max()))
-    if isinstance(map_, LeftRightMap):
-        trace_cond = sum(b @ a for a, b in zip(map_.left_ops, map_.right_ops))
-        return InducedKernelReport(
-            _frozen(kernel), validation,
-            trace_condition_residual=float(np.abs(trace_cond - np.eye(n)).max()),
-            has_negative_entries=bool(kernel.min() < -TOL_PROB))
-    return InducedKernelReport(_frozen(kernel), validation)
+    """Diagonal action of a map on the basis projectors, read in closed form."""
+    kernel, checks = _supported(map_, KrausMap, LeftRightMap, SuperOperator)._induced()
+    return InducedKernelReport(_frozen(kernel), validate_kernel(kernel), **checks)
 
 
 def dictionary_kernel(kmap: KrausMap, tol_tp: float = TOL_TP) -> StochasticKernel:
@@ -400,8 +411,8 @@ def dictionary_kernel(kmap: KrausMap, tol_tp: float = TOL_TP) -> StochasticKerne
         raise ValidationError(
             "map is not trace preserving: completeness residual "
             f"{kmap.completeness_residual:.3e} exceeds {tol_tp:.1e}")
-    gamma = sum(np.abs(k) ** 2 for k in kmap.operators)
-    return StochasticKernel(gamma, tol_colsum=max(TOL_STOCH, kmap.completeness_residual * 2))
+    return StochasticKernel(kmap._induced()[0],
+                            tol_colsum=max(TOL_STOCH, kmap.completeness_residual * 2))
 
 
 def canonical_lift(gamma: StochasticKernel) -> KrausMap:
@@ -410,16 +421,12 @@ def canonical_lift(gamma: StochasticKernel) -> KrausMap:
     Always a quantum channel; its squared-moduli dictionary returns the input
     kernel identically. Zero-weight operators are dropped.
     """
-    m = gamma.matrix
     n = gamma.n
-    ops = []
-    for i in range(n):
-        for j in range(n):
-            w = np.sqrt(m[j, i])
-            if w >= KRAUS_DROP_NORM:
-                op = np.zeros((n, n), dtype=complex)
-                op[j, i] = w
-                ops.append(op)
+    # Flat index i * n + j orders the operators column by column.
+    weights = np.sqrt(gamma.matrix.T.reshape(-1))
+    flat = np.flatnonzero(weights >= KRAUS_DROP_NORM)
+    ops = np.zeros((len(flat), n, n), dtype=complex)
+    ops[np.arange(len(flat)), flat % n, flat // n] = weights[flat]
     return KrausMap(ops)
 
 
@@ -464,11 +471,9 @@ def barandes_column_lift(theta) -> KrausMap:
             f"(worst column-sum error {report.max_column_sum_error:.3e})",
             report=report)
     n = th.shape[0]
-    ops = []
-    for beta in range(n):
-        op = np.zeros((n, n), dtype=complex)
-        op[:, beta] = th[:, beta]
-        ops.append(op)
+    ops = np.zeros((n, n, n), dtype=complex)
+    beta = np.arange(n)
+    ops[beta, :, beta] = th.T
     return KrausMap(ops)
 
 
@@ -483,52 +488,44 @@ class CompatibilityReport:
 
 def compatibility_check(map_: MapLike, gamma: StochasticKernel,
                         probes: Sequence[ProbabilityVector] | str = "basis",
-                        tol: float = 1e-12) -> CompatibilityReport:
+                        tol: float = TOL_PROB) -> CompatibilityReport:
     """Verify that dephasing the lifted evolution reproduces the kernel.
 
-    For each probe p the residual is
-    ``max | diag(map(diag(p))) - gamma @ p |``; by linearity the N basis
-    point masses (``probes="basis"``) decide the condition for all inputs.
+    For each probe p the residual is ``max | diag(map(diag(p))) - gamma @ p |``,
+    that is ``max | K @ p - gamma @ p |`` with K the induced kernel; by
+    linearity the N basis point masses (``probes="basis"``) decide it.
     """
-    if map_.n != gamma.n:
+    n = _supported(map_, KrausMap, LeftRightMap, SuperOperator).n
+    if n != gamma.n:
         raise DimensionMismatchError(
-            f"map dimension {map_.n} does not match kernel dimension {gamma.n}")
+            f"map dimension {n} does not match kernel dimension {gamma.n}")
     if isinstance(probes, str):
         if probes != "basis":
             raise ValueError(f"unknown probe specification {probes!r}")
-        probe_list = [ProbabilityVector.basis(i, gamma.n) for i in range(gamma.n)]
+        columns = np.eye(n)
     else:
         probe_list = list(probes)
-    residuals = []
-    for p in probe_list:
-        evolved = _apply_matrix(map_, np.diag(p.entries.astype(complex)))
-        lhs = np.real(np.diag(evolved))
-        rhs = gamma.matrix @ p.entries
-        residuals.append(float(np.abs(lhs - rhs).max()))
-    worst = max(residuals) if residuals else 0.0
-    return CompatibilityReport(worst <= tol, worst, tuple(residuals))
+        if not probe_list:
+            raise ValueError("compatibility check needs at least one probe")
+        for p in probe_list:
+            if p.n != n:
+                raise DimensionMismatchError(
+                    f"probe dimension {p.n} does not match kernel dimension {n}")
+        columns = np.column_stack([p.entries for p in probe_list])
+    residuals = np.abs(map_._induced()[0] @ columns - gamma.matrix @ columns).max(axis=0)
+    worst = float(residuals.max())
+    return CompatibilityReport(worst <= tol, worst, tuple(map(float, residuals)))
 
 
 def to_superoperator(map_: KrausMap | LeftRightMap) -> SuperOperator:
     """Liouville matrix of an operator-sum or left-right map."""
-    if isinstance(map_, KrausMap):
-        pairs = [(k, k.conj().T) for k in map_.operators]
-    elif isinstance(map_, LeftRightMap):
-        pairs = list(zip(map_.left_ops, map_.right_ops))
-    else:
-        raise TypeError(f"unsupported map type {type(map_).__name__}")
-    n = map_.n
-    s = np.zeros((n * n, n * n), dtype=complex)
-    for a, b in pairs:
-        s += np.kron(b.T, a)
-    return SuperOperator(s)
+    choi = _supported(map_, KrausMap, LeftRightMap)._choi()
+    return SuperOperator(_reshuffle(choi, map_.n))
 
 
 def superop_kernel_extract(s: SuperOperator) -> np.ndarray:
     """Induced kernel of a superoperator: inject, evolve, dephase, read out."""
-    d = diagonal_injection(s.n)
-    p = dephasing_projector(s.n)
-    return np.real(d.T @ p @ s.matrix @ d)
+    return s._induced()[0]
 
 
 @dataclass(frozen=True)

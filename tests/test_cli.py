@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from stoqlift import cli
 from stoqlift.cli import main
 from stoqlift.serialization import (complex_matrix_to_json, dump_json,
                                     kernel_to_json, kraus_from_json)
@@ -245,3 +246,17 @@ class TestReportContract:
         strict, _, _ = run(capsys, "validate", path)
         loose, _, _ = run(capsys, "--tol", 0.01, "validate", path)
         assert strict == 1 and loose == 0
+
+    def test_tol_override_reaches_divisibility_check(self, capsys, files, monkeypatch):
+        passed_tolerances = []
+        check = cli.c_divisibility_check
+
+        def recording_check(*args):
+            passed_tolerances.append(args[2:])
+            return check(*args)
+
+        monkeypatch.setattr(cli, "c_divisibility_check", recording_check)
+        argv = ("divisibility", "--mode", "classical", files["mix"], files["flip"])
+        run(capsys, *argv)
+        run(capsys, "--tol", 1e-6, *argv)
+        assert passed_tolerances == [(), (1e-6,)]

@@ -122,6 +122,14 @@ class TestKrausMap:
         kmap = KrausMap([np.eye(2), np.zeros((2, 2))])
         assert kmap.rank == 1
 
+    def test_operators_are_read_only(self):
+        source = np.eye(2)
+        kmap = KrausMap([source, FLIP])
+        with pytest.raises(ValueError):
+            kmap.operators[1][0, 0] = 5.0
+        source[0, 0] = 5.0
+        np.testing.assert_array_equal(kmap.operators[0], np.eye(2))
+
     def test_trace_preservation_flag(self):
         assert KrausMap([np.eye(2)]).trace_preserving
         scaled = KrausMap([1.1 * np.eye(2)])
@@ -352,6 +360,17 @@ class TestCompatibility:
                                      probes=[ProbabilityVector([0.2, 0.8])])
         assert report.passed
 
+    def test_empty_probe_list_is_rejected(self):
+        gamma = StochasticKernel(MIX)
+        with pytest.raises(ValueError, match="at least one probe"):
+            compatibility_check(canonical_lift(gamma), gamma, probes=[])
+
+    def test_wrong_dimension_probe_names_both_sizes(self):
+        gamma = StochasticKernel(MIX)
+        probe = ProbabilityVector([0.2, 0.3, 0.5])
+        with pytest.raises(DimensionMismatchError, match="dimension 3 .* dimension 2"):
+            compatibility_check(canonical_lift(gamma), gamma, probes=[probe])
+
 
 class TestSuperOperator:
     def test_identity_kraus_gives_identity_superop(self):
@@ -507,3 +526,114 @@ class TestDensityOperator:
     def test_rejects_negative_eigenvalue(self):
         with pytest.raises(ValidationError):
             DensityOperator(np.diag([1.5, -0.5]))
+
+
+# --- Reference loops for the array paths --------------------------------------
+#
+# Each array expression in ``lifts`` is compared with the plain loop it
+# replaced. The sums run in another order, so results agree to a tolerance
+# fixed from the dtype before the comparison: 1e2 * eps * N^2 * r times the
+# largest product of two input entries.
+
+EPS = np.finfo(complex).eps
+DIMS = (1, 2, 3, 5)
+RANKS = ("1", "N", "N^2+1")
+PAIRS = [(n, rank) for n in DIMS for rank in RANKS]
+
+
+def _rank(n, rank):
+    return {"1": 1, "N": n, "N^2+1": n * n + 1}[rank]
+
+
+def _random_ops(rng, r, n):
+    return rng.standard_normal((r, n, n)) + 1j * rng.standard_normal((r, n, n))
+
+
+def _random_pairs(n, rank, kind):
+    """(map, left operators, right operators, tolerance) for ``rho -> sum A rho B``."""
+    rng = np.random.default_rng([n, _rank(n, rank), kind == "kraus"])
+    left = _random_ops(rng, _rank(n, rank), n)
+    if kind == "kraus":
+        right = left.conj().transpose(0, 2, 1)
+        map_ = KrausMap(left)
+    else:
+        right = _random_ops(rng, len(left), n)
+        map_ = LeftRightMap(left, right)
+    tol = 1e2 * EPS * n ** 2 * len(left) * np.abs(left).max() * np.abs(right).max()
+    return map_, list(left), list(right), tol
+
+
+def _random_superoperator(n):
+    rng = np.random.default_rng([n, 7])
+    s = rng.standard_normal((n * n, n * n)) + 1j * rng.standard_normal((n * n, n * n))
+    return SuperOperator(s), 1e2 * EPS * n ** 2 * np.abs(s).max()
+
+
+def _loop_kernel(apply, n):
+    kernel = np.empty((n, n))
+    for i in range(n):
+        proj = np.zeros((n, n), dtype=complex)
+        proj[i, i] = 1.0
+        kernel[:, i] = np.real(np.diag(apply(proj)))
+    return kernel
+
+
+def _loop_map(map_, left, right):
+    if isinstance(map_, SuperOperator):
+        return lambda x: unvec(map_.matrix @ vec(x))
+    return lambda x: sum(a @ x @ b for a, b in zip(left, right))
+
+
+def _maps(n, rank):
+    for kind in ("kraus", "left-right"):
+        yield _random_pairs(n, rank, kind)
+    s, tol = _random_superoperator(n)
+    yield s, None, None, tol
+
+
+class TestArrayPathsAgainstLoops:
+    @pytest.mark.parametrize("kind", ["kraus", "left-right"])
+    @pytest.mark.parametrize("n, rank", PAIRS)
+    def test_superoperator_is_the_kron_sum(self, n, rank, kind):
+        map_, left, right, tol = _random_pairs(n, rank, kind)
+        expected = np.zeros((n * n, n * n), dtype=complex)
+        for a, b in zip(left, right):
+            expected += np.kron(b.T, a)
+        assert np.abs(to_superoperator(map_).matrix - expected).max() <= tol
+
+    @pytest.mark.parametrize("n, rank", PAIRS)
+    def test_choi_is_the_outer_product_sum(self, n, rank):
+        kmap, left, _, tol = _random_pairs(n, rank, "kraus")
+        expected = np.zeros((n * n, n * n), dtype=complex)
+        for k in left:
+            expected += np.outer(vec(k), vec(k).conj())
+        assert np.abs(choi_from_kraus(kmap).matrix - expected).max() <= tol
+
+    @pytest.mark.parametrize("n, rank", PAIRS)
+    def test_induced_kernel_is_the_probed_diagonal(self, n, rank):
+        for map_, left, right, tol in _maps(n, rank):
+            expected = _loop_kernel(_loop_map(map_, left, right), n)
+            assert np.abs(induced_kernel(map_).kernel - expected).max() <= tol
+
+    @pytest.mark.parametrize("n, rank", PAIRS)
+    def test_compatibility_residuals_are_the_probed_ones(self, n, rank):
+        rng = np.random.default_rng([n, 11])
+        gamma = random_stochastic(rng, n)
+        probes = [ProbabilityVector.basis(0, n), random_probability_vector(rng, n),
+                  random_probability_vector(rng, n)]
+        for map_, left, right, tol in _maps(n, rank):
+            apply = _loop_map(map_, left, right)
+            expected = [np.abs(np.real(np.diag(apply(np.diag(p.entries.astype(complex)))))
+                               - gamma.matrix @ p.entries).max() for p in probes]
+            report = compatibility_check(map_, gamma, probes=probes)
+            np.testing.assert_allclose(report.residuals, expected, rtol=0, atol=tol)
+            basis = compatibility_check(map_, gamma)
+            expected_basis = np.abs(_loop_kernel(apply, n) - gamma.matrix).max(axis=0)
+            np.testing.assert_allclose(basis.residuals, expected_basis, rtol=0, atol=tol)
+
+    @pytest.mark.parametrize("n", DIMS)
+    def test_kernel_extract_is_the_projector_product(self, n):
+        s, tol = _random_superoperator(n)
+        d = diagonal_injection(n)
+        expected = np.real(d.T @ dephasing_projector(n) @ s.matrix @ d)
+        assert np.abs(superop_kernel_extract(s) - expected).max() <= tol
