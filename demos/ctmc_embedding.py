@@ -23,7 +23,7 @@ rate = RateMatrix([[-1.0, 0.5, 0.2],
                    [0.3, 0.4, -0.5]])
 gen = ctmc_embedding(rate)
 print(f"embedded generator: {len(gen.jump_ops)} jump operators, "
-      f"diagonal-preserving: {diagonal_preservation_check(gen, samples=10)}")
+      f"diagonal-preserving: {diagonal_preservation_check(gen)}")
 
 p0 = ProbabilityVector([1.0, 0.0, 0.0])
 print(f"\n{'t':>5} {'classical p(t)':>34} {'lifted populations':>34} {'gap':>10}")

@@ -82,6 +82,11 @@ def _emit(report: dict, args, summary_lines) -> None:
         Path(args.out).write_text(payload + "\n", encoding="utf-8")
 
 
+def _tol(args, default: float) -> float:
+    """The ``--tol`` override when given (zero included), else ``default``."""
+    return default if args.tol is None else args.tol
+
+
 def _base_report(command: str, args, inputs: dict) -> dict:
     return {
         "command": command,
@@ -101,13 +106,11 @@ def _cmd_validate(args) -> int:
     kind = detect_kind(obj)
     report = _base_report("validate", args, {"file": args.file})
     report["kind"] = kind
-    tol = args.tol
-
     if kind == "kernel":
         matrix = real_matrix_from_json(obj)
         ker = validate_kernel(matrix,
-                              tol_entry=tol if tol else TOL_PROB,
-                              tol_colsum=tol if tol else TOL_STOCH)
+                              tol_entry=_tol(args, TOL_PROB),
+                              tol_colsum=_tol(args, TOL_STOCH))
         report["verdicts"] = {
             "passed": ker.passed,
             "max_negative_entry": ker.max_negative_entry,
@@ -126,8 +129,8 @@ def _cmd_validate(args) -> int:
             if kind == "density" or round(side ** 0.5) ** 2 != side:
                 report["kind"] = "density"
                 try:
-                    DensityOperator(matrix, tol_herm=tol or TOL_HERM,
-                                    tol_psd=tol or TOL_PSD)
+                    DensityOperator(matrix, tol_herm=_tol(args, TOL_HERM),
+                                    tol_psd=_tol(args, TOL_PSD))
                     passed, reason = True, "valid density operator"
                 except ValidationError as exc:
                     passed, reason = False, str(exc)
@@ -138,7 +141,8 @@ def _cmd_validate(args) -> int:
                 return EXIT_PASS if passed else EXIT_DOMAIN_FAILURE
         map_ = (kraus_from_json(obj) if kind == "kraus"
                 else superoperator_from_json(obj))
-        cptp = check_cptp(map_, tol_tp=tol or TOL_TP, tol_psd=tol or TOL_PSD)
+        cptp = check_cptp(map_, tol_tp=_tol(args, TOL_TP),
+                          tol_psd=_tol(args, TOL_PSD))
         report["verdicts"] = {
             "passed": cptp.passed,
             "trace_preserving": cptp.trace_preserving,
@@ -165,7 +169,6 @@ def _cmd_lift(args) -> int:
         inputs["theta"] = args.theta
     report = _base_report("lift", args, inputs)
     gamma = kernel_from_json(load_json(args.kernel))
-    tol = args.tol or TOL_PROB  # the default of compatibility_check
 
     if args.method == "canonical":
         kmap = canonical_lift(gamma)
@@ -187,7 +190,7 @@ def _cmd_lift(args) -> int:
     else:  # pragma: no cover - argparse restricts choices
         raise SerializationError(f"unknown lift method {args.method!r}")
 
-    compat = compatibility_check(kmap, gamma, tol=tol)
+    compat = compatibility_check(kmap, gamma, tol=_tol(args, TOL_PROB))
     ind = induced_kernel(kmap)
     report["verdicts"].update({
         "compatibility_passed": compat.passed,
@@ -216,7 +219,7 @@ def _cmd_divisibility(args) -> int:
     report = _base_report("divisibility", args, inputs)
     report["mode"] = args.mode
     # Without --tol each check runs at its own default tolerance.
-    tol = (args.tol,) if args.tol else ()
+    tol = () if args.tol is None else (args.tol,)
     later_obj = load_json(args.later)
     earlier_obj = load_json(args.earlier)
 
@@ -386,7 +389,7 @@ def _demo_ck_checklist(args, report):
     grid = args.grid or [0.0, 0.4, 1.0]
     family = _build_family(args.kind, obj, grid)
     result = ck_checklist(family, fd_step=args.fd_step,
-                          tolerance=args.tol or CK_TOLERANCE)
+                          tolerance=_tol(args, CK_TOLERANCE))
     report["tables"]["identity_residuals"] = {
         str(t): r for t, r in result.identity_residuals.items()}
     report["tables"]["forward_residuals"] = {
@@ -425,6 +428,17 @@ def _cmd_demo(args) -> int:
 
 # --- parser -----------------------------------------------------------------
 
+def _tolerance(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = float("nan")
+    if not value >= 0.0:  # negative, nan or not a number
+        raise argparse.ArgumentTypeError(
+            f"tolerance must be a nonnegative number, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="stoqlift",
@@ -433,7 +447,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed", type=int, default=42,
                         help="seed recorded in the report and used by any "
                              "randomized sub-evaluation (default 42)")
-    parser.add_argument("--tol", type=float, default=None,
+    parser.add_argument("--tol", type=_tolerance, default=None,
                         help="override the module default tolerances uniformly")
     parser.add_argument("--out", type=str, default=None,
                         help="write the primary artifact (lift: Kraus JSON, "

@@ -22,7 +22,7 @@ import numpy as np
 
 from ._arrays import frozen as _frozen, square_complex as _square_complex
 from .errors import DimensionMismatchError, ValidationError
-from .kernels import (TOL_PROB, TOL_STOCH, CONDITION_CAP, KernelValidationReport,
+from .kernels import (TOL_PROB, TOL_STOCH, KernelValidationReport,
                       ProbabilityVector, StochasticKernel, validate_kernel)
 
 #: Hermiticity / trace tolerance for operators.
@@ -551,10 +551,11 @@ def q_divisibility_check(e_20: SuperOperator, e_10: SuperOperator,
                          tolerance: float = 1e-9) -> QDivisibilityResult:
     """Decide whether e_20 factors through e_10 as a quantum channel.
 
-    A rank increase rules the factorization out immediately. A well
-    conditioned e_10 makes the linear factor unique, so its CPTP check is
-    decisive; in the singular case the pseudo-inverse candidate is tested and
-    a non-CPTP outcome stays inconclusive.
+    A rank increase rules the factorization out immediately. A full-rank
+    e_10 (every singular value above ``PINV_RCOND`` times the largest) makes
+    the linear factor unique, so its CPTP check is decisive; otherwise the
+    pseudo-inverse candidate is tested and a non-CPTP outcome stays
+    inconclusive.
     """
     if e_20.n != e_10.n:
         raise DimensionMismatchError(
@@ -568,35 +569,30 @@ def q_divisibility_check(e_20: SuperOperator, e_10: SuperOperator,
             "indivisible", None, None,
             f"rank obstruction: rank {rank_10} cannot factor rank {rank_20}")
 
-    cond = sv_10[0] / sv_10[-1] if sv_10[-1] > 0 else np.inf
-    if np.isfinite(cond) and cond < CONDITION_CAP:
+    unique = rank_10 == sv_10.size
+    if unique:
         candidate = e_20.matrix @ np.linalg.inv(e_10.matrix)
-        report = check_cptp(SuperOperator(candidate),
-                            tol_tp=max(TOL_TP, tolerance),
-                            tol_psd=max(TOL_PSD, tolerance))
-        if report.passed:
-            return QDivisibilityResult("divisible", SuperOperator(candidate),
-                                       report, "unique factor is CPTP",
-                                       candidate=candidate)
-        return QDivisibilityResult(
-            "indivisible", None, report,
-            "earlier map is invertible and its unique factor is not CPTP",
-            candidate=candidate)
-
-    candidate = e_20.matrix @ np.linalg.pinv(e_10.matrix, rcond=PINV_RCOND)
-    recon = float(np.abs(candidate @ e_10.matrix - e_20.matrix).max())
-    if recon > tolerance:
-        return QDivisibilityResult(
-            "indivisible", None, None,
-            f"no linear factorization exists (residual {recon:.3e})",
-            candidate=candidate)
+    else:
+        candidate = e_20.matrix @ np.linalg.pinv(e_10.matrix, rcond=PINV_RCOND)
+        recon = float(np.abs(candidate @ e_10.matrix - e_20.matrix).max())
+        if recon > tolerance:
+            return QDivisibilityResult(
+                "indivisible", None, None,
+                f"no linear factorization exists (residual {recon:.3e})",
+                candidate=candidate)
     report = check_cptp(SuperOperator(candidate),
                         tol_tp=max(TOL_TP, tolerance),
                         tol_psd=max(TOL_PSD, tolerance))
     if report.passed:
+        reason = ("unique factor is CPTP" if unique
+                  else "pseudo-inverse factor is CPTP")
         return QDivisibilityResult("divisible", SuperOperator(candidate),
-                                   report, "pseudo-inverse factor is CPTP",
-                                   candidate=candidate)
+                                   report, reason, candidate=candidate)
+    if unique:
+        return QDivisibilityResult(
+            "indivisible", None, report,
+            "earlier map is invertible and its unique factor is not CPTP",
+            candidate=candidate)
     return QDivisibilityResult(
         "inconclusive", None, report,
         "factor on the range of the earlier map is not CPTP; a CPTP "

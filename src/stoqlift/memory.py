@@ -20,7 +20,6 @@ from .errors import DimensionMismatchError, ValidationError
 from .kernels import StochasticKernel
 from ._arrays import frozen as _frozen, square_complex as _square_complex
 from .lifts import TOL_HERM, TOL_PSD, TOL_TP, KrausMap, dictionary_kernel
-from .simplex import solve_lp
 
 #: Unitarity tolerance: max-norm deviation of U^dagger U from the identity.
 TOL_UNITARY = 1e-10
@@ -207,77 +206,56 @@ class ThreeTimeFreedomReport:
     """Freedom left in a three-time conditional law given both two-time kernels.
 
     ``affine_dimension`` is the dimension of the affine solution set of the
-    marginalization and normalization constraints (``None`` when they are
-    inconsistent). ``sample_conditional`` is a nonnegative solution indexed
-    ``[x2, x1, x0]`` when one exists; an interior (strictly positive) sample
-    is returned whenever the constraints admit one, in which case the
-    nonnegativity boundary does not cut the affine dimension down.
+    marginalization and normalization constraints. ``sample_conditional`` is
+    a nonnegative solution indexed ``[x2, x1, x0]`` whose smallest entry
+    ``min_entry`` is as large as any solution's, so it is strictly positive
+    (``strictly_positive``) whenever the constraints admit such a solution,
+    in which case the nonnegativity boundary does not cut the affine
+    dimension down. Every pair of stochastic kernels is consistent and
+    feasible, so no field is ``None``.
     """
 
     consistent: bool
     feasible: bool
     strictly_positive: bool
-    affine_dimension: int | None
-    sample_conditional: np.ndarray | None
-    min_entry: float | None
+    affine_dimension: int
+    sample_conditional: np.ndarray
+    min_entry: float
 
 
 def three_time_freedom(gamma_10: StochasticKernel, gamma_20: StochasticKernel,
-                       rank_cutoff: float = 1e-10,
                        interior_tol: float = 1e-9) -> ThreeTimeFreedomReport:
     """Affine freedom in p(x2 | x1, x0) under both two-time kernels.
 
     The conditional tensor must be normalized over x2 for every (x1, x0) and
-    must marginalize through ``gamma_10`` to ``gamma_20``. The dimension of
-    the resulting affine set is computed by numerical rank; a strictly
-    positive representative is sought with a centering linear program
-    (maximize the uniform slack), falling back to a boundary vertex.
+    must marginalize through ``gamma_10`` to ``gamma_20``:
+    ``sum_x1 p[x2, x1, x0] gamma_10[x1, x0] = gamma_20[x2, x0]``. The report
+    follows in closed form:
+
+    - Feasible: the x1-independent conditional
+      ``p[x2, x1, x0] = gamma_20[x2, x0]`` is normalized because gamma_20 is
+      stochastic, and marginalizes to gamma_20 because the columns of
+      gamma_10 sum to one.
+    - Affine dimension ``n (n - 1)**2``: the constraints split into one block
+      per x0 on disjoint variables. In a block the n normalization rows have
+      disjoint supports, and so do the n marginalization rows. A vanishing
+      combination ``a[x1] + c[x2] gamma_10[x1, x0] = 0`` forces ``c``
+      constant (some ``gamma_10[x1, x0]`` is positive) and
+      ``a = -c gamma_10[:, x0]``: the single dependency "gamma_10-weighted
+      normalizations = sum of marginalizations". Each block has rank
+      ``2n - 1``, so the rank is ``n (2n - 1)`` of ``n**3`` variables.
+    - Strict positivity: a solution with every entry at least t gives
+      ``gamma_20[x2, x0] = sum_x1 p[x2, x1, x0] gamma_10[x1, x0] >= t``, so no
+      solution has a larger minimum entry than the sample, whose minimum is
+      ``min gamma_20``.
     """
     if gamma_10.n != gamma_20.n:
         raise DimensionMismatchError(
             f"kernel dimensions differ: {gamma_10.n} vs {gamma_20.n}")
     n = gamma_10.n
-    g10, g20 = gamma_10.matrix, gamma_20.matrix
-
-    def var(x2, x1, x0):
-        return (x2 * n + x1) * n + x0
-
-    rows, rhs = [], []
-    for x1 in range(n):
-        for x0 in range(n):
-            row = np.zeros(n ** 3)
-            for x2 in range(n):
-                row[var(x2, x1, x0)] = 1.0
-            rows.append(row)
-            rhs.append(1.0)
-    for x2 in range(n):
-        for x0 in range(n):
-            row = np.zeros(n ** 3)
-            for x1 in range(n):
-                row[var(x2, x1, x0)] = g10[x1, x0]
-            rows.append(row)
-            rhs.append(g20[x2, x0])
-    a = np.asarray(rows)
-    b = np.asarray(rhs)
-
-    sv = np.linalg.svd(a, compute_uv=False)
-    rank = int((sv > rank_cutoff * sv[0]).sum())
-    sv_aug = np.linalg.svd(np.hstack([a, b[:, None]]), compute_uv=False)
-    rank_aug = int((sv_aug > rank_cutoff * sv_aug[0]).sum())
-    if rank_aug > rank:
-        return ThreeTimeFreedomReport(False, False, False, None, None, None)
-    affine_dim = n ** 3 - rank
-
-    # Centering program: p = q + t, q >= 0, maximize the uniform slack t.
-    a_center = np.hstack([a, (a @ np.ones(n ** 3))[:, None]])
-    objective = np.zeros(n ** 3 + 1)
-    objective[-1] = 1.0
-    result = solve_lp(a_center, b, objective=objective, maximize=True)
-    if result.status == "infeasible":
-        return ThreeTimeFreedomReport(True, False, False, affine_dim, None, None)
-    slack = float(result.x[-1])
-    sample = result.x[:-1] + slack
-    tensor = sample.reshape(n, n, n)
+    g20 = gamma_20.matrix
+    sample = _frozen(np.repeat(g20[:, None, :], n, axis=1))
+    min_entry = float(g20.min())
     return ThreeTimeFreedomReport(
-        True, True, slack > interior_tol, affine_dim,
-        _frozen(tensor), float(sample.min()))
+        True, True, min_entry > interior_tol, n * (n - 1) ** 2,
+        sample, min_entry)

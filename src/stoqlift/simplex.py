@@ -1,10 +1,10 @@
-"""Dense two-phase simplex for small equality-form linear programs.
+"""Dense phase-1 simplex deciding feasibility of small equality-form systems.
 
-Solves ``max c.x  subject to  A x = b, x >= 0`` with Bland's anti-cycling
-pivot rule (lowest eligible index, ties broken by lowest basic variable
-index), which makes every run deterministic and guarantees termination.
-Intended for desk-scale feasibility questions (tens of variables), not
-performance.
+Finds ``x >= 0`` with ``A x = b`` by minimizing the total mass of one
+artificial variable per row, with Bland's anti-cycling pivot rule (lowest
+eligible index, ties broken by lowest basic variable index), which makes
+every run deterministic and guarantees termination. Intended for desk-scale
+feasibility questions (tens of variables), not performance.
 """
 
 from __future__ import annotations
@@ -21,18 +21,17 @@ FEASIBILITY_TOL = 1e-9
 
 @dataclass(frozen=True)
 class SimplexResult:
-    """Outcome of a simplex solve.
+    """Outcome of a feasibility solve.
 
-    ``status`` is one of ``"optimal"``, ``"infeasible"`` or ``"unbounded"``.
-    ``x`` is a basic solution of the original variables when one exists.
-    ``infeasibility`` is the phase-1 optimum (total residual mass left in
-    artificial variables); ``violated_rows`` lists the constraint rows whose
-    artificial variable stayed positive.
+    ``status`` is ``"optimal"`` (a feasible point was found) or
+    ``"infeasible"``. ``x`` is a basic feasible point of the original
+    variables when one exists. ``infeasibility`` is the phase-1 optimum
+    (total residual mass left in artificial variables); ``violated_rows``
+    lists the constraint rows whose artificial variable stayed positive.
     """
 
     status: str
     x: np.ndarray | None
-    objective: float | None
     infeasibility: float
     violated_rows: tuple[int, ...]
 
@@ -45,13 +44,14 @@ def _pivot(tableau, basis, row, col):
     basis[row] = col
 
 
-def _run_simplex(tableau, basis, cost, n_cols):
-    """Minimize cost over the tableau in place. Returns 'optimal' or 'unbounded'.
+def _run_simplex(tableau, basis, cost):
+    """Minimize cost over the tableau in place.
 
-    ``tableau`` has shape (m, n_cols + 1) with the right-hand side in the last
-    column; ``basis`` maps rows to basic column indices.
+    ``tableau`` has shape (m, cost.size + 1) with the right-hand side in the
+    last column; ``basis`` maps rows to basic column indices. The cost must
+    be bounded below on the feasible set, as the nonnegative phase-1 cost is.
     """
-    m = tableau.shape[0]
+    m, n_cols = tableau.shape[0], cost.size
     while True:
         # Reduced costs relative to the current basis.
         reduced = cost.copy()
@@ -65,7 +65,7 @@ def _run_simplex(tableau, basis, cost, n_cols):
                 entering = j
                 break  # Bland: lowest eligible index
         if entering < 0:
-            return "optimal"
+            return
         leaving = -1
         best_ratio = np.inf
         for r in range(m):
@@ -78,17 +78,17 @@ def _run_simplex(tableau, basis, cost, n_cols):
                 ):
                     best_ratio = ratio
                     leaving = r
-        if leaving < 0:
-            return "unbounded"
+        if leaving < 0:  # pragma: no cover - phase 1 is always bounded
+            raise RuntimeError("phase-1 simplex did not converge")
         _pivot(tableau, basis, leaving, entering)
 
 
-def solve_lp(a_eq, b_eq, objective=None, maximize=True):
-    """Solve ``max/min objective.x`` subject to ``a_eq x = b_eq``, ``x >= 0``.
+def solve_lp(a_eq, b_eq):
+    """Decide whether ``a_eq x = b_eq`` has a solution with ``x >= 0``.
 
-    With ``objective=None`` only feasibility is decided and ``x`` is a basic
-    feasible point. Redundant equality rows are tolerated; they are detected
-    and dropped after phase 1.
+    When it does, ``x`` is a basic feasible point, read from the basic
+    original variables. Redundant equality rows are tolerated: their
+    artificial variables stay basic and are left out of ``x``.
     """
     a = np.array(a_eq, dtype=float)
     b = np.array(b_eq, dtype=float).reshape(-1)
@@ -100,55 +100,32 @@ def solve_lp(a_eq, b_eq, objective=None, maximize=True):
     a[flip] *= -1.0
     b[flip] *= -1.0
 
-    # Phase 1: artificial identity basis, minimize total artificial mass.
+    # Artificial identity basis; minimize the total artificial mass.
     tableau = np.hstack([a, np.eye(m), b[:, None]])
     basis = list(range(n, n + m))
-    cost1 = np.concatenate([np.zeros(n), np.ones(m)])
-    status = _run_simplex(tableau, basis, cost1, n + m)
-    if status != "optimal":  # pragma: no cover - phase 1 is always bounded
-        raise RuntimeError("phase-1 simplex did not converge")
+    cost = np.concatenate([np.zeros(n), np.ones(m)])
+    _run_simplex(tableau, basis, cost)
 
     infeas = float(sum(tableau[r, -1] for r in range(m) if basis[r] >= n))
     if infeas > FEASIBILITY_TOL:
         violated = tuple(
             r for r in range(m) if basis[r] >= n and tableau[r, -1] > FEASIBILITY_TOL
         )
-        return SimplexResult("infeasible", None, None, infeas, violated)
+        return SimplexResult("infeasible", None, infeas, violated)
 
-    # Drive remaining artificials out of the basis; rows that cannot pivot on
-    # any original column are redundant and get dropped.
-    redundant = []
+    # Pivot the artificials left basic onto an original column. Rounding can
+    # leave them at levels of either sign that cancel in the sum above; the
+    # pivot moves those levels into x instead of dropping them.
     for r in range(m):
         if basis[r] >= n:
             col = next(
                 (j for j in range(n) if abs(tableau[r, j]) > PIVOT_TOL), None
             )
-            if col is None:
-                redundant.append(r)
-            else:
+            if col is not None:
                 _pivot(tableau, basis, r, col)
-    if redundant:
-        keep = [r for r in range(m) if r not in set(redundant)]
-        tableau = tableau[keep]
-        basis = [basis[r] for r in keep]
-        m = len(keep)
-    tableau = np.hstack([tableau[:, :n], tableau[:, -1:]])
 
-    def _solution():
-        x = np.zeros(n)
-        for r in range(m):
+    x = np.zeros(n)
+    for r in range(m):
+        if basis[r] < n:
             x[basis[r]] = tableau[r, -1]
-        return np.maximum(x, 0.0)
-
-    if objective is None:
-        return SimplexResult("optimal", _solution(), None, 0.0, ())
-
-    c = np.asarray(objective, dtype=float).reshape(-1)
-    if c.size != n:
-        raise ValueError("objective length does not match variable count")
-    cost2 = -c if maximize else c.copy()
-    status = _run_simplex(tableau, basis, cost2, n)
-    if status == "unbounded":
-        return SimplexResult("unbounded", None, None, 0.0, ())
-    x = _solution()
-    return SimplexResult("optimal", x, float(c @ x), 0.0, ())
+    return SimplexResult("optimal", np.maximum(x, 0.0), 0.0, ())

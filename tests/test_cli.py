@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import stoqlift
 from stoqlift import cli
 from stoqlift.cli import main
 from stoqlift.serialization import (complex_matrix_to_json, dump_json,
@@ -247,6 +252,20 @@ class TestReportContract:
         loose, _, _ = run(capsys, "--tol", 0.01, "validate", path)
         assert strict == 1 and loose == 0
 
+    def test_zero_tol_is_applied(self, capsys, tmp_path):
+        path = tmp_path / "near.json"
+        dump_json({"n": 2, "rows": [[0.5, 0.0], [0.5 + 5e-14, 1.0]]}, path)
+        default, _, _ = run(capsys, "validate", path)
+        zero, report, _ = run(capsys, "--tol", 0, "validate", path)
+        assert default == 0 and zero == 1
+        assert report["verdicts"]["max_column_sum_error"] > 0
+
+    def test_negative_tol_is_usage_error(self, capsys, files):
+        with pytest.raises(SystemExit) as exc:
+            main(["--tol", "-1", "validate", str(files["flip"])])
+        assert exc.value.code == 2
+        assert "nonnegative" in capsys.readouterr().err
+
     def test_tol_override_reaches_divisibility_check(self, capsys, files, monkeypatch):
         passed_tolerances = []
         check = cli.c_divisibility_check
@@ -260,3 +279,15 @@ class TestReportContract:
         run(capsys, *argv)
         run(capsys, "--tol", 1e-6, *argv)
         assert passed_tolerances == [(), (1e-6,)]
+
+
+def test_import_leaves_scipy_optimize_unloaded():
+    # scipy.optimize costs about 19 MB of RSS and 0.3 s in every CLI process.
+    src = str(Path(stoqlift.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, stoqlift, stoqlift.cli; "
+         "print('scipy.optimize' in sys.modules)"],
+        env=env, capture_output=True, text=True, check=True).stdout
+    assert out.strip() == "False"

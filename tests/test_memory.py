@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from scipy.optimize import linprog
 
 from stoqlift import (DimensionMismatchError, KrausMap, PovmEffects,
                       StochasticKernel, ValidationError, compose, dof_counts,
@@ -18,6 +19,32 @@ FLIP = np.array([[0.0, 1.0], [1.0, 0.0]])
 MIX = np.array([[0.5, 0.5], [0.5, 0.5]])
 PHASE = np.diag([1.0, 1j])  # unit-modulus row rescaling of the second row
 BITFLIP_OPS = [np.sqrt(0.75) * np.eye(2), np.sqrt(0.25) * FLIP]
+
+
+def _dense(rng, n):
+    return random_stochastic(rng, n).matrix
+
+
+def _sparse(rng, n):
+    m = rng.random((n, n)) * (rng.random((n, n)) < 0.4)
+    m[rng.integers(n, size=n), np.arange(n)] += 1.0  # no empty column
+    return m / m.sum(axis=0)
+
+
+def _permutation(rng, n):
+    return np.eye(n)[rng.permutation(n)]
+
+
+def _singular(rng, n):
+    column = rng.random(n)
+    return np.repeat((column / column.sum())[:, None], n, axis=1)
+
+
+def _tiny_entries(rng, n):
+    return (1.0 - 1e-13 * n) * _permutation(rng, n) + 1e-13
+
+
+KERNEL_KINDS = (_dense, _sparse, _permutation, _singular, _tiny_entries)
 
 
 class TestModSquare:
@@ -218,7 +245,53 @@ class TestDofCounts:
             dof_counts(2, 0)
 
 
+def _three_time_constraints(g10, g20):
+    """Normalization and marginalization rows over p[x2, x1, x0], row-major."""
+    n = g10.shape[0]
+
+    def var(x2, x1, x0):
+        return (x2 * n + x1) * n + x0
+
+    rows, rhs = [], []
+    for x1 in range(n):
+        for x0 in range(n):
+            row = np.zeros(n ** 3)
+            for x2 in range(n):
+                row[var(x2, x1, x0)] = 1.0
+            rows.append(row)
+            rhs.append(1.0)
+    for x2 in range(n):
+        for x0 in range(n):
+            row = np.zeros(n ** 3)
+            for x1 in range(n):
+                row[var(x2, x1, x0)] = g10[x1, x0]
+            rows.append(row)
+            rhs.append(g20[x2, x0])
+    return np.asarray(rows), np.asarray(rhs)
+
+
 class TestThreeTimeFreedom:
+    @pytest.mark.parametrize("n", range(1, 6))
+    @pytest.mark.parametrize("kind", range(len(KERNEL_KINDS)))
+    def test_closed_form_against_explicit_constraints(self, n, kind):
+        rng = np.random.default_rng(n)
+        g10 = KERNEL_KINDS[kind](rng, n)
+        g20 = KERNEL_KINDS[(kind + 1) % len(KERNEL_KINDS)](rng, n)
+        report = three_time_freedom(StochasticKernel(g10), StochasticKernel(g20))
+        a, b = _three_time_constraints(g10, g20)
+        assert report.affine_dimension == n ** 3 - np.linalg.matrix_rank(a)
+        sample = report.sample_conditional.reshape(-1)
+        np.testing.assert_allclose(a @ sample, b, rtol=0, atol=1e-12)
+        # Max-min slack: p = q + t with q >= 0; maximize t.
+        a_slack = np.hstack([a, a.sum(axis=1, keepdims=True)])
+        cost = np.zeros(n ** 3 + 1)
+        cost[-1] = -1.0
+        best = linprog(cost, A_eq=a_slack, b_eq=b,
+                       bounds=[(0, None)] * n ** 3 + [(None, None)],
+                       method="highs")
+        assert best.success
+        assert best.x[-1] == pytest.approx(report.min_entry, abs=1e-9)
+
     def test_identity_chain_forces_deterministic_branches(self):
         eye = StochasticKernel.identity(2)
         report = three_time_freedom(eye, eye)

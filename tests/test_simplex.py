@@ -38,23 +38,6 @@ def test_redundant_rows_are_tolerated():
     np.testing.assert_allclose(a @ res.x, b, atol=1e-12)
 
 
-def test_unbounded_objective():
-    # max x1 with x1 - x2 = 0: both can grow without limit.
-    res = solve_lp(np.array([[1.0, -1.0]]), np.array([0.0]),
-                   objective=np.array([1.0, 0.0]))
-    assert res.status == "unbounded"
-
-
-def test_phase2_matches_known_optimum():
-    # max x1 + 2 x2  s.t.  x1 + x2 + s = 4, x1 + 3 x2 + t = 6.
-    a = np.array([[1.0, 1.0, 1.0, 0.0], [1.0, 3.0, 0.0, 1.0]])
-    b = np.array([4.0, 6.0])
-    res = solve_lp(a, b, objective=np.array([1.0, 2.0, 0.0, 0.0]))
-    assert res.status == "optimal"
-    assert res.objective == pytest.approx(5.0, abs=1e-9)
-    np.testing.assert_allclose(res.x[:2], [3.0, 1.0], atol=1e-9)
-
-
 @pytest.mark.parametrize("seed", range(20))
 def test_feasibility_agrees_with_scipy(seed):
     rng = np.random.default_rng(seed)
@@ -71,15 +54,3 @@ def test_feasibility_agrees_with_scipy(seed):
     if ours.status == "optimal":
         np.testing.assert_allclose(a @ ours.x, b, atol=1e-8)
 
-
-@pytest.mark.parametrize("seed", range(10))
-def test_phase2_optimum_agrees_with_scipy(seed):
-    rng = np.random.default_rng(100 + seed)
-    m, n = 4, 7
-    a = rng.random((m, n))
-    b = a @ rng.random(n)
-    c = rng.standard_normal(n)
-    ours = solve_lp(a, b, objective=c, maximize=False)
-    scipy_res = linprog(c, A_eq=a, b_eq=b, bounds=(0, None), method="highs")
-    assert ours.status == "optimal" and scipy_res.success
-    assert ours.objective == pytest.approx(scipy_res.fun, abs=1e-7)
