@@ -23,8 +23,8 @@ from .errors import DimensionMismatchError, ValidationError
 from .kernels import (CDivisibilityResult, ProbabilityVector, StochasticKernel,
                       TOL_PROB, TOL_STOCH, c_divisibility_check)
 from .lifts import (QDivisibilityResult, SuperOperator, TOL_PSD, TOL_TP,
-                    check_cptp, q_divisibility_check, superop_kernel_extract,
-                    unvec, vec)
+                    _diagonal_images_offdiagonal, check_cptp,
+                    q_divisibility_check, superop_kernel_extract, unvec, vec)
 
 #: Cross-block mass tolerance for the classical-record form at the division time.
 RECORD_FORM_TOL = 1e-9
@@ -107,16 +107,11 @@ def theorem1_check(e_10: SuperOperator, e_20: SuperOperator,
     if e_10.n != e_20.n:
         raise DimensionMismatchError(
             f"superoperator dimensions differ: {e_10.n} vs {e_20.n}")
-    n = e_10.n
 
     q_result = q_divisibility_check(e_20, e_10, tolerance)
     q_divisible = q_result.verdict == "divisible"
 
-    # Column i(N+1) of e_10 is vec(e_10(|i><i|)); its rows off the diagonal
-    # positions i(N+1) hold the off-diagonal entries of that image.
-    diagonal = np.arange(n) * (n + 1)
-    images = e_10.matrix[:, diagonal]
-    worst_mass = float(np.abs(np.delete(images, diagonal, axis=0)).max(initial=0.0))
+    worst_mass = _diagonal_images_offdiagonal(e_10.matrix, e_10.n)
     all_diagonal = worst_mass <= tolerance
 
     gamma_10 = StochasticKernel(superop_kernel_extract(e_10),
@@ -209,7 +204,6 @@ def environment_division_scenario(p_env: ProbabilityVector,
                 f"min Choi eigenvalue {report.min_choi_eigenvalue:.3e})")
 
     rho_env = np.diag(p_env.entries.astype(complex))
-    post_joint = tensor_superoperator(post_system, post_env)
 
     kernel_t1 = np.empty((n_sys, n_sys))
     kernel_t2 = np.empty((n_sys, n_sys))
@@ -235,8 +229,8 @@ def environment_division_scenario(p_env: ProbabilityVector,
         worst_reduced = max(worst_reduced, _offdiagonal_max(reduced1))
         kernel_t1[:, i] = np.real(np.diag(reduced1))
 
-        joint2 = unvec(post_joint.matrix @ vec(joint1))
-        reduced2 = partial_trace(joint2, n_sys, n_env, keep="sys")
+        # Tr_env (post_system x post_env) = post_system Tr_env: post_env is TP.
+        reduced2 = unvec(post_system.matrix @ vec(reduced1))
         kernel_t2[:, i] = np.real(np.diag(reduced2))
 
     record_form = worst_block <= tolerance and worst_reduced <= tolerance

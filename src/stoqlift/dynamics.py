@@ -7,6 +7,8 @@ superoperator, a consistent short-time Kraus choice, finite-time propagation,
 the embedding of a classical rate matrix, and the practical three-step
 checklist (normalization at coincidence, generator extraction, forward
 equation) that certifies the composition property of a supplied family.
+The generator is a left-right map, and every Liouville matrix here is built
+by :func:`stoqlift.lifts.to_superoperator`.
 """
 
 from __future__ import annotations
@@ -20,8 +22,9 @@ from scipy.linalg import expm
 from .errors import DimensionMismatchError, ValidationError
 from .kernels import RateMatrix
 from ._arrays import frozen as _frozen, square_complex as _square_complex
-from .lifts import (TOL_HERM, DensityOperator, KrausMap, SuperOperator,
-                    unvec, vec)
+from .lifts import (TOL_HERM, DensityOperator, KrausMap, LeftRightMap,
+                    SuperOperator, _diagonal_images_offdiagonal,
+                    canonical_lift, to_superoperator, unvec, vec)
 
 #: Default finite-difference step for generator extraction.
 FD_STEP = 1e-4
@@ -29,22 +32,15 @@ FD_STEP = 1e-4
 CK_TOLERANCE = 1e-6
 
 
-def _gksl_matrix(hamiltonian: np.ndarray, jumps: Sequence[np.ndarray]) -> np.ndarray:
-    n = hamiltonian.shape[0]
-    eye = np.eye(n)
-    s = -1j * (np.kron(eye, hamiltonian) - np.kron(hamiltonian.T, eye))
-    for jump in jumps:
-        jj = jump.conj().T @ jump
-        s += np.kron(jump.conj(), jump)
-        s -= 0.5 * (np.kron(eye, jj) + np.kron(jj.T, eye))
-    return s
-
-
 class GkslGenerator:
     """Time-local generator: Hamiltonian part plus jump-operator dissipators.
 
-    The generated superoperator annihilates the trace (checked at
-    construction), so finite-time propagation is trace preserving.
+    It is the left-right map ``K rho + rho K~ + sum_j J rho J^dagger`` with
+    ``K = -iH - D``, ``K~ = +iH - D`` and ``D = 1/2 sum_j J^dagger J``; using
+    ``K~`` rather than ``K^dagger`` cancels H in the trace exactly even when H
+    is Hermitian only to within ``tol_herm``. The jumps are one read-only
+    ``(r, N, N)`` stack. The generated superoperator annihilates the trace
+    (checked at construction), so finite-time propagation is trace preserving.
     """
 
     def __init__(self, hamiltonian, jump_ops: Sequence[np.ndarray] = (),
@@ -54,20 +50,24 @@ class GkslGenerator:
         if herm_err > tol_herm:
             raise ValidationError(
                 f"hamiltonian not Hermitian: worst asymmetry {herm_err:.3e}")
-        jumps = tuple(_frozen(_square_complex(op, "jump operator").copy())
-                      for op in jump_ops)
-        if any(op.shape[0] != h.shape[0] for op in jumps):
+        n = h.shape[0]
+        ops = [_square_complex(op, "jump operator") for op in jump_ops]
+        if any(op.shape[0] != n for op in ops):
             raise DimensionMismatchError(
                 "jump operators must match the Hamiltonian dimension")
         self._hamiltonian = _frozen(h.copy())
-        self._jumps = jumps
-        s = _gksl_matrix(self._hamiltonian, jumps)
-        trace_action = np.abs(vec(np.eye(h.shape[0])) @ s).max()
+        self._jumps = _frozen(np.array(ops, dtype=complex).reshape(len(ops), n, n))
+        adjoints = self._jumps.conj().transpose(0, 2, 1)
+        drift = 0.5 * (adjoints @ self._jumps).sum(axis=0)
+        eye = np.eye(n)
+        self._liouville = to_superoperator(LeftRightMap(
+            [-1j * h - drift, eye, *self._jumps], [eye, 1j * h - drift, *adjoints]))
+        s = self._liouville.matrix
+        trace_action = np.abs(vec(eye) @ s).max()
         scale = max(1.0, float(np.abs(s).max()))
         if trace_action > 1e-10 * scale:  # pragma: no cover - structural identity
             raise ValidationError(
                 f"generator does not annihilate the trace ({trace_action:.3e})")
-        self._superop = _frozen(s)
 
     @property
     def hamiltonian(self) -> np.ndarray:
@@ -75,7 +75,13 @@ class GkslGenerator:
 
     @property
     def jump_ops(self) -> tuple[np.ndarray, ...]:
-        return self._jumps
+        """The jump operators in input order, as read-only views of the stack."""
+        return tuple(self._jumps)
+
+    @property
+    def superoperator(self) -> SuperOperator:
+        """Liouville matrix of the generator (acts on vectorized operators)."""
+        return self._liouville
 
     @property
     def n(self) -> int:
@@ -91,7 +97,7 @@ class GkslGenerator:
 
 def gksl_superoperator(gen: GkslGenerator) -> SuperOperator:
     """Liouville matrix of the generator (acts on vectorized operators)."""
-    return SuperOperator(gen._superop)
+    return gen.superoperator
 
 
 def short_time_kraus(gen: GkslGenerator, dt: float) -> KrausMap:
@@ -120,7 +126,7 @@ def propagate(gen: GkslGenerator, rho0: DensityOperator, t: float) -> DensityOpe
     if gen.n != rho0.n:
         raise DimensionMismatchError(
             f"generator dimension {gen.n} does not match state dimension {rho0.n}")
-    out = unvec(expm(t * gen._superop) @ vec(rho0.matrix))
+    out = unvec(expm(t * gen.superoperator.matrix) @ vec(rho0.matrix))
     return DensityOperator(out)
 
 
@@ -156,16 +162,12 @@ def ctmc_embedding(rate: RateMatrix | np.ndarray,
             raise DimensionMismatchError(
                 f"diagonal Hamiltonian has {d.size} entries, expected {n}")
         h = np.diag(d)
-    jumps = []
-    for j in range(n):
-        for i in range(n):
-            if i == j:
-                continue
-            w = r.matrix[i, j]
-            if w > 0:
-                op = np.zeros((n, n), dtype=complex)
-                op[i, j] = np.sqrt(w)
-                jumps.append(op)
+    # Flat index j * n + i orders the jumps column by column, as in
+    # canonical_lift; multiples of n + 1 are the diagonal.
+    rates = r.matrix.T.reshape(-1)
+    flat = np.flatnonzero((rates > 0) & (np.arange(n * n) % (n + 1) != 0))
+    jumps = np.zeros((len(flat), n, n), dtype=complex)
+    jumps[np.arange(len(flat)), flat % n, flat // n] = np.sqrt(rates[flat])
     return GkslGenerator(h, jumps)
 
 
@@ -173,13 +175,9 @@ def diagonal_preservation_check(gen: GkslGenerator,
                                 tolerance: float = 1e-10) -> bool:
     """True when the generator maps every diagonal state to a diagonal one.
 
-    The basis projectors decide the property by linearity. Column i(N+1) of
-    the generator is vec of the image of |i><i|; its rows off the diagonal
-    positions i(N+1) hold the off-diagonal entries of that image.
+    The basis projectors decide the property by linearity.
     """
-    diagonal = np.arange(gen.n) * (gen.n + 1)
-    images = gen._superop[:, diagonal]
-    worst = float(np.abs(np.delete(images, diagonal, axis=0)).max(initial=0.0))
+    worst = _diagonal_images_offdiagonal(gen.superoperator.matrix, gen.n)
     return worst <= tolerance
 
 
@@ -220,7 +218,8 @@ class SuperOperatorFamily:
     def from_generator(cls, gen: GkslGenerator | SuperOperator,
                        grid: Sequence[float]) -> "SuperOperatorFamily":
         """Semigroup family ``exp((t - s) L)`` of a constant generator."""
-        l_matrix = gen._superop if isinstance(gen, GkslGenerator) else gen.matrix
+        l_matrix = (gen.superoperator if isinstance(gen, GkslGenerator)
+                    else gen).matrix
         return cls(grid, lambda t, s: expm((t - s) * l_matrix))
 
     @classmethod
@@ -231,11 +230,8 @@ class SuperOperatorFamily:
         if np.abs(h - h.conj().T).max() > TOL_HERM:
             raise ValidationError("hamiltonian not Hermitian")
 
-        def fn(t, s):
-            u = expm(-1j * (t - s) * h)
-            return np.kron(u.conj(), u)
-
-        return cls(grid, fn)
+        return cls(grid, lambda t, s: to_superoperator(
+            KrausMap([expm(-1j * (t - s) * h)])))
 
     @classmethod
     def from_kernel_family(cls, family, lift: str = "canonical",
@@ -246,8 +242,6 @@ class SuperOperatorFamily:
         Nothing makes such a family compose; feeding it to the checklist is
         how one finds out.
         """
-        from .lifts import canonical_lift, to_superoperator
-
         if lift != "canonical":
             raise ValueError(f"unsupported lift choice {lift!r}")
         g = family.grid if grid is None else grid

@@ -57,6 +57,14 @@ def _reshuffle(matrix: np.ndarray, n: int) -> np.ndarray:
     return matrix.reshape(n, n, n, n).transpose(3, 1, 2, 0).reshape(n * n, n * n)
 
 
+def _diagonal_images_offdiagonal(matrix: np.ndarray, n: int) -> float:
+    """Largest off-diagonal entry of the images of the basis projectors: rows
+    off the positions i(N+1) of columns i(N+1), which are vec(map(|i><i|))."""
+    diagonal = np.arange(n) * (n + 1)
+    images = matrix[:, diagonal]
+    return float(np.abs(np.delete(images, diagonal, axis=0)).max(initial=0.0))
+
+
 def diagonal_injection(n: int) -> np.ndarray:
     """The n^2 x n matrix D with vec(diag(p)) = D p.
 
@@ -121,14 +129,18 @@ class KrausMap:
     """
 
     def __init__(self, operators: Iterable[np.ndarray], tol_tp: float = TOL_TP):
-        ops = [_square_complex(op, "Kraus operator") for op in operators]
-        ops = [m for m in ops if np.linalg.norm(m) >= KRAUS_DROP_NORM]
-        if not ops:
-            raise ValidationError("Kraus map needs at least one nonzero operator")
-        n = ops[0].shape[0]
-        if any(op.shape[0] != n for op in ops):
+        ops = [np.asarray(op, dtype=complex) for op in operators]
+        distinct = {op.shape: op for op in ops}.values()  # first-seen order
+        for op in distinct:
+            _square_complex(op, "Kraus operator")
+        if len(distinct) > 1:
             raise DimensionMismatchError("Kraus operators must share one dimension")
-        self._stack = _frozen(np.stack(ops))
+        stack = np.stack(ops) if ops else np.empty((0, 1, 1), dtype=complex)
+        stack = stack[np.linalg.norm(stack, axis=(1, 2)) >= KRAUS_DROP_NORM]
+        if not len(stack):
+            raise ValidationError("Kraus map needs at least one nonzero operator")
+        n = stack.shape[1]
+        self._stack = _frozen(stack)
         # sum_b K_b^dagger K_b as one product over the stacked rows of all K_b.
         rows = self._stack.reshape(-1, n)
         self.completeness_residual = float(
@@ -173,13 +185,15 @@ class KrausMap:
 
 
 class LeftRightMap:
-    """General linear map ``rho -> sum_b A_b rho B_b`` (not necessarily positive)."""
+    """General linear map ``rho -> sum_b A_b rho B_b`` (not necessarily positive).
+
+    A_b and B_b are stored as two read-only ``(r, N, N)`` complex stacks;
+    ``left_ops`` and ``right_ops`` are tuples of read-only views of them.
+    """
 
     def __init__(self, left_ops: Iterable[np.ndarray], right_ops: Iterable[np.ndarray]):
-        left = tuple(_frozen(_square_complex(a, "left operator").copy())
-                     for a in left_ops)
-        right = tuple(_frozen(_square_complex(b, "right operator").copy())
-                      for b in right_ops)
+        left = [_square_complex(a, "left operator") for a in left_ops]
+        right = [_square_complex(b, "right operator") for b in right_ops]
         if len(left) != len(right):
             raise DimensionMismatchError(
                 f"left/right operator counts differ: {len(left)} vs {len(right)}")
@@ -188,22 +202,23 @@ class LeftRightMap:
         n = left[0].shape[0]
         if any(op.shape[0] != n for op in left + right):
             raise DimensionMismatchError("all operators must share one dimension")
-        self.left_ops = left
-        self.right_ops = right
+        self._left = _frozen(np.stack(left))
+        self._right = _frozen(np.stack(right))
+        self.left_ops = tuple(self._left)
+        self.right_ops = tuple(self._right)
 
     @property
     def n(self) -> int:
-        return self.left_ops[0].shape[0]
+        return self._left.shape[1]
 
     def _choi(self) -> np.ndarray:
         """``sum_b vec(A_b) vec(B_b^T)^T``; a row of B_b is a column of B_b^T."""
-        left, right = np.stack(self.left_ops), np.stack(self.right_ops)
-        r = len(left)
-        return left.transpose(0, 2, 1).reshape(r, -1).T @ right.reshape(r, -1)
+        r = len(self._left)
+        return self._left.transpose(0, 2, 1).reshape(r, -1).T @ self._right.reshape(r, -1)
 
     def _induced(self) -> tuple[np.ndarray, dict]:
         """Diagonal action ``sum_b A_b o B_b^T``, with the trace condition."""
-        left, right = np.stack(self.left_ops), np.stack(self.right_ops)
+        left, right = self._left, self._right
         kernel = np.real((left * right.transpose(0, 2, 1)).sum(axis=0))
         trace_cond = (right @ left).sum(axis=0)
         return kernel, {"trace_condition_residual":
@@ -211,7 +226,7 @@ class LeftRightMap:
                         "has_negative_entries": bool(kernel.min() < -TOL_PROB)}
 
     def __repr__(self):
-        return f"LeftRightMap(n={self.n}, terms={len(self.left_ops)})"
+        return f"LeftRightMap(n={self.n}, terms={len(self._left)})"
 
 
 class SuperOperator:
@@ -551,28 +566,28 @@ def q_divisibility_check(e_20: SuperOperator, e_10: SuperOperator,
                          tolerance: float = 1e-9) -> QDivisibilityResult:
     """Decide whether e_20 factors through e_10 as a quantum channel.
 
-    A rank increase rules the factorization out immediately. A full-rank
-    e_10 (every singular value above ``PINV_RCOND`` times the largest) makes
-    the linear factor unique, so its CPTP check is decisive; otherwise the
-    pseudo-inverse candidate is tested and a non-CPTP outcome stays
-    inconclusive.
+    A full-rank e_10 (every singular value above ``PINV_RCOND`` times the
+    largest) makes the linear factor unique, so its CPTP check is decisive.
+    Otherwise a rank increase from e_10 to e_20 rules the factorization out,
+    and failing that the pseudo-inverse candidate is tested and a non-CPTP
+    outcome stays inconclusive.
     """
     if e_20.n != e_10.n:
         raise DimensionMismatchError(
             f"superoperator dimensions differ: {e_20.n} vs {e_10.n}")
     sv_10 = np.linalg.svd(e_10.matrix, compute_uv=False)
-    sv_20 = np.linalg.svd(e_20.matrix, compute_uv=False)
     rank_10 = int((sv_10 > PINV_RCOND * sv_10[0]).sum())
-    rank_20 = int((sv_20 > PINV_RCOND * sv_20[0]).sum())
-    if rank_10 < rank_20:
-        return QDivisibilityResult(
-            "indivisible", None, None,
-            f"rank obstruction: rank {rank_10} cannot factor rank {rank_20}")
-
     unique = rank_10 == sv_10.size
     if unique:
         candidate = e_20.matrix @ np.linalg.inv(e_10.matrix)
     else:
+        # Only a rank-deficient e_10 can have a smaller rank than e_20.
+        sv_20 = np.linalg.svd(e_20.matrix, compute_uv=False)
+        rank_20 = int((sv_20 > PINV_RCOND * sv_20[0]).sum())
+        if rank_10 < rank_20:
+            return QDivisibilityResult(
+                "indivisible", None, None,
+                f"rank obstruction: rank {rank_10} cannot factor rank {rank_20}")
         candidate = e_20.matrix @ np.linalg.pinv(e_10.matrix, rcond=PINV_RCOND)
         recon = float(np.abs(candidate @ e_10.matrix - e_20.matrix).max())
         if recon > tolerance:

@@ -16,7 +16,6 @@ from pathlib import Path
 import numpy as np
 
 from .dynamics import GkslGenerator
-from .errors import DimensionMismatchError
 from .kernels import ProbabilityVector, RateMatrix, StochasticKernel
 from .lifts import KrausMap, SuperOperator, to_superoperator
 
@@ -46,7 +45,7 @@ def _expect_rows(obj: dict) -> tuple[int, list]:
         raise SerializationError('matrix object needs "n" and "rows" keys')
     n = obj["n"]
     rows = obj["rows"]
-    if not isinstance(n, int) or n < 1:
+    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
         raise SerializationError(f'"n" must be a positive integer, got {n!r}')
     if not isinstance(rows, list) or len(rows) != n:
         raise SerializationError(
@@ -60,8 +59,9 @@ def real_matrix_from_json(obj: dict) -> np.ndarray:
         m = np.array(rows, dtype=float)
     except (TypeError, ValueError) as exc:
         raise SerializationError(f"rows are not real numbers: {exc}") from exc
-    if m.ndim != 2 or m.shape[0] != n:
-        raise SerializationError(f"rows do not form an {n}-row matrix")
+    if m.shape != (n, n):
+        raise SerializationError(
+            f"rows do not form an {n} x {n} matrix, got shape {m.shape}")
     return m
 
 
@@ -82,7 +82,7 @@ def complex_matrix_from_json(obj: dict) -> np.ndarray:
     except (TypeError, ValueError) as exc:
         raise SerializationError(
             f"complex entries must be [re, im] pairs: {exc}") from exc
-    if raw.ndim != 3 or raw.shape[0] != n or raw.shape[2] != 2:
+    if raw.shape != (n, n, 2):
         raise SerializationError(
             f"complex matrix rows must be lists of [re, im] pairs, got shape {raw.shape}")
     return raw[..., 0] + 1j * raw[..., 1]
@@ -95,12 +95,8 @@ def complex_matrix_to_json(matrix) -> dict:
 
 
 def kernel_from_json(obj: dict) -> StochasticKernel:
-    m = real_matrix_from_json(obj)
-    try:
-        return StochasticKernel(m, from_time=obj.get("from_t"),
-                                to_time=obj.get("to_t"))
-    except DimensionMismatchError as exc:
-        raise SerializationError(str(exc)) from exc
+    return StochasticKernel(real_matrix_from_json(obj),
+                            from_time=obj.get("from_t"), to_time=obj.get("to_t"))
 
 
 def kernel_to_json(kernel: StochasticKernel) -> dict:
@@ -174,8 +170,8 @@ def division_scenario_from_json(obj: dict) -> dict:
         if key not in obj:
             raise SerializationError(f'scenario object needs a "{key}" key')
     n_sys, n_env = obj["n_sys"], obj["n_env"]
-    if not (isinstance(n_sys, int) and isinstance(n_env, int)
-            and n_sys >= 1 and n_env >= 1):
+    if not all(isinstance(d, int) and not isinstance(d, bool) and d >= 1
+               for d in (n_sys, n_env)):
         raise SerializationError("n_sys and n_env must be positive integers")
     p_env = probability_vector_from_json(obj["p_env"])
     interaction = superoperator_from_json(obj["interaction"])

@@ -291,3 +291,35 @@ def test_import_leaves_scipy_optimize_unloaded():
          "print('scipy.optimize' in sys.modules)"],
         env=env, capture_output=True, text=True, check=True).stdout
     assert out.strip() == "False"
+
+
+NON_SQUARE = {"n": 2, "rows": [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]}
+NON_SQUARE_COMPLEX = {"n": 2, "rows": [[[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]],
+                                       [[0.0, 0.0], [1.0, 0.0], [0.0, 0.0]]]}
+
+
+class TestMalformedShapes:
+    @pytest.mark.parametrize("command", [["validate"], ["lift", "--method", "canonical"]])
+    def test_non_square_kernel_is_usage_error(self, capsys, tmp_path, command):
+        path = tmp_path / "non_square.json"
+        dump_json(NON_SQUARE, path)
+        code, report, err = run(capsys, *command, path)
+        assert code == 2
+        assert report is None
+        assert "2 x 2" in err
+
+    def test_non_square_complex_matrix_is_usage_error(self, capsys, tmp_path):
+        path = tmp_path / "non_square_complex.json"
+        dump_json(NON_SQUARE_COMPLEX, path)
+        code, _, _ = run(capsys, "validate", path)
+        assert code == 2
+
+    @pytest.mark.parametrize("obj", [{"n": True, "rows": [[1.0]]},
+                                     {"n": True, "rows": [[[1.0, 0.0]]]}])
+    def test_boolean_dimension_is_usage_error(self, capsys, tmp_path, obj):
+        path = tmp_path / "bool_n.json"
+        dump_json(obj, path)
+        code, report, err = run(capsys, "validate", path)
+        assert code == 2
+        assert report is None
+        assert '"n" must be a positive integer' in err

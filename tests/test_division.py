@@ -7,7 +7,7 @@ from stoqlift import (DimensionMismatchError, KrausMap, ProbabilityVector,
                       ctmc_embedding, dephasing_projector,
                       environment_division_scenario, gksl_superoperator,
                       partial_trace, tensor_superoperator, theorem1_check,
-                      to_superoperator)
+                      to_superoperator, unvec, vec)
 from stoqlift.random_ops import (random_cptp_superoperator, random_density,
                                  random_rate_matrix, random_unitary)
 
@@ -186,6 +186,38 @@ class TestEnvironmentScenario:
             environment_division_scenario(
                 ProbabilityVector([1.0, 0.0, 0.0]),
                 SuperOperator.identity(4), IDENTITY_2, IDENTITY_2)
+
+
+def _joint_route_kernel_t2(p_env, interaction, post_sys, post_env):
+    """kernel_t2 through the product map on the joint space, then the trace."""
+    n_env = p_env.n
+    n_sys = interaction.n // n_env
+    post_joint = tensor_superoperator(post_sys, post_env).matrix
+    kernel = np.empty((n_sys, n_sys))
+    for i in range(n_sys):
+        sys0 = np.zeros((n_sys, n_sys), dtype=complex)
+        sys0[i, i] = 1.0
+        joint0 = np.kron(sys0, np.diag(p_env.entries.astype(complex)))
+        joint2 = post_joint @ interaction.matrix @ vec(joint0)
+        reduced2 = partial_trace(unvec(joint2), n_sys, n_env, keep="sys")
+        kernel[:, i] = np.real(np.diag(reduced2))
+    return kernel
+
+
+class TestEnvironmentKernelT2:
+    @pytest.mark.parametrize("n_sys, n_env", [(1, 2), (2, 2), (2, 3), (3, 2)])
+    def test_system_route_matches_the_joint_route(self, n_sys, n_env):
+        for seed in range(5):
+            rng = np.random.default_rng([n_sys, n_env, seed])
+            p_env = ProbabilityVector(rng.dirichlet(np.ones(n_env)))
+            interaction = random_cptp_superoperator(rng, n_sys * n_env)
+            post_sys = random_cptp_superoperator(rng, n_sys)
+            post_env = random_cptp_superoperator(rng, n_env)
+            report = environment_division_scenario(p_env, interaction,
+                                                   post_sys, post_env)
+            expected = _joint_route_kernel_t2(p_env, interaction,
+                                              post_sys, post_env)
+            assert np.abs(report.kernel_t2 - expected).max() <= 1e-12
 
 
 class TestDephasingAsFirstLeg:

@@ -289,3 +289,108 @@ class TestFamilies:
                                      lambda t, s: np.eye(4, dtype=complex))
         with pytest.raises(ValueError):
             ck_checklist(family)
+
+
+EPS = np.finfo(complex).eps
+DIMS = (1, 2, 3, 5)
+JUMP_COUNTS = ("0", "1", "N^2+1")
+
+
+def _loop_gksl(h, jumps):
+    """The per-jump kron sum the generator was built with before it became a
+    left-right map; kept as the reference."""
+    n = h.shape[0]
+    eye = np.eye(n)
+    s = -1j * (np.kron(eye, h) - np.kron(h.T, eye))
+    for jump in jumps:
+        jj = jump.conj().T @ jump
+        s += np.kron(jump.conj(), jump)
+        s -= 0.5 * (np.kron(eye, jj) + np.kron(jj.T, eye))
+    return s
+
+
+def _loop_ctmc_jumps(rate):
+    """The double loop ctmc_embedding used before index assignment."""
+    n = rate.shape[0]
+    jumps = []
+    for j in range(n):
+        for i in range(n):
+            if i == j:
+                continue
+            w = rate[i, j]
+            if w > 0:
+                op = np.zeros((n, n), dtype=complex)
+                op[i, j] = np.sqrt(w)
+                jumps.append(op)
+    return jumps
+
+
+def _nearly_hermitian_generator_inputs(n, count):
+    """A Hamiltonian Hermitian only to within 1e-11, non-normal jumps, and the
+    comparison tolerance fixed from their sizes."""
+    r = {"0": 0, "1": 1, "N^2+1": n * n + 1}[count]
+    rng = np.random.default_rng([n, r, 3])
+    a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    skew = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    h = (a + a.conj().T) / 2 + 1e-11 * (skew - skew.conj().T) / np.abs(skew).max() / 4
+    jumps = rng.standard_normal((r, n, n)) + 1j * rng.standard_normal((r, n, n))
+    scale = max(1.0, np.abs(h).max(), np.abs(jumps).max(initial=0.0))
+    tol = 1e2 * EPS * n ** 2 * (r + 2) * scale ** 2
+    return h, jumps, tol
+
+
+class TestLiouvilleAgainstLoops:
+    @pytest.mark.parametrize("count", JUMP_COUNTS)
+    @pytest.mark.parametrize("n", DIMS)
+    def test_generator_is_the_kron_sum(self, n, count):
+        h, jumps, tol = _nearly_hermitian_generator_inputs(n, count)
+        assert 0 < np.abs(h - h.conj().T).max() <= 1e-11
+        gen = GkslGenerator(h, list(jumps))
+        expected = _loop_gksl(h, list(jumps))
+        assert np.abs(gen.superoperator.matrix - expected).max() <= tol
+        assert gksl_superoperator(gen) is gen.superoperator
+
+    @pytest.mark.parametrize("count", JUMP_COUNTS)
+    @pytest.mark.parametrize("n", DIMS)
+    def test_trace_is_annihilated_for_nearly_hermitian_h(self, n, count):
+        h, jumps, tol = _nearly_hermitian_generator_inputs(n, count)
+        s = GkslGenerator(h, list(jumps)).superoperator.matrix
+        assert np.abs(vec(np.eye(n)) @ s).max() <= tol
+
+    @pytest.mark.parametrize("count", JUMP_COUNTS)
+    @pytest.mark.parametrize("n", DIMS)
+    def test_jump_ops_keep_input_order_and_values(self, n, count):
+        h, jumps, _ = _nearly_hermitian_generator_inputs(n, count)
+        gen = GkslGenerator(h, list(jumps))
+        assert len(gen.jump_ops) == len(jumps)
+        for got, given in zip(gen.jump_ops, jumps):
+            assert np.array_equal(got, given)
+            assert not got.flags.writeable
+
+    @pytest.mark.parametrize("n", DIMS)
+    def test_unitary_family_is_the_conjugate_kron(self, n):
+        rng = np.random.default_rng([n, 5])
+        a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        h = (a + a.conj().T) / 2
+        family = SuperOperatorFamily.from_hamiltonian(h, [0.0, 0.5])
+        for t, s in ((0.5, 0.0), (0.7, 0.5), (0.5, 0.5)):
+            u = expm(-1j * (t - s) * h)
+            tol = 1e2 * EPS * n ** 2 * np.abs(u).max() ** 2
+            assert (np.abs(family.superop(t, s).matrix - np.kron(u.conj(), u)).max()
+                    <= tol)
+
+    @pytest.mark.parametrize("n", DIMS)
+    def test_ctmc_jumps_match_the_double_loop(self, n):
+        rng = np.random.default_rng([n, 9])
+        rate = rng.random((n, n)) * (rng.random((n, n)) < 0.6)
+        np.fill_diagonal(rate, 0.0)
+        rate -= np.diag(rate.sum(axis=0))
+        diag_h = rng.standard_normal(n)
+        gen = ctmc_embedding(RateMatrix(rate), diag_h)
+        expected = _loop_ctmc_jumps(rate)
+        assert len(gen.jump_ops) == len(expected)
+        for got, want in zip(gen.jump_ops, expected):
+            assert np.array_equal(got, want)
+        reference = GkslGenerator(np.diag(diag_h), expected)
+        assert np.array_equal(gen.superoperator.matrix,
+                              reference.superoperator.matrix)

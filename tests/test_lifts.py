@@ -148,6 +148,32 @@ class TestKrausMap:
         after = sum(k @ probe @ k.conj().T for k in reduced.operators)
         np.testing.assert_allclose(before, after, atol=1e-12)
 
+    def test_mixed_shapes_raise_even_with_a_zero_operator(self):
+        with pytest.raises(DimensionMismatchError, match="share one dimension"):
+            KrausMap([np.eye(2), np.zeros((3, 3))])
+
+    def test_first_non_square_shape_is_named(self):
+        with pytest.raises(DimensionMismatchError,
+                           match=r"Kraus operator must be a nonempty square "
+                                 r"matrix, got shape \(2, 3\)"):
+            KrausMap([np.eye(2), np.ones((2, 3)), np.ones((3, 4))])
+
+    @pytest.mark.parametrize("ops", [[], [np.zeros((2, 2)), 1e-15 * np.eye(2)]])
+    def test_no_nonzero_operator_is_rejected(self, ops):
+        with pytest.raises(ValidationError, match="at least one nonzero operator"):
+            KrausMap(ops)
+
+
+class TestLeftRightMap:
+    def test_operators_are_read_only_views_in_input_order(self):
+        left = [np.eye(2), FLIP]
+        right = [FLIP, 2 * np.eye(2)]
+        lr = LeftRightMap(left, right)
+        for got, given in zip(lr.left_ops + lr.right_ops, left + right):
+            np.testing.assert_array_equal(got, given)
+            assert not got.flags.writeable
+        assert len(lr.left_ops) == len(lr.right_ops) == 2
+
 
 class TestCptp:
     def test_identity_kraus(self):

@@ -139,3 +139,24 @@ def test_load_json_errors(tmp_path):
     array.write_text("[1, 2, 3]", encoding="utf-8")
     with pytest.raises(SerializationError):
         load_json(array)
+
+
+@pytest.mark.parametrize("key", ["n_sys", "n_env"])
+def test_division_scenario_rejects_boolean_dimensions(key):
+    from stoqlift.serialization import division_scenario_from_json
+
+    identity = {"ops": [complex_matrix_to_json(np.eye(1))]}
+    obj = {"n_sys": 1, "n_env": 1, "p_env": {"n": 1, "rows": [[1.0]]},
+           "interaction": identity, "post_sys": identity, "post_env": identity}
+    division_scenario_from_json(obj)
+    with pytest.raises(SerializationError, match="positive integers"):
+        division_scenario_from_json(dict(obj, **{key: True}))
+
+
+@pytest.mark.parametrize("reader, rows", [
+    (kernel_from_json, [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]),
+    (complex_matrix_from_json, [[[1.0, 0.0]], [[0.0, 0.0]]]),
+])
+def test_non_square_matrix_is_a_serialization_error(reader, rows):
+    with pytest.raises(SerializationError):
+        reader({"n": 2, "rows": rows})
