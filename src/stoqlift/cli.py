@@ -33,9 +33,10 @@ from .lifts import (TOL_HERM, TOL_PSD, TOL_TP, DensityOperator, KrausMap,
 from .division import theorem1_check
 from .memory import mod_square, two_step_kernel
 from .serialization import (SerializationError, complex_matrix_from_json,
-                            detect_kind, dump_json, generator_from_json,
-                            kernel_from_json, kraus_from_json, kraus_to_json,
-                            load_json, probability_vector_from_json,
+                            complex_matrix_to_json, detect_kind, dump_json,
+                            generator_from_json, kernel_from_json,
+                            kraus_from_json, kraus_to_json, load_json,
+                            probability_vector_from_json,
                             rate_matrix_from_json, real_matrix_from_json,
                             superoperator_from_json)
 
@@ -54,27 +55,22 @@ def _digest(path) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
-def _jsonable(value):
-    """Recursively convert report payloads into JSON-friendly structures."""
+def _numpy_json(value):
+    """``json.dumps`` hook for the numpy values a report may hold."""
     if isinstance(value, np.ndarray):
         if np.iscomplexobj(value):
-            return [[[float(x.real), float(x.imag)] for x in row] for row in value]
+            return complex_matrix_to_json(value)["rows"]
         return value.tolist()
-    if isinstance(value, (np.bool_, bool)):
-        return bool(value)
-    if isinstance(value, (np.floating, float)):
-        return float(value)
-    if isinstance(value, (np.integer, int)):
-        return int(value)
-    if isinstance(value, dict):
-        return {str(k): _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    return value
+    if isinstance(value, np.generic):
+        return value.item()
+    raise TypeError(f"{type(value).__name__} is not JSON serializable")
 
 
 def _emit(report: dict, args, summary_lines) -> None:
-    payload = json.dumps(_jsonable(report), indent=2, sort_keys=True)
+    """Write the report; NaN or infinity in it raises ``ValueError`` (exit 1)
+    before anything reaches stdout, since neither is JSON."""
+    payload = json.dumps(report, indent=2, sort_keys=True, default=_numpy_json,
+                         allow_nan=False)
     sys.stdout.write(payload + "\n")
     for line in summary_lines:
         sys.stderr.write(line + "\n")

@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import DimensionMismatchError, ValidationError
 from .kernels import (CDivisibilityResult, ProbabilityVector, StochasticKernel,
-                      TOL_PROB, TOL_STOCH, c_divisibility_check)
+                      TOL_DIV, TOL_PROB, TOL_STOCH, c_divisibility_check)
 from .lifts import (QDivisibilityResult, SuperOperator, TOL_PSD, TOL_TP,
                     _diagonal_images_offdiagonal, check_cptp,
                     q_divisibility_check, superop_kernel_extract, unvec, vec)
@@ -84,13 +84,22 @@ class DivisionVerdict:
     c_result: CDivisibilityResult | None = None
 
 
+def _require_cptp(name: str, e: SuperOperator, tol_tp: float = TOL_TP,
+                  tol_psd: float = TOL_PSD) -> None:
+    report = check_cptp(e, tol_tp=tol_tp, tol_psd=tol_psd)
+    if not report.passed:
+        raise ValidationError(
+            f"{name} is not CPTP (trace residual {report.tp_residual:.3e}, "
+            f"min Choi eigenvalue {report.min_choi_eigenvalue:.3e})")
+
+
 def _offdiagonal_max(matrix: np.ndarray) -> float:
     off = matrix - np.diag(np.diag(matrix))
     return float(np.abs(off).max())
 
 
 def theorem1_check(e_10: SuperOperator, e_20: SuperOperator,
-                   tolerance: float = 1e-9) -> DivisionVerdict:
+                   tolerance: float = TOL_DIV) -> DivisionVerdict:
     """Test the divisibility criterion on a pair of lifted legs.
 
     ``e_10`` lifts the kernel from the root time to the intermediate time,
@@ -98,12 +107,7 @@ def theorem1_check(e_10: SuperOperator, e_20: SuperOperator,
     channels.
     """
     for name, e in (("e_10", e_10), ("e_20", e_20)):
-        report = check_cptp(e, tol_tp=max(TOL_TP, tolerance),
-                            tol_psd=max(TOL_PSD, tolerance))
-        if not report.passed:
-            raise ValidationError(
-                f"{name} is not CPTP (trace residual {report.tp_residual:.3e}, "
-                f"min Choi eigenvalue {report.min_choi_eigenvalue:.3e})")
+        _require_cptp(name, e, max(TOL_TP, tolerance), max(TOL_PSD, tolerance))
     if e_10.n != e_20.n:
         raise DimensionMismatchError(
             f"superoperator dimensions differ: {e_10.n} vs {e_20.n}")
@@ -197,11 +201,7 @@ def environment_division_scenario(p_env: ProbabilityVector,
             f"expected {n_sys} and {n_env})")
     for name, s in (("record_interaction", record_interaction),
                     ("post_system", post_system), ("post_env", post_env)):
-        report = check_cptp(s)
-        if not report.passed:
-            raise ValidationError(
-                f"{name} is not CPTP (trace residual {report.tp_residual:.3e}, "
-                f"min Choi eigenvalue {report.min_choi_eigenvalue:.3e})")
+        _require_cptp(name, s)
 
     rho_env = np.diag(p_env.entries.astype(complex))
 
@@ -219,7 +219,7 @@ def environment_division_scenario(p_env: ProbabilityVector,
         trace_err = abs(np.trace(reduced1) - np.trace(joint1))
         min_eig = float(np.linalg.eigvalsh(
             (reduced1 + reduced1.conj().T) / 2.0)[0])
-        if trace_err > 1e-10 or min_eig < -TOL_PSD:
+        if not (trace_err <= TOL_TP and min_eig >= -TOL_PSD):
             raise ValidationError(
                 "partial trace produced an unphysical reduced state "
                 f"(trace error {trace_err:.3e}, min eigenvalue {min_eig:.3e})")
@@ -244,7 +244,7 @@ def environment_division_scenario(p_env: ProbabilityVector,
 
     gamma_10 = StochasticKernel(kernel_t1, tol_colsum=max(TOL_STOCH, tolerance))
     gamma_20 = StochasticKernel(kernel_t2, tol_colsum=max(TOL_STOCH, tolerance))
-    c_result = c_divisibility_check(gamma_20, gamma_10, max(tolerance, 1e-9))
+    c_result = c_divisibility_check(gamma_20, gamma_10, max(tolerance, TOL_DIV))
     return EnvironmentScenarioReport(
         True, worst_block, worst_reduced, kernel_t1, kernel_t2,
         c_result.divisible, c_result.witness, None, c_result=c_result)

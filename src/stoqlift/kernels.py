@@ -17,7 +17,7 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy.linalg import expm
 
-from ._arrays import frozen as _frozen
+from ._arrays import frozen as _frozen, square as _square, strict_grid as _strict_grid
 from .errors import DimensionMismatchError, ValidationError
 from .simplex import solve_lp
 
@@ -27,6 +27,8 @@ TOL_PROB = 1e-12
 TOL_STOCH = 1e-10
 #: Condition-number cap above which divisibility falls back to linear feasibility.
 CONDITION_CAP = 1e12
+#: Default tolerance of the classical and quantum divisibility checks.
+TOL_DIV = 1e-9
 
 
 @dataclass(frozen=True)
@@ -65,10 +67,7 @@ def validate_kernel(matrix, tol_entry: float = TOL_PROB,
     DimensionMismatchError
         If the input is not a square matrix.
     """
-    m = np.asarray(matrix, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] == 0:
-        raise DimensionMismatchError(
-            f"expected a nonempty square matrix, got shape {m.shape}")
+    m = _square(matrix, "kernel", dtype=float)
     max_neg = float(max(0.0, -m.min()))
     col_err = float(np.abs(m.sum(axis=0) - 1.0).max())
     passed = max_neg <= tol_entry and col_err <= tol_colsum
@@ -89,11 +88,11 @@ class ProbabilityVector:
             raise DimensionMismatchError("empty probability vector")
         tol_sum = tol if tol_sum is None else tol_sum
         min_entry = float(arr.min())
-        if min_entry < -tol:
+        if not min_entry >= -tol:
             raise ValidationError(
                 f"negative probability {min_entry:.3e} exceeds tolerance {tol:.1e}")
         sum_err = abs(float(arr.sum()) - 1.0)
-        if sum_err > tol_sum:
+        if not sum_err <= tol_sum:
             raise ValidationError(
                 f"entries sum to 1 {sum_err:.3e} away, tolerance {tol_sum:.1e}")
         self._entries = _frozen(np.maximum(arr, 0.0))
@@ -171,16 +170,12 @@ class RateMatrix:
     """
 
     def __init__(self, matrix, tol: float = TOL_STOCH):
-        m = np.asarray(matrix, dtype=float)
-        if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] == 0:
-            raise DimensionMismatchError(
-                f"expected a nonempty square matrix, got shape {m.shape}")
-        off = m[~np.eye(m.shape[0], dtype=bool)]
-        if off.size and off.min() < -tol:
-            raise ValidationError(
-                f"negative off-diagonal rate {off.min():.3e}")
+        m = _square(matrix, "rate matrix", dtype=float)
+        off_min = float(m[~np.eye(m.shape[0], dtype=bool)].min(initial=0.0))
+        if not off_min >= -tol:
+            raise ValidationError(f"negative off-diagonal rate {off_min:.3e}")
         col_err = float(np.abs(m.sum(axis=0)).max())
-        if col_err > tol:
+        if not col_err <= tol:
             raise ValidationError(
                 f"columns must sum to zero, worst deviation {col_err:.3e}")
         self._matrix = _frozen(m.copy())
@@ -208,12 +203,7 @@ class KernelFamily:
     def __init__(self, grid: Sequence[float],
                  kernel_fn: Callable[[float, float], object],
                  tol_identity: float = TOL_STOCH):
-        g = np.asarray(grid, dtype=float)
-        if g.ndim != 1 or g.size < 1:
-            raise DimensionMismatchError("grid must be a nonempty 1-d sequence")
-        if g.size > 1 and not np.all(np.diff(g) > 0):
-            raise ValidationError("grid times must be strictly increasing")
-        self.grid = _frozen(g.copy())
+        self.grid = _strict_grid(grid)
         self._fn = kernel_fn
         for s in self.grid:
             k = self.kernel(float(s), float(s))
@@ -322,7 +312,7 @@ class CDivisibilityResult:
 
 
 def c_divisibility_check(gamma_20: StochasticKernel, gamma_10: StochasticKernel,
-                         tolerance: float = 1e-9) -> CDivisibilityResult:
+                         tolerance: float = TOL_DIV) -> CDivisibilityResult:
     """Decide whether gamma_20 factors as (stochastic) @ gamma_10.
 
     When ``gamma_10`` is well conditioned the unique linear candidate
@@ -350,33 +340,20 @@ def c_divisibility_check(gamma_20: StochasticKernel, gamma_10: StochasticKernel,
                                    candidate_validation=report)
 
     # Feasibility fallback: find X >= 0 with X g10 = g20 and unit column sums.
-    # Variables are the row-major entries of X.
-    labels = []
-    a_rows = []
-    b = []
-    for i in range(n):
-        for j in range(n):
-            row = np.zeros(n * n)
-            row[i * n:(i + 1) * n] = g10[:, j]
-            a_rows.append(row)
-            b.append(g20[i, j])
-            labels.append(f"product[{i},{j}]")
-    for j in range(n):
-        row = np.zeros(n * n)
-        row[j::n] = 1.0
-        a_rows.append(row)
-        b.append(1.0)
-        labels.append(f"colsum[{j}]")
-    result = solve_lp(np.asarray(a_rows), np.asarray(b))
+    # Variables are the row-major entries of X: row i * n + j is
+    # product[i,j] = (X g10)[i, j], row n * n + j is colsum[j].
+    a_eq = np.vstack([np.kron(np.eye(n), g10.T), np.kron(np.ones(n), np.eye(n))])
+    b_eq = np.concatenate([g20.ravel(), np.ones(n)])
+    result = solve_lp(a_eq, b_eq)
     if result.status == "infeasible":
         return CDivisibilityResult(
             False, None, "feasibility",
             infeasibility=result.infeasibility,
-            violated_constraints=tuple(labels[r] for r in result.violated_rows))
-    witness_matrix = result.x.reshape(n, n)
-    witness = StochasticKernel(witness_matrix,
-                               tol_entry=max(tolerance, 1e-9),
-                               tol_colsum=max(tolerance, 1e-9))
+            violated_constraints=tuple(
+                f"product[{r // n},{r % n}]" if r < n * n else f"colsum[{r - n * n}]"
+                for r in result.violated_rows))
+    tol = max(tolerance, TOL_DIV)
+    witness = StochasticKernel(result.x.reshape(n, n), tol_entry=tol, tol_colsum=tol)
     return CDivisibilityResult(True, witness, "feasibility", infeasibility=0.0)
 
 

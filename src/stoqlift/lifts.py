@@ -20,9 +20,10 @@ from typing import Iterable, Sequence, Union
 
 import numpy as np
 
-from ._arrays import frozen as _frozen, square_complex as _square_complex
+from ._arrays import (frozen as _frozen, require_hermitian as _require_hermitian,
+                      square as _square, square_stack as _square_stack)
 from .errors import DimensionMismatchError, ValidationError
-from .kernels import (TOL_PROB, TOL_STOCH, KernelValidationReport,
+from .kernels import (TOL_DIV, TOL_PROB, TOL_STOCH, KernelValidationReport,
                       ProbabilityVector, StochasticKernel, validate_kernel)
 
 #: Hermiticity / trace tolerance for operators.
@@ -83,16 +84,13 @@ class DensityOperator:
     """Hermitian, unit-trace, positive-semidefinite N x N complex matrix."""
 
     def __init__(self, matrix, tol_herm: float = TOL_HERM, tol_psd: float = TOL_PSD):
-        m = _square_complex(matrix, "density operator")
-        herm_err = float(np.abs(m - m.conj().T).max())
-        if herm_err > tol_herm:
-            raise ValidationError(
-                f"not Hermitian: worst asymmetry {herm_err:.3e}")
+        m = _square(matrix, "density operator")
+        _require_hermitian(m, tol_herm, "density operator")
         trace_err = abs(np.trace(m) - 1.0)
-        if trace_err > tol_herm:
+        if not trace_err <= tol_herm:
             raise ValidationError(f"trace differs from 1 by {trace_err:.3e}")
         eigs = np.linalg.eigvalsh((m + m.conj().T) / 2.0)
-        if eigs[0] < -tol_psd:
+        if not eigs[0] >= -tol_psd:
             raise ValidationError(
                 f"not positive semidefinite: minimum eigenvalue {eigs[0]:.3e}")
         self._matrix = _frozen(m.copy())
@@ -121,7 +119,8 @@ class KrausMap:
 
     The operators are stored as one read-only ``(r, N, N)`` complex array, a
     copy of the input. Near-zero operators (Frobenius norm below
-    ``KRAUS_DROP_NORM``) are dropped at construction. Trace preservation is
+    ``KRAUS_DROP_NORM``) are dropped at construction; a non-finite one is
+    kept, so its map is not trace preserving. Trace preservation is
     recorded as a checked flag, not required: short-time maps are only trace
     preserving to leading order. ``canonical_reduction`` re-extracts at most
     N^2 operators from the Choi spectrum when a redundant set has
@@ -129,14 +128,8 @@ class KrausMap:
     """
 
     def __init__(self, operators: Iterable[np.ndarray], tol_tp: float = TOL_TP):
-        ops = [np.asarray(op, dtype=complex) for op in operators]
-        distinct = {op.shape: op for op in ops}.values()  # first-seen order
-        for op in distinct:
-            _square_complex(op, "Kraus operator")
-        if len(distinct) > 1:
-            raise DimensionMismatchError("Kraus operators must share one dimension")
-        stack = np.stack(ops) if ops else np.empty((0, 1, 1), dtype=complex)
-        stack = stack[np.linalg.norm(stack, axis=(1, 2)) >= KRAUS_DROP_NORM]
+        stack = _square_stack(operators, "Kraus operator")
+        stack = stack[~(np.linalg.norm(stack, axis=(1, 2)) < KRAUS_DROP_NORM)]
         if not len(stack):
             raise ValidationError("Kraus map needs at least one nonzero operator")
         n = stack.shape[1]
@@ -192,18 +185,14 @@ class LeftRightMap:
     """
 
     def __init__(self, left_ops: Iterable[np.ndarray], right_ops: Iterable[np.ndarray]):
-        left = [_square_complex(a, "left operator") for a in left_ops]
-        right = [_square_complex(b, "right operator") for b in right_ops]
+        left, right = list(left_ops), list(right_ops)
         if len(left) != len(right):
             raise DimensionMismatchError(
                 f"left/right operator counts differ: {len(left)} vs {len(right)}")
         if not left:
             raise ValidationError("left-right map needs at least one term")
-        n = left[0].shape[0]
-        if any(op.shape[0] != n for op in left + right):
-            raise DimensionMismatchError("all operators must share one dimension")
-        self._left = _frozen(np.stack(left))
-        self._right = _frozen(np.stack(right))
+        stack = _frozen(_square_stack(left + right, "left/right operator"))
+        self._left, self._right = stack[:len(left)], stack[len(left):]
         self.left_ops = tuple(self._left)
         self.right_ops = tuple(self._right)
 
@@ -233,7 +222,7 @@ class SuperOperator:
     """N^2 x N^2 matrix acting on column-stacked vectorized operators."""
 
     def __init__(self, matrix):
-        m = _square_complex(matrix, "superoperator")
+        m = _square(matrix, "superoperator")
         n = round(m.shape[0] ** 0.5)
         if n * n != m.shape[0]:
             raise DimensionMismatchError(
@@ -274,11 +263,8 @@ class ChoiMatrix:
     """Choi matrix of a map; positive semidefiniteness encodes complete positivity."""
 
     def __init__(self, matrix, tol_herm: float = TOL_HERM):
-        m = _square_complex(matrix, "Choi matrix")
-        herm_err = float(np.abs(m - m.conj().T).max())
-        if herm_err > tol_herm:
-            raise ValidationError(
-                f"Choi matrix not Hermitian: worst asymmetry {herm_err:.3e}")
+        m = _square(matrix, "Choi matrix")
+        _require_hermitian(m, tol_herm, "Choi matrix")
         self._matrix = _frozen(m.copy())
         self.eigenvalues = _frozen(np.linalg.eigvalsh((m + m.conj().T) / 2.0))
 
@@ -422,7 +408,7 @@ def dictionary_kernel(kmap: KrausMap, tol_tp: float = TOL_TP) -> StochasticKerne
     Trace preservation of the map makes the result column-stochastic, so a
     non-trace-preserving map is rejected with its completeness residual.
     """
-    if kmap.completeness_residual > tol_tp:
+    if not kmap.completeness_residual <= tol_tp:
         raise ValidationError(
             "map is not trace preserving: completeness residual "
             f"{kmap.completeness_residual:.3e} exceeds {tol_tp:.1e}")
@@ -463,7 +449,7 @@ class ThetaConjugationReport:
 
 def theta_conjugation_lift(theta, tol_tp: float = TOL_TP) -> ThetaConjugationReport:
     """Lift a complex matrix by conjugation and report the induced kernel."""
-    th = _square_complex(theta, "theta")
+    th = _square(theta, "theta")
     tp_residual = float(np.abs(th.conj().T @ th - np.eye(th.shape[0])).max())
     kernel = np.abs(th) ** 2
     return ThetaConjugationReport(
@@ -478,7 +464,7 @@ def barandes_column_lift(theta) -> KrausMap:
     Dephases in the configuration basis and then conjugates; always a quantum
     channel, and it agrees with plain conjugation on every diagonal input.
     """
-    th = _square_complex(theta, "theta")
+    th = _square(theta, "theta")
     report = validate_kernel(np.abs(th) ** 2)
     if not report.passed:
         raise ValidationError(
@@ -563,7 +549,7 @@ class QDivisibilityResult:
 
 
 def q_divisibility_check(e_20: SuperOperator, e_10: SuperOperator,
-                         tolerance: float = 1e-9) -> QDivisibilityResult:
+                         tolerance: float = TOL_DIV) -> QDivisibilityResult:
     """Decide whether e_20 factors through e_10 as a quantum channel.
 
     A full-rank e_10 (every singular value above ``PINV_RCOND`` times the
@@ -590,7 +576,7 @@ def q_divisibility_check(e_20: SuperOperator, e_10: SuperOperator,
                 f"rank obstruction: rank {rank_10} cannot factor rank {rank_20}")
         candidate = e_20.matrix @ np.linalg.pinv(e_10.matrix, rcond=PINV_RCOND)
         recon = float(np.abs(candidate @ e_10.matrix - e_20.matrix).max())
-        if recon > tolerance:
+        if not recon <= tolerance:
             return QDivisibilityResult(
                 "indivisible", None, None,
                 f"no linear factorization exists (residual {recon:.3e})",

@@ -18,7 +18,8 @@ import numpy as np
 
 from .errors import DimensionMismatchError, ValidationError
 from .kernels import StochasticKernel
-from ._arrays import frozen as _frozen, square_complex as _square_complex
+from ._arrays import (frozen as _frozen, require_hermitian as _require_hermitian,
+                      square as _square, square_stack as _square_stack)
 from .lifts import TOL_HERM, TOL_PSD, TOL_TP, KrausMap, dictionary_kernel
 
 #: Unitarity tolerance: max-norm deviation of U^dagger U from the identity.
@@ -30,27 +31,20 @@ class PovmEffects:
 
     def __init__(self, effects: Sequence[np.ndarray], tol_herm: float = TOL_HERM,
                  tol_psd: float = TOL_PSD, tol_sum: float = TOL_TP):
-        ops = [_square_complex(e, "effect") for e in effects]
-        if not ops:
+        stack = _frozen(_square_stack(effects, "effect"))
+        if not len(stack):
             raise ValidationError("a POVM needs at least one effect")
-        n = ops[0].shape[0]
-        if any(e.shape[0] != n for e in ops):
-            raise DimensionMismatchError("effects must share one dimension")
-        for idx, e in enumerate(ops):
-            herm_err = float(np.abs(e - e.conj().T).max())
-            if herm_err > tol_herm:
-                raise ValidationError(
-                    f"effect {idx} not Hermitian (asymmetry {herm_err:.3e})")
+        for idx, e in enumerate(stack):
+            _require_hermitian(e, tol_herm, f"effect {idx}")
             min_eig = float(np.linalg.eigvalsh((e + e.conj().T) / 2.0)[0])
-            if min_eig < -tol_psd:
+            if not min_eig >= -tol_psd:
                 raise ValidationError(
                     f"effect {idx} not positive (min eigenvalue {min_eig:.3e})")
-        total = sum(ops)
-        sum_err = float(np.abs(total - np.eye(n)).max())
-        if sum_err > tol_sum:
+        sum_err = float(np.abs(stack.sum(axis=0) - np.eye(stack.shape[1])).max())
+        if not sum_err <= tol_sum:
             raise ValidationError(
                 f"effects do not sum to the identity (residual {sum_err:.3e})")
-        self._effects = tuple(_frozen(e.copy()) for e in ops)
+        self._effects = tuple(stack)
 
     @property
     def effects(self) -> tuple[np.ndarray, ...]:
@@ -74,9 +68,9 @@ def mod_square(u) -> np.ndarray:
 
 
 def _require_unitary(u, name: str = "matrix") -> np.ndarray:
-    m = _square_complex(u, name)
+    m = _square(u, name)
     residual = float(np.abs(m.conj().T @ m - np.eye(m.shape[0])).max())
-    if residual > TOL_UNITARY:
+    if not residual <= TOL_UNITARY:
         raise ValidationError(f"{name} is not unitary (residual {residual:.3e})")
     return m
 
@@ -126,7 +120,7 @@ def povm_from_channel(lambda_ops: KrausMap, tol_tp: float = TOL_TP) -> PovmEffec
     Coarse-graining the unobserved Kraus branch of the channel turns the
     projective readout into the POVM ``E_j = sum_b L_b^dagger P_j L_b``.
     """
-    if lambda_ops.completeness_residual > tol_tp:
+    if not lambda_ops.completeness_residual <= tol_tp:
         raise ValidationError(
             "channel is not trace preserving (residual "
             f"{lambda_ops.completeness_residual:.3e})")

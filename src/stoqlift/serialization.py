@@ -5,7 +5,8 @@ to bottom; optional time stamps ``{"from_t": ..., "to_t": ...}``. A column
 vector is an N x 1 matrix. Complex matrices use ``[re, im]`` pairs for each
 entry. Kraus maps: ``{"ops": [complex-matrix, ...]}``. Generators:
 ``{"h": complex-matrix, "jumps": [complex-matrix, ...]}``. All numbers are
-IEEE doubles in decimal text.
+finite IEEE doubles in decimal text: ``NaN``, ``Infinity`` and literals that
+overflow a double are rejected.
 """
 
 from __future__ import annotations
@@ -24,11 +25,15 @@ class SerializationError(ValueError):
     """Malformed or structurally inconsistent input file."""
 
 
+def _reject_constant(token: str):
+    raise ValueError(f"{token} is not a JSON number")
+
+
 def load_json(path) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            obj = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+            obj = json.load(fh, parse_constant=_reject_constant)
+    except (OSError, ValueError) as exc:
         raise SerializationError(f"cannot read {path}: {exc}") from exc
     if not isinstance(obj, dict):
         raise SerializationError(f"{path}: top-level JSON value must be an object")
@@ -40,7 +45,11 @@ def dump_json(obj: dict, path) -> None:
                           encoding="utf-8")
 
 
-def _expect_rows(obj: dict) -> tuple[int, list]:
+def _number_rows(obj: dict, columns: int | None = None,
+                 pairs: bool = False) -> np.ndarray:
+    """The "rows" of a matrix object as a finite float array of shape
+    ``(n, columns)`` (``columns`` defaults to n), with a trailing axis of 2
+    when the entries are ``[re, im]`` pairs."""
     if "n" not in obj or "rows" not in obj:
         raise SerializationError('matrix object needs "n" and "rows" keys')
     n = obj["n"]
@@ -50,19 +59,21 @@ def _expect_rows(obj: dict) -> tuple[int, list]:
     if not isinstance(rows, list) or len(rows) != n:
         raise SerializationError(
             f'"rows" must list exactly n={n} rows, got {len(rows) if isinstance(rows, list) else type(rows).__name__}')
-    return n, rows
-
-
-def real_matrix_from_json(obj: dict) -> np.ndarray:
-    n, rows = _expect_rows(obj)
+    columns = n if columns is None else columns
+    layout = f"an {n} x {columns} matrix" + (" of [re, im] pairs" if pairs else "")
     try:
         m = np.array(rows, dtype=float)
     except (TypeError, ValueError) as exc:
-        raise SerializationError(f"rows are not real numbers: {exc}") from exc
-    if m.shape != (n, n):
-        raise SerializationError(
-            f"rows do not form an {n} x {n} matrix, got shape {m.shape}")
+        raise SerializationError(f"rows do not form {layout}: {exc}") from exc
+    if m.shape != ((n, columns, 2) if pairs else (n, columns)):
+        raise SerializationError(f"rows do not form {layout}, got shape {m.shape}")
+    if not np.isfinite(m).all():
+        raise SerializationError("rows hold a non-finite number (NaN or infinity)")
     return m
+
+
+def real_matrix_from_json(obj: dict) -> np.ndarray:
+    return _number_rows(obj)
 
 
 def real_matrix_to_json(matrix, from_time=None, to_time=None) -> dict:
@@ -76,15 +87,7 @@ def real_matrix_to_json(matrix, from_time=None, to_time=None) -> dict:
 
 
 def complex_matrix_from_json(obj: dict) -> np.ndarray:
-    n, rows = _expect_rows(obj)
-    try:
-        raw = np.array(rows, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise SerializationError(
-            f"complex entries must be [re, im] pairs: {exc}") from exc
-    if raw.shape != (n, n, 2):
-        raise SerializationError(
-            f"complex matrix rows must be lists of [re, im] pairs, got shape {raw.shape}")
+    raw = _number_rows(obj, pairs=True)
     return raw[..., 0] + 1j * raw[..., 1]
 
 
@@ -104,15 +107,7 @@ def kernel_to_json(kernel: StochasticKernel) -> dict:
 
 
 def probability_vector_from_json(obj: dict) -> ProbabilityVector:
-    n, rows = _expect_rows(obj)
-    try:
-        m = np.array(rows, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise SerializationError(f"rows are not real numbers: {exc}") from exc
-    if m.shape != (n, 1):
-        raise SerializationError(
-            f"a probability vector is an n x 1 matrix, got shape {m.shape}")
-    return ProbabilityVector(m[:, 0])
+    return ProbabilityVector(_number_rows(obj, columns=1)[:, 0])
 
 
 def probability_vector_to_json(p: ProbabilityVector) -> dict:

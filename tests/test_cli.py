@@ -323,3 +323,42 @@ class TestMalformedShapes:
         assert code == 2
         assert report is None
         assert '"n" must be a positive integer' in err
+
+
+class TestNonFiniteFiles:
+    """A file holding NaN or infinity cannot be parsed (exit 2), and a report
+    that would hold one is an error (exit 1) rather than non-JSON output."""
+
+    NON_FINITE_FILES = {
+        "density": '{"kind": "density", "n": 2, "rows": '
+                   '[[[0.5, 0.0], [0.0, 0.0]], [[0.0, 0.0], [NaN, 0.0]]]}',
+        "kraus": '{"ops": [{"n": 2, "rows": [[[NaN, 0.0], [0.0, 0.0]], '
+                 '[[0.0, 0.0], [1.0, 0.0]]]}]}',
+        "kernel": '{"n": 2, "rows": [[1.0, 0.0], [0.0, NaN]]}',
+        "kernel-infinity": '{"n": 2, "rows": [[1.0, 0.0], [0.0, Infinity]]}',
+        "kernel-overflow": '{"n": 2, "rows": [[1.0, 0.0], [0.0, 1e400]]}',
+        "time-stamp": '{"n": 1, "rows": [[1.0]], "from_t": NaN}',
+    }
+
+    @pytest.mark.parametrize("name", sorted(NON_FINITE_FILES))
+    def test_validate_exits_two(self, capsys, tmp_path, name):
+        path = tmp_path / f"{name}.json"
+        path.write_text(self.NON_FINITE_FILES[name], encoding="utf-8")
+        code, report, err = run(capsys, "validate", path)
+        assert code == 2
+        assert report is None
+        assert "error" in err
+
+    def test_lift_of_overflowing_kernel_exits_two(self, capsys, tmp_path):
+        path = tmp_path / "overflow.json"
+        path.write_text(self.NON_FINITE_FILES["kernel-overflow"], encoding="utf-8")
+        code, report, _ = run(capsys, "lift", path)
+        assert (code, report) == (2, None)
+
+    def test_non_finite_report_value_is_an_error(self, capsys, files, monkeypatch):
+        nan_report = cli.validate_kernel(np.full((2, 2), np.nan))
+        monkeypatch.setattr(cli, "validate_kernel", lambda *a, **k: nan_report)
+        code, report, err = run(capsys, "validate", files["eye"])
+        assert code == 1
+        assert report is None
+        assert "not JSON compliant" in err

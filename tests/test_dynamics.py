@@ -394,3 +394,17 @@ class TestLiouvilleAgainstLoops:
         reference = GkslGenerator(np.diag(diag_h), expected)
         assert np.array_equal(gen.superoperator.matrix,
                               reference.superoperator.matrix)
+
+
+def test_checklist_evaluates_each_superoperator_once():
+    # Grid pair (0, 5e-5) is shorter than the step and takes the one-sided
+    # rule; the other two pairs take the central rule.
+    grid = [0.0, 5e-5, 1.0]
+    base = SuperOperatorFamily.from_generator(decay_generator(), grid)
+    calls = []
+    family = SuperOperatorFamily(
+        grid, lambda t, s: calls.append((t, s)) or base.superop(t, s))
+    calls.clear()
+    ck_checklist(family, fd_step=1e-4)
+    # Three stencil points per generator and three per pair, none repeated.
+    assert len(calls) == len(set(calls)) == 3 * 3 + 3 * 3

@@ -344,3 +344,60 @@ class TestThetaTriviality:
         with pytest.raises(ValidationError):
             theta_markov_triviality_demo(
                 lambda h: np.eye(2) + h * np.eye(2), 1.0, [10])
+
+
+def _loop_feasibility_program(g20, g10):
+    """The row-by-row build of the feasibility LP, kept as the reference."""
+    n = g10.shape[0]
+    labels, a_rows, b = [], [], []
+    for i in range(n):
+        for j in range(n):
+            row = np.zeros(n * n)
+            row[i * n:(i + 1) * n] = g10[:, j]
+            a_rows.append(row)
+            b.append(g20[i, j])
+            labels.append(f"product[{i},{j}]")
+    for j in range(n):
+        row = np.zeros(n * n)
+        row[j::n] = 1.0
+        a_rows.append(row)
+        b.append(1.0)
+        labels.append(f"colsum[{j}]")
+    return np.asarray(a_rows), np.asarray(b), labels
+
+
+class TestFeasibilityProgram:
+    @pytest.mark.parametrize("n", [1, 2, 5, 12])
+    def test_program_and_labels_match_the_loop(self, monkeypatch, n):
+        import stoqlift.kernels as kernels
+        from stoqlift.simplex import SimplexResult
+
+        rng = np.random.default_rng(n)
+        gamma_10, gamma_20 = random_stochastic(rng, n), random_stochastic(rng, n)
+        seen = {}
+
+        def infeasible_everywhere(a_eq, b_eq):
+            seen.update(a=a_eq, b=b_eq)
+            return SimplexResult("infeasible", None, 1.0, tuple(range(b_eq.size)))
+
+        # Force the feasibility route whatever the conditioning.
+        monkeypatch.setattr(kernels, "CONDITION_CAP", 0.0)
+        monkeypatch.setattr(kernels, "solve_lp", infeasible_everywhere)
+        result = c_divisibility_check(gamma_20, gamma_10)
+        a_ref, b_ref, labels_ref = _loop_feasibility_program(
+            gamma_20.matrix, gamma_10.matrix)
+        np.testing.assert_array_equal(seen["a"], a_ref)
+        np.testing.assert_array_equal(seen["b"], b_ref)
+        assert result.route == "feasibility" and not result.divisible
+        assert result.violated_constraints == tuple(labels_ref)
+
+    def test_labels_name_only_the_violated_rows(self, monkeypatch):
+        import stoqlift.kernels as kernels
+        from stoqlift.simplex import SimplexResult
+
+        monkeypatch.setattr(kernels, "CONDITION_CAP", 0.0)
+        monkeypatch.setattr(kernels, "solve_lp", lambda a, b: SimplexResult(
+            "infeasible", None, 0.5, (1, 2, 5)))
+        result = c_divisibility_check(StochasticKernel(FLIP), StochasticKernel(MIX))
+        assert result.violated_constraints == ("product[0,1]", "product[1,0]",
+                                               "colsum[1]")

@@ -160,3 +160,22 @@ def test_division_scenario_rejects_boolean_dimensions(key):
 def test_non_square_matrix_is_a_serialization_error(reader, rows):
     with pytest.raises(SerializationError):
         reader({"n": 2, "rows": rows})
+
+
+@pytest.mark.parametrize("reader, rows", [
+    (kernel_from_json, [[1.0, 0.0], [0.0, float("nan")]]),
+    (kernel_from_json, [[1.0, 0.0], [0.0, float("inf")]]),
+    (complex_matrix_from_json, [[[1.0, float("-inf")]]]),
+    (probability_vector_from_json, [[float("nan")]]),
+])
+def test_non_finite_rows_are_a_serialization_error(reader, rows):
+    with pytest.raises(SerializationError, match="non-finite"):
+        reader({"n": len(rows), "rows": rows})
+
+
+@pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+def test_load_json_rejects_non_json_constants(tmp_path, token):
+    path = tmp_path / "constant.json"
+    path.write_text(f'{{"n": 1, "rows": [[{token}]]}}', encoding="utf-8")
+    with pytest.raises(SerializationError, match=f"{token} is not a JSON number"):
+        load_json(path)
