@@ -10,11 +10,33 @@ import numpy as np
 
 from .errors import DimensionMismatchError, ValidationError
 
+EPS = float(np.finfo(float).eps)
+
 
 def frozen(a: np.ndarray) -> np.ndarray:
     """Mark an array read-only and hand it back (values are immutable)."""
     a.setflags(write=False)
     return a
+
+
+def expm(a: np.ndarray) -> np.ndarray:
+    """scipy's matrix exponential. ``scipy.linalg`` is imported here, on each
+    call, so that importing the package does not pay for it."""
+    from scipy.linalg import expm as scipy_expm
+    return scipy_expm(a)
+
+
+def numerical_rank(s: np.ndarray, tolerance: float) -> int:
+    """How many leading singular values (sorted descending) an inverse can use.
+
+    Inverting along direction i has forward error about ``n * eps * sigma_1
+    / sigma_i`` (Higham 2002, ch. 7). A direction is kept while that stays
+    within ``max(tolerance, n * eps)``, as no computed factor beats n * eps;
+    the others, zero singular values among them, are free.
+    """
+    floor = s.size * EPS
+    cutoff = s[0] * floor / max(tolerance, floor)
+    return int(np.count_nonzero(s >= cutoff)) if cutoff > 0 else 0
 
 
 def square(matrix, name: str = "matrix", dtype=complex) -> np.ndarray:

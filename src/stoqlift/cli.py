@@ -19,6 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
+from ._arrays import expm
 from .dynamics import (CK_TOLERANCE, SuperOperatorFamily, ck_checklist,
                        ctmc_embedding, diagonal_preservation_check, propagate)
 from .errors import DimensionMismatchError, ValidationError
@@ -39,8 +40,6 @@ from .serialization import (SerializationError, complex_matrix_from_json,
                             probability_vector_from_json,
                             rate_matrix_from_json, real_matrix_from_json,
                             superoperator_from_json)
-
-from scipy.linalg import expm
 
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]])
 HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)

@@ -17,11 +17,11 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.linalg import expm
 
 from .errors import DimensionMismatchError, ValidationError
 from .kernels import RateMatrix
-from ._arrays import (frozen as _frozen, require_hermitian as _require_hermitian,
+from ._arrays import (expm, frozen as _frozen,
+                      require_hermitian as _require_hermitian,
                       square as _square, square_stack as _square_stack,
                       strict_grid as _strict_grid)
 from .lifts import (TOL_HERM, DensityOperator, KrausMap, LeftRightMap,

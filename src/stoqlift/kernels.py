@@ -15,18 +15,15 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.linalg import expm
 
-from ._arrays import frozen as _frozen, square as _square, strict_grid as _strict_grid
+from ._arrays import (expm, frozen as _frozen, numerical_rank as _numerical_rank,
+                      square as _square, strict_grid as _strict_grid)
 from .errors import DimensionMismatchError, ValidationError
-from .simplex import solve_lp
 
 #: Entrywise negativity tolerance for probabilities; smaller violations clamp to zero.
 TOL_PROB = 1e-12
 #: Column-sum tolerance for stochastic matrices.
 TOL_STOCH = 1e-10
-#: Condition-number cap above which divisibility falls back to linear feasibility.
-CONDITION_CAP = 1e12
 #: Default tolerance of the classical and quantum divisibility checks.
 TOL_DIV = 1e-9
 
@@ -68,7 +65,8 @@ def validate_kernel(matrix, tol_entry: float = TOL_PROB,
         If the input is not a square matrix.
     """
     m = _square(matrix, "kernel", dtype=float)
-    max_neg = float(max(0.0, -m.min()))
+    neg = -m.min()
+    max_neg = 0.0 if neg <= 0.0 else float(neg)  # NaN stays NaN, -0.0 does not appear
     col_err = float(np.abs(m.sum(axis=0) - 1.0).max())
     passed = max_neg <= tol_entry and col_err <= tol_colsum
     return KernelValidationReport(passed, max_neg, col_err, tol_entry, tol_colsum)
@@ -141,6 +139,14 @@ class StochasticKernel:
         self._matrix = _frozen(np.maximum(m, 0.0))
         self.from_time = from_time
         self.to_time = to_time
+
+    @classmethod
+    def _passed(cls, matrix: np.ndarray) -> "StochasticKernel":
+        """An untimed kernel from a matrix ``validate_kernel`` has passed."""
+        kernel = cls.__new__(cls)
+        kernel._matrix = _frozen(np.maximum(matrix, 0.0))
+        kernel.from_time = kernel.to_time = None
+        return kernel
 
     @property
     def matrix(self) -> np.ndarray:
@@ -297,10 +303,16 @@ def check_ck_family(family: KernelFamily, tolerance: float = TOL_STOCH) -> CkFam
 class CDivisibilityResult:
     """Verdict of a classical divisibility query.
 
-    ``witness`` is the stochastic factor when divisible. For the inverse
-    route an indivisible verdict carries the validation report of the unique
-    linear candidate; for the feasibility route it carries the constraint
-    rows that cannot be satisfied and the residual infeasibility mass.
+    Divisible is a backward-error verdict: the stochastic ``witness`` X
+    (entries and column sums valid to within the tolerance) reproduces
+    gamma_20 as X @ gamma_10 to within the tolerance along each singular
+    direction of gamma_10. ``candidate_validation`` reports on the factor
+    tested last. On the feasibility route an indivisible verdict names the
+    constraints that fail: ``row[i]`` when no nonnegative row i of X matches
+    row i of gamma_20, ``colsum`` when the rows match one by one but not
+    with unit column sums; ``infeasibility`` is how far the certificate
+    misses (widest empty interval, gap of the sum condition or norm excess,
+    in units of the free coordinates, or the elastic program's optimum).
     """
 
     divisible: bool
@@ -311,50 +323,134 @@ class CDivisibilityResult:
     violated_constraints: tuple[str, ...] = ()
 
 
+def _validated(candidate, route, tol, **fields) -> CDivisibilityResult:
+    report = validate_kernel(candidate, tol_entry=tol, tol_colsum=tol)
+    witness = StochasticKernel._passed(candidate) if report.passed else None
+    return CDivisibilityResult(report.passed, witness, route,
+                               candidate_validation=report, **fields)
+
+
+def _infeasible(rows, infeasibility, colsum=False, report=None) -> CDivisibilityResult:
+    labels = tuple(f"row[{i}]" for i in rows) + (("colsum",) if colsum else ())
+    return CDivisibilityResult(False, None, "feasibility", report,
+                               float(infeasibility), labels)
+
+
+def _one_free_direction(x0, u, lo, hi, y_ls, tol) -> CDivisibilityResult:
+    """Factors ``X = x0 + y u^T`` with y_i in [lo_i, hi_i] and sum(y) = sum(u).
+
+    ``x0_ij + y_i u_j >= -tol / 2`` bounds each y_i from one side (the other
+    half of the tolerance absorbs the rounding of the witness). The pair
+    divides iff every interval is nonempty and sum(lo) <= sum(u) <= sum(hi).
+    """
+    floor = tol / 2.0
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        bound = -(x0 + floor) / u
+        lo = np.maximum(lo, np.where(u > 0, bound, -np.inf).max(axis=1))
+        hi = np.minimum(hi, np.where(u < 0, bound, np.inf).min(axis=1))
+        hi[((u == 0) & (x0 < -floor)).any(axis=1)] = -np.inf
+        gap = lo - hi
+    empty = ~(gap <= 0)  # an interval like [inf, inf] gives NaN: empty
+    if empty.any():
+        return _infeasible(np.flatnonzero(empty),
+                           np.where(gap > 0, gap, np.inf)[empty].max())
+    target = u.sum()
+    if not lo.sum() <= target <= hi.sum():
+        return _infeasible((), max(lo.sum() - target, target - hi.sum()), colsum=True)
+    # The feasible y nearest the least-squares point: clip it into the
+    # intervals, then spread what the sum still misses over the rows' slack.
+    y = np.clip(y_ls, lo, hi)
+    miss = target - y.sum()
+    if miss:
+        slack = hi - y if miss > 0 else y - lo
+        if np.isinf(slack).any():
+            slack = np.isinf(slack).astype(float)
+        y = y + miss * slack / slack.sum()
+    return _validated(x0 + np.outer(y, u), "feasibility", tol, infeasibility=0.0)
+
+
+def _several_free_directions(x0, u, lo, hi, tol) -> CDivisibilityResult:
+    """Factors ``X = x0 + Y u^T`` with each Y entry inside its residual box.
+
+    A stochastic X has entries in [0, 1], so ``|Y_i| <= sqrt(n) + |x0_i|``:
+    a row whose box lies farther from the origin cannot be matched. Only
+    when that certificate does not reject does a linear program decide: it
+    minimizes the slack mass that ``X >= -tol / 2`` with unit column sums
+    needs, and rows with slack above ``tol`` are the violated constraints.
+    """
+    n, k = u.shape
+    with np.errstate(invalid="ignore"):
+        box_empty = ~(lo - hi <= 0).all(axis=1)
+    excess = (np.linalg.norm(np.clip(0.0, lo, hi), axis=1)
+              - np.sqrt(n) - np.linalg.norm(x0, axis=1))
+    unmatched = box_empty | (excess > 0)
+    if unmatched.any():
+        return _infeasible(np.flatnonzero(unmatched),
+                           np.where(box_empty, np.inf, excess)[unmatched].max())
+
+    from scipy.optimize import linprog
+
+    m = n * n
+    # Variables: Y row-major, one slack per entry of X, two per column sum.
+    a_ub = np.hstack([-np.kron(np.eye(n), u), -np.eye(m), np.zeros((m, 2 * n))])
+    a_eq = np.hstack([np.kron(np.ones(n), u), np.zeros((n, m)),
+                      np.eye(n), -np.eye(n)])
+    cost = np.concatenate([np.zeros(n * k), np.ones(m + 2 * n)])
+    bounds = [*zip(lo.ravel(), hi.ravel())] + [(0.0, None)] * (m + 2 * n)
+    res = linprog(cost, A_ub=a_ub, b_ub=(x0 + tol / 2.0).ravel(), A_eq=a_eq,
+                  b_eq=1.0 - x0.sum(axis=0), bounds=bounds, method="highs")
+    result = _validated(x0 + res.x[:n * k].reshape(n, k) @ u.T, "feasibility",
+                        tol, infeasibility=0.0)
+    if result.divisible:
+        return result
+    entry_slack = res.x[n * k:n * k + m].reshape(n, n)
+    return _infeasible(np.flatnonzero((entry_slack > tol).any(axis=1)), res.fun,
+                       bool((res.x[n * k + m:] > tol).any()),
+                       result.candidate_validation)
+
+
 def c_divisibility_check(gamma_20: StochasticKernel, gamma_10: StochasticKernel,
                          tolerance: float = TOL_DIV) -> CDivisibilityResult:
     """Decide whether gamma_20 factors as (stochastic) @ gamma_10.
 
-    When ``gamma_10`` is well conditioned the unique linear candidate
-    ``gamma_20 @ inv(gamma_10)`` settles the question. Otherwise the
-    existence of a stochastic factor is a linear feasibility problem solved
-    by a phase-1 simplex.
+    One SVD ``gamma_10 = U S V^T`` decides. A singular direction is free
+    when inverting along it could miss by more than ``tolerance``
+    (``_arrays.numerical_rank``). With none free, the unique candidate
+    ``gamma_20 V S^-1 U^T`` settles it (route ``"inverse"``). Otherwise the
+    factors form the family ``X = X0 + Y U_free^T``, X0 inverting the kept
+    directions, with ``|Y_il s_l - (gamma_20 v_l)_i| <= tolerance`` (route
+    ``"feasibility"``). The least-squares Y with corrected column sums is
+    tried first; one free direction (singular gamma_10 of nullity one
+    included) is then decided by one interval per row, several by a norm
+    certificate and, failing that, a linear program.
     """
     if gamma_20.n != gamma_10.n:
         raise DimensionMismatchError(
             f"kernel dimensions differ: {gamma_20.n} vs {gamma_10.n}")
     n = gamma_10.n
-    g10 = gamma_10.matrix
-    g20 = gamma_20.matrix
+    u, s, vt = np.linalg.svd(gamma_10.matrix)
+    rank = _numerical_rank(s, tolerance)
+    b = gamma_20.matrix @ vt.T
+    x0 = (b[:, :rank] / s[:rank]) @ u[:, :rank].T
+    if rank == n:
+        return _validated(x0, "inverse", tolerance)
 
-    cond = np.linalg.cond(g10)
-    if np.isfinite(cond) and cond < CONDITION_CAP:
-        candidate = g20 @ np.linalg.inv(g10)
-        report = validate_kernel(candidate, tol_entry=tolerance, tol_colsum=tolerance)
-        if report.passed:
-            witness = StochasticKernel(candidate, tol_entry=tolerance,
-                                       tol_colsum=tolerance)
-            return CDivisibilityResult(True, witness, "inverse",
-                                       candidate_validation=report)
-        return CDivisibilityResult(False, None, "inverse",
-                                   candidate_validation=report)
-
-    # Feasibility fallback: find X >= 0 with X g10 = g20 and unit column sums.
-    # Variables are the row-major entries of X: row i * n + j is
-    # product[i,j] = (X g10)[i, j], row n * n + j is colsum[j].
-    a_eq = np.vstack([np.kron(np.eye(n), g10.T), np.kron(np.ones(n), np.eye(n))])
-    b_eq = np.concatenate([g20.ravel(), np.ones(n)])
-    result = solve_lp(a_eq, b_eq)
-    if result.status == "infeasible":
-        return CDivisibilityResult(
-            False, None, "feasibility",
-            infeasibility=result.infeasibility,
-            violated_constraints=tuple(
-                f"product[{r // n},{r % n}]" if r < n * n else f"colsum[{r - n * n}]"
-                for r in result.violated_rows))
-    tol = max(tolerance, TOL_DIV)
-    witness = StochasticKernel(result.x.reshape(n, n), tol_entry=tol, tol_colsum=tol)
-    return CDivisibilityResult(True, witness, "feasibility", infeasibility=0.0)
+    b, s, u = b[:, rank:], s[rank:], u[:, rank:]
+    # A zero singular value makes its box all of R or empty (b / 0 = +-inf).
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        y_ls = np.where(s > 0, b / s, 0.0)
+        y = y_ls + (u.sum(axis=0) - y_ls.sum(axis=0)) / n
+        # The column-sum correction moves the residual, so it is checked.
+        if np.abs(y * s - b).max() <= tolerance:
+            result = _validated(x0 + y @ u.T, "feasibility", tolerance,
+                                infeasibility=0.0)
+            if result.divisible:
+                return result
+        lo, hi = (b - tolerance) / s, (b + tolerance) / s
+    if n - rank == 1:
+        return _one_free_direction(x0, u[:, 0], lo[:, 0], hi[:, 0], y_ls[:, 0],
+                                   tolerance)
+    return _several_free_directions(x0, u, lo, hi, tolerance)
 
 
 @dataclass(frozen=True)

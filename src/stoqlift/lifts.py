@@ -20,7 +20,8 @@ from typing import Iterable, Sequence, Union
 
 import numpy as np
 
-from ._arrays import (frozen as _frozen, require_hermitian as _require_hermitian,
+from ._arrays import (frozen as _frozen, numerical_rank as _numerical_rank,
+                      require_hermitian as _require_hermitian,
                       square as _square, square_stack as _square_stack)
 from .errors import DimensionMismatchError, ValidationError
 from .kernels import (TOL_DIV, TOL_PROB, TOL_STOCH, KernelValidationReport,
@@ -32,7 +33,7 @@ TOL_HERM = 1e-10
 TOL_PSD = 1e-9
 #: Completeness-sum tolerance for trace preservation.
 TOL_TP = 1e-10
-#: Relative cutoff below which singular values count as zero.
+#: Relative cutoff below which Choi eigenvalues count as zero in Kraus extraction.
 PINV_RCOND = 1e-12
 #: Kraus operators with Frobenius norm below this are dropped.
 KRAUS_DROP_NORM = 1e-14
@@ -535,7 +536,8 @@ class QDivisibilityResult:
 
     ``verdict`` is ``"divisible"``, ``"indivisible"`` or ``"inconclusive"``.
     The candidate factor (when one exists linearly) and its CPTP report are
-    always recorded. Inconclusive means: the pseudo-inverse candidate matches
+    recorded; the report is None when the candidate's Choi matrix is too
+    asymmetric to be Hermitian. Inconclusive means: the candidate matches
     on the range of the earlier map but is not CPTP there, and a CPTP
     completion off that range, a semidefinite feasibility search, is out of
     scope here.
@@ -552,50 +554,55 @@ def q_divisibility_check(e_20: SuperOperator, e_10: SuperOperator,
                          tolerance: float = TOL_DIV) -> QDivisibilityResult:
     """Decide whether e_20 factors through e_10 as a quantum channel.
 
-    A full-rank e_10 (every singular value above ``PINV_RCOND`` times the
-    largest) makes the linear factor unique, so its CPTP check is decisive.
-    Otherwise a rank increase from e_10 to e_20 rules the factorization out,
-    and failing that the pseudo-inverse candidate is tested and a non-CPTP
-    outcome stays inconclusive.
+    e_10's singular values are cut by the classical check's rule
+    (``_arrays.numerical_rank``). With none cut the factor
+    ``e_20 @ inv(e_10)`` is unique and its CPTP check decides. Otherwise
+    the candidate ``e_20 V_r S_r^-1 U_r^dagger`` must reproduce e_20 to
+    within ``tolerance + |candidate|_2 s_(r+1)``, or the pair is
+    indivisible (a rank obstruction when e_20 has the larger rank); a
+    candidate that does but is not CPTP is inconclusive. A Choi asymmetry
+    above ``max(TOL_HERM, tolerance)`` is not CPTP; a smaller one is
+    symmetrized away before the CPTP check.
     """
     if e_20.n != e_10.n:
         raise DimensionMismatchError(
             f"superoperator dimensions differ: {e_20.n} vs {e_10.n}")
     sv_10 = np.linalg.svd(e_10.matrix, compute_uv=False)
-    rank_10 = int((sv_10 > PINV_RCOND * sv_10[0]).sum())
+    rank_10 = _numerical_rank(sv_10, tolerance)
     unique = rank_10 == sv_10.size
     if unique:
         candidate = e_20.matrix @ np.linalg.inv(e_10.matrix)
     else:
-        # Only a rank-deficient e_10 can have a smaller rank than e_20.
-        sv_20 = np.linalg.svd(e_20.matrix, compute_uv=False)
-        rank_20 = int((sv_20 > PINV_RCOND * sv_20[0]).sum())
-        if rank_10 < rank_20:
-            return QDivisibilityResult(
-                "indivisible", None, None,
-                f"rank obstruction: rank {rank_10} cannot factor rank {rank_20}")
-        candidate = e_20.matrix @ np.linalg.pinv(e_10.matrix, rcond=PINV_RCOND)
+        u, s, vh = np.linalg.svd(e_10.matrix)
+        scaled = e_20.matrix @ vh[:rank_10].conj().T / s[:rank_10]
+        candidate = scaled @ u[:, :rank_10].conj().T
         recon = float(np.abs(candidate @ e_10.matrix - e_20.matrix).max())
-        if not recon <= tolerance:
-            return QDivisibilityResult(
-                "indivisible", None, None,
-                f"no linear factorization exists (residual {recon:.3e})",
-                candidate=candidate)
-    report = check_cptp(SuperOperator(candidate),
-                        tol_tp=max(TOL_TP, tolerance),
-                        tol_psd=max(TOL_PSD, tolerance))
-    if report.passed:
-        reason = ("unique factor is CPTP" if unique
-                  else "pseudo-inverse factor is CPTP")
-        return QDivisibilityResult("divisible", SuperOperator(candidate),
-                                   report, reason, candidate=candidate)
-    if unique:
-        return QDivisibilityResult(
-            "indivisible", None, report,
-            "earlier map is invertible and its unique factor is not CPTP",
-            candidate=candidate)
-    return QDivisibilityResult(
-        "inconclusive", None, report,
-        "factor on the range of the earlier map is not CPTP; a CPTP "
-        "completion off that range is not searched",
-        candidate=candidate)
+        allowed = tolerance + np.linalg.norm(scaled, 2) * s[rank_10]
+        if not recon <= allowed:
+            sv_20 = np.linalg.svd(e_20.matrix, compute_uv=False)
+            rank_20 = _numerical_rank(sv_20, tolerance)
+            reason = (f"rank obstruction: rank {rank_10} cannot factor rank {rank_20}"
+                      if rank_10 < rank_20 else
+                      f"no linear factorization exists (residual {recon:.3e})")
+            return QDivisibilityResult("indivisible", None, None, reason,
+                                       candidate=candidate)
+    choi = _reshuffle(candidate, e_10.n)
+    asymmetry = float(np.abs(choi - choi.conj().T).max())
+    report = None
+    if asymmetry <= max(TOL_HERM, tolerance):
+        if asymmetry > TOL_HERM:
+            candidate = _reshuffle((choi + choi.conj().T) / 2.0, e_10.n)
+        report = check_cptp(SuperOperator(candidate),
+                            tol_tp=max(TOL_TP, tolerance),
+                            tol_psd=max(TOL_PSD, tolerance))
+        if report.passed:
+            reason = ("unique factor is CPTP" if unique
+                      else "pseudo-inverse factor is CPTP")
+            return QDivisibilityResult("divisible", SuperOperator(candidate),
+                                       report, reason, candidate=candidate)
+    reason = ("earlier map is invertible and its unique factor is not CPTP"
+              if unique else
+              "factor on the range of the earlier map is not CPTP; a CPTP "
+              "completion off that range is not searched")
+    return QDivisibilityResult("indivisible" if unique else "inconclusive",
+                               None, report, reason, candidate=candidate)

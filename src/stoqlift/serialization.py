@@ -1,17 +1,18 @@
 """JSON file formats for kernels, operators, maps, and scenarios.
 
 Real matrix / vector: ``{"n": N, "rows": [[...], ...]}`` with rows listed top
-to bottom; optional time stamps ``{"from_t": ..., "to_t": ...}``. A column
-vector is an N x 1 matrix. Complex matrices use ``[re, im]`` pairs for each
-entry. Kraus maps: ``{"ops": [complex-matrix, ...]}``. Generators:
-``{"h": complex-matrix, "jumps": [complex-matrix, ...]}``. All numbers are
-finite IEEE doubles in decimal text: ``NaN``, ``Infinity`` and literals that
-overflow a double are rejected.
+to bottom; optional time stamps ``{"from_t": ..., "to_t": ...}``, each a
+finite number. A column vector is an N x 1 matrix. Complex matrices use
+``[re, im]`` pairs for each entry. Kraus maps: ``{"ops": [complex-matrix,
+...]}``. Generators: ``{"h": complex-matrix, "jumps": [complex-matrix,
+...]}``. All numbers are finite IEEE doubles in decimal text: ``NaN``,
+``Infinity`` and literals that overflow a double are rejected.
 """
 
 from __future__ import annotations
 
 import json
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -73,6 +74,11 @@ def _number_rows(obj: dict, columns: int | None = None,
 
 
 def real_matrix_from_json(obj: dict) -> np.ndarray:
+    for key in ("from_t", "to_t"):
+        t = obj.get(key, 0.0)  # the bound also rejects integers beyond a double
+        if (isinstance(t, bool) or not isinstance(t, (int, float))
+                or not abs(t) <= sys.float_info.max):
+            raise SerializationError(f'"{key}" must be a finite number, got {t!r}')
     return _number_rows(obj)
 
 

@@ -293,6 +293,18 @@ def test_import_leaves_scipy_optimize_unloaded():
     assert out.strip() == "False"
 
 
+def test_import_leaves_scipy_linalg_unloaded():
+    # scipy.linalg is imported where expm runs; it costs about 0.4 s of start-up.
+    src = str(Path(stoqlift.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, stoqlift, stoqlift.cli; "
+         "print('scipy.linalg' in sys.modules)"],
+        env=env, capture_output=True, text=True, check=True).stdout
+    assert out.strip() == "False"
+
+
 NON_SQUARE = {"n": 2, "rows": [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]}
 NON_SQUARE_COMPLEX = {"n": 2, "rows": [[[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]],
                                        [[0.0, 0.0], [1.0, 0.0], [0.0, 0.0]]]}
@@ -362,3 +374,26 @@ class TestNonFiniteFiles:
         assert code == 1
         assert report is None
         assert "not JSON compliant" in err
+
+
+class TestTimeStamps:
+    """A kernel time stamp is a finite JSON number or absent."""
+
+    BAD = {"text": '"noon"', "overflow": "1e400", "boolean": "true"}
+
+    @pytest.mark.parametrize("command", [["validate"], ["lift", "--method", "canonical"]])
+    @pytest.mark.parametrize("name", sorted(BAD))
+    def test_bad_time_stamp_exits_two(self, capsys, tmp_path, command, name):
+        path = tmp_path / f"{name}.json"
+        path.write_text('{"n": 2, "rows": [[1.0, 0.0], [0.0, 1.0]], '
+                        f'"from_t": 0, "to_t": {self.BAD[name]}}}', encoding="utf-8")
+        code, report, err = run(capsys, *command, path)
+        assert (code, report) == (2, None)
+        assert "to_t" in err
+
+    def test_numeric_time_stamps_are_kept(self, capsys, tmp_path):
+        path = tmp_path / "stamped.json"
+        path.write_text('{"n": 2, "rows": [[1.0, 0.0], [0.0, 1.0]], '
+                        '"from_t": 0, "to_t": 0.5}', encoding="utf-8")
+        code, _, _ = run(capsys, "lift", "--method", "canonical", path)
+        assert code == 0

@@ -10,9 +10,11 @@ from stoqlift import (DimensionMismatchError, KernelFamily, ProbabilityVector,
                       ctmc_propagate, dtmc_to_ctmc_scaling,
                       short_time_derivatives, theta_markov_triviality_demo,
                       validate_kernel)
+from stoqlift.kernels import TOL_DIV
 from stoqlift.random_ops import random_stochastic
 
-from conftest import PAULI_X
+from conftest import (PAULI_X, loop_feasibility_program, reference_feasible,
+                      signed_factor_pair)
 
 FLIP = np.array([[0.0, 1.0], [1.0, 0.0]])
 MIX = np.array([[0.5, 0.5], [0.5, 0.5]])
@@ -38,6 +40,16 @@ class TestValidation:
     def test_non_square_raises(self):
         with pytest.raises(DimensionMismatchError):
             validate_kernel(np.ones((2, 3)))
+
+    def test_nan_entry_is_reported_as_nan(self):
+        report = validate_kernel([[1.0, 0.0], [0.0, np.nan]])
+        assert not report.passed
+        assert math.isnan(report.max_negative_entry)
+
+    @pytest.mark.parametrize("entry", [0.0, -0.0])
+    def test_zero_minimum_is_reported_as_positive_zero(self, entry):
+        report = validate_kernel([[1.0, entry], [entry, 1.0]])
+        assert math.copysign(1.0, report.max_negative_entry) == 1.0
 
     def test_kernel_clamps_roundoff_negativity(self):
         k = StochasticKernel([[1.0 + 1e-13, 0.0], [-1e-13, 1.0]])
@@ -346,58 +358,58 @@ class TestThetaTriviality:
                 lambda h: np.eye(2) + h * np.eye(2), 1.0, [10])
 
 
-def _loop_feasibility_program(g20, g10):
-    """The row-by-row build of the feasibility LP, kept as the reference."""
-    n = g10.shape[0]
-    labels, a_rows, b = [], [], []
-    for i in range(n):
-        for j in range(n):
-            row = np.zeros(n * n)
-            row[i * n:(i + 1) * n] = g10[:, j]
-            a_rows.append(row)
-            b.append(g20[i, j])
-            labels.append(f"product[{i},{j}]")
-    for j in range(n):
-        row = np.zeros(n * n)
-        row[j::n] = 1.0
-        a_rows.append(row)
-        b.append(1.0)
-        labels.append(f"colsum[{j}]")
-    return np.asarray(a_rows), np.asarray(b), labels
+def _row_alone_feasible(g20, g10, i):
+    """Whether the reference program's rows product[i, *] alone are feasible,
+    which is what a ``row[i]`` label denies."""
+    _, _, labels = loop_feasibility_program(g20, g10)
+    rows = [r for r, label in enumerate(labels) if label.startswith(f"product[{i},")]
+    return reference_feasible(g20, g10, TOL_DIV, rows=rows)
 
 
 class TestFeasibilityProgram:
+    """The feasibility route against the n^2 + n program it replaced
+    (``conftest.loop_feasibility_program``), solved by scipy."""
+
     @pytest.mark.parametrize("n", [1, 2, 5, 12])
     def test_program_and_labels_match_the_loop(self, monkeypatch, n):
         import stoqlift.kernels as kernels
-        from stoqlift.simplex import SimplexResult
 
         rng = np.random.default_rng(n)
         gamma_10, gamma_20 = random_stochastic(rng, n), random_stochastic(rng, n)
-        seen = {}
-
-        def infeasible_everywhere(a_eq, b_eq):
-            seen.update(a=a_eq, b=b_eq)
-            return SimplexResult("infeasible", None, 1.0, tuple(range(b_eq.size)))
-
-        # Force the feasibility route whatever the conditioning.
-        monkeypatch.setattr(kernels, "CONDITION_CAP", 0.0)
-        monkeypatch.setattr(kernels, "solve_lp", infeasible_everywhere)
+        # Free the last direction whatever the conditioning.
+        monkeypatch.setattr(kernels, "_numerical_rank", lambda s, tol: s.size - 1)
         result = c_divisibility_check(gamma_20, gamma_10)
-        a_ref, b_ref, labels_ref = _loop_feasibility_program(
-            gamma_20.matrix, gamma_10.matrix)
-        np.testing.assert_array_equal(seen["a"], a_ref)
-        np.testing.assert_array_equal(seen["b"], b_ref)
-        assert result.route == "feasibility" and not result.divisible
-        assert result.violated_constraints == tuple(labels_ref)
+        g20, g10 = gamma_20.matrix, gamma_10.matrix
+        assert result.route == "feasibility"
+        assert result.divisible == reference_feasible(g20, g10, TOL_DIV)
+        for i in range(n):
+            assert (f"row[{i}]" in result.violated_constraints) == \
+                (not _row_alone_feasible(g20, g10, i))
 
-    def test_labels_name_only_the_violated_rows(self, monkeypatch):
-        import stoqlift.kernels as kernels
-        from stoqlift.simplex import SimplexResult
-
-        monkeypatch.setattr(kernels, "CONDITION_CAP", 0.0)
-        monkeypatch.setattr(kernels, "solve_lp", lambda a, b: SimplexResult(
-            "infeasible", None, 0.5, (1, 2, 5)))
+    def test_labels_name_only_the_violated_rows(self):
         result = c_divisibility_check(StochasticKernel(FLIP), StochasticKernel(MIX))
-        assert result.violated_constraints == ("product[0,1]", "product[1,0]",
-                                               "colsum[1]")
+        assert result.violated_constraints == ("row[0]", "row[1]")
+        g20, g10 = signed_factor_pair(2)
+        result = c_divisibility_check(StochasticKernel(g20), StochasticKernel(g10))
+        assert result.violated_constraints == ("row[2]",)
+        assert not reference_feasible(g20, g10, 10 * TOL_DIV)
+
+    def test_colsum_labels_rows_that_cannot_share_unit_sums(self):
+        g20, g10 = signed_factor_pair(13)
+        result = c_divisibility_check(StochasticKernel(g20), StochasticKernel(g10))
+        assert result.violated_constraints == ("colsum",)
+        assert result.infeasibility > 0
+        assert not reference_feasible(g20, g10, 10 * TOL_DIV)
+        assert all(_row_alone_feasible(g20, g10, i) for i in range(3))
+
+    def test_signed_factors_agree_with_the_program(self):
+        pairs = [p for p in map(signed_factor_pair, range(100)) if p is not None]
+        assert len(pairs) > 30
+        verdicts = set()
+        for g20, g10 in pairs:
+            result = c_divisibility_check(StochasticKernel(g20), StochasticKernel(g10))
+            assert result.divisible == reference_feasible(g20, g10, TOL_DIV)
+            if result.divisible:
+                assert np.abs(result.witness.matrix @ g10 - g20).max() <= 1e-8
+            verdicts.add(result.divisible)
+        assert verdicts == {True, False}

@@ -13,6 +13,7 @@ from stoqlift import (DensityOperator, DimensionMismatchError, KrausMap,
                       induced_kernel, kraus_from_choi, q_divisibility_check,
                       readout, superop_kernel_extract, theta_conjugation_lift,
                       to_superoperator, unvec, vec)
+from stoqlift.lifts import _reshuffle
 from stoqlift.random_ops import (random_density, random_kraus_map,
                                  random_probability_vector, random_stochastic,
                                  random_unitary)
@@ -538,6 +539,25 @@ class TestQDivisibility:
         with pytest.raises(DimensionMismatchError):
             q_divisibility_check(SuperOperator.identity(2),
                                  SuperOperator.identity(3))
+
+    def test_asymmetric_choi_is_not_cptp_rather_than_an_error(self):
+        # rho -> K rho does not preserve Hermiticity: its Choi matrix is far
+        # from Hermitian, so the unique factor is not CPTP.
+        k = np.array([[1.0, 0.5], [0.0, 1.0]])
+        later = SuperOperator(np.kron(np.eye(2), k))
+        result = q_divisibility_check(later, SuperOperator.identity(2))
+        assert result.verdict == "indivisible"
+        assert result.cptp_report is None
+
+    def test_choi_asymmetry_within_tolerance_is_symmetrized(self):
+        had = to_superoperator(KrausMap([HADAMARD])).matrix
+        skew = np.zeros((4, 4), dtype=complex)
+        skew[0, 3], skew[3, 0] = 4e-10, -4e-10  # Choi asymmetry 8e-10 > TOL_HERM
+        later = SuperOperator(had + _reshuffle(skew, 2))
+        result = q_divisibility_check(later, SuperOperator.identity(2), 1e-9)
+        assert result.verdict == "divisible"
+        choi = _reshuffle(result.witness.matrix, 2)
+        np.testing.assert_array_equal(choi, choi.conj().T)
 
 
 class TestDensityOperator:

@@ -179,3 +179,16 @@ def test_load_json_rejects_non_json_constants(tmp_path, token):
     path.write_text(f'{{"n": 1, "rows": [[{token}]]}}', encoding="utf-8")
     with pytest.raises(SerializationError, match=f"{token} is not a JSON number"):
         load_json(path)
+
+
+@pytest.mark.parametrize("key", ["from_t", "to_t"])
+@pytest.mark.parametrize("stamp", ["noon", float("inf"), float("nan"), True,
+                                   None, [1.0], 10 ** 400])
+def test_time_stamp_must_be_a_finite_number(key, stamp):
+    with pytest.raises(SerializationError, match=key):
+        kernel_from_json({"n": 1, "rows": [[1.0]], key: stamp})
+
+
+def test_integer_time_stamps_are_kept():
+    kernel = kernel_from_json({"n": 1, "rows": [[1.0]], "from_t": 0, "to_t": 2})
+    assert (kernel.from_time, kernel.to_time) == (0, 2)
