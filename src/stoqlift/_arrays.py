@@ -1,7 +1,11 @@
-"""Private array helpers shared across modules: the one copy of each intake check.
+"""Private array helpers shared across modules: the table of default
+tolerances and the one copy of each intake check.
 
-Every acceptance test is written ``if not residual <= tol`` so that a NaN
-residual, which compares false either way, fails it.
+Every default tolerance of the package is assigned once, in the table below;
+the modules that use one import it from here, so ``stoqlift.kernels.TOL_DIV``
+and the other module-level names are this table's entries. Every acceptance
+test is written ``if not residual <= tol`` so that a NaN residual, which
+compares false either way, fails it.
 """
 
 from __future__ import annotations
@@ -11,6 +15,30 @@ import numpy as np
 from .errors import DimensionMismatchError, ValidationError
 
 EPS = float(np.finfo(float).eps)
+
+# The tolerance table: each default is a bound on a residual, stated once.
+# Kernels.
+TOL_PROB = 1e-12  #: Negative probability entry; smaller ones clamp to zero.
+TOL_STOCH = 1e-10  #: Column-sum error of a stochastic matrix; family identity test.
+TOL_DIV = 1e-9  #: Default of the classical and quantum divisibility checks.
+# Lifts.
+TOL_HERM = 1e-10  #: Hermiticity and trace error; off-diagonal mass left on a diagonal.
+TOL_PSD = 1e-9  #: Eigenvalue floor of PSD tests (scale-aware, see ChoiMatrix).
+TOL_TP = 1e-10  #: Completeness residual (trace preservation), relative for generators.
+PINV_RCOND = 1e-12  #: Relative cutoff of zero Choi eigenvalues in Kraus extraction.
+KRAUS_DROP_NORM = 1e-14  #: Frobenius norm below which a Kraus operator is dropped.
+# Dynamics.
+FD_STEP = 1e-4  #: Default finite-difference step for generator extraction.
+CK_TOLERANCE = 1e-6  #: Residual of the composition checklist (stencil-limited).
+# Division and memory.
+RECORD_FORM_TOL = 1e-9  #: Cross-block mass of a classical record at the division time.
+TOL_UNITARY = 1e-10  #: Max-norm deviation of U^dagger U from the identity.
+TOL_COMPOSE = 1e-14  #: Rounding added to two completeness residuals when composing.
+TOL_INTERIOR = 1e-9  #: Smallest entry of a strictly positive three-time conditional.
+# Demo verdict thresholds, which ``--tol`` does not change.
+DEMO_SAME_GAP = 1e-12  #: Largest one-step kernel gap that reads as indistinguishable.
+DEMO_DISTINCT_GAP = 1e-6  #: Smallest two-step kernel gap that reads as distinguishable.
+DEMO_CLOSE_GAP = 1e-10  #: Largest lifted-vs-classical deviation closing the square.
 
 
 def frozen(a: np.ndarray) -> np.ndarray:
@@ -68,6 +96,16 @@ def require_hermitian(m: np.ndarray, tol: float, name: str) -> None:
     err = float(np.abs(m - m.conj().T).max())
     if not err <= tol:
         raise ValidationError(f"{name} not Hermitian: worst asymmetry {err:.3e}")
+
+
+def require_psd(m: np.ndarray, tol: float, name: str) -> None:
+    """Raise unless the smallest eigenvalue of the Hermitian part of ``m`` (of
+    every matrix, for a stack) is at least ``-tol``."""
+    herm = (m + np.swapaxes(m.conj(), -1, -2)) / 2.0
+    min_eig = float(np.linalg.eigvalsh(herm).min())
+    if not min_eig >= -tol:
+        raise ValidationError(
+            f"{name} not positive semidefinite: minimum eigenvalue {min_eig:.3e}")
 
 
 def strict_grid(grid) -> np.ndarray:

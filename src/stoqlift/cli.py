@@ -19,18 +19,19 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from ._arrays import expm
-from .dynamics import (CK_TOLERANCE, SuperOperatorFamily, ck_checklist,
-                       ctmc_embedding, diagonal_preservation_check, propagate)
+from ._arrays import (DEMO_CLOSE_GAP, DEMO_DISTINCT_GAP, DEMO_SAME_GAP,
+                      FD_STEP, expm)
+from .dynamics import (SuperOperatorFamily, ck_checklist, ctmc_embedding,
+                       diagonal_preservation_check, propagate)
 from .errors import DimensionMismatchError, ValidationError
-from .kernels import (TOL_PROB, TOL_STOCH, KernelFamily, ProbabilityVector,
-                      RateMatrix, c_divisibility_check, ctmc_propagate,
+from .kernels import (KernelFamily, ProbabilityVector, RateMatrix,
+                      c_divisibility_check, ctmc_propagate,
                       dtmc_to_ctmc_scaling, theta_markov_triviality_demo,
                       validate_kernel)
-from .lifts import (TOL_HERM, TOL_PSD, TOL_TP, DensityOperator, KrausMap,
-                    barandes_column_lift, canonical_lift, check_cptp,
-                    compatibility_check, embed_diagonal, induced_kernel,
-                    q_divisibility_check, readout, theta_conjugation_lift)
+from .lifts import (DensityOperator, KrausMap, barandes_column_lift,
+                    canonical_lift, check_cptp, compatibility_check,
+                    embed_diagonal, induced_kernel, q_divisibility_check,
+                    readout, theta_conjugation_lift)
 from .division import theorem1_check
 from .memory import mod_square, two_step_kernel
 from .serialization import (SerializationError, complex_matrix_from_json,
@@ -77,9 +78,10 @@ def _emit(report: dict, args, summary_lines) -> None:
         Path(args.out).write_text(payload + "\n", encoding="utf-8")
 
 
-def _tol(args, default: float) -> float:
-    """The ``--tol`` override when given (zero included), else ``default``."""
-    return default if args.tol is None else args.tol
+def _tol(args, *names: str) -> dict:
+    """``--tol`` (zero included) as each named keyword, or no keyword at all
+    without it, so that every check runs at its own default."""
+    return {} if args.tol is None else dict.fromkeys(names, args.tol)
 
 
 def _base_report(command: str, args, inputs: dict) -> dict:
@@ -103,9 +105,7 @@ def _cmd_validate(args) -> int:
     report["kind"] = kind
     if kind == "kernel":
         matrix = real_matrix_from_json(obj)
-        ker = validate_kernel(matrix,
-                              tol_entry=_tol(args, TOL_PROB),
-                              tol_colsum=_tol(args, TOL_STOCH))
+        ker = validate_kernel(matrix, **_tol(args, "tol_entry", "tol_colsum"))
         report["verdicts"] = {
             "passed": ker.passed,
             "max_negative_entry": ker.max_negative_entry,
@@ -124,8 +124,7 @@ def _cmd_validate(args) -> int:
             if kind == "density" or round(side ** 0.5) ** 2 != side:
                 report["kind"] = "density"
                 try:
-                    DensityOperator(matrix, tol_herm=_tol(args, TOL_HERM),
-                                    tol_psd=_tol(args, TOL_PSD))
+                    DensityOperator(matrix, **_tol(args, "tol_herm", "tol_psd"))
                     passed, reason = True, "valid density operator"
                 except ValidationError as exc:
                     passed, reason = False, str(exc)
@@ -136,8 +135,7 @@ def _cmd_validate(args) -> int:
                 return EXIT_PASS if passed else EXIT_DOMAIN_FAILURE
         map_ = (kraus_from_json(obj) if kind == "kraus"
                 else superoperator_from_json(obj))
-        cptp = check_cptp(map_, tol_tp=_tol(args, TOL_TP),
-                          tol_psd=_tol(args, TOL_PSD))
+        cptp = check_cptp(map_, **_tol(args, "tol_tp", "tol_psd"))
         report["verdicts"] = {
             "passed": cptp.passed,
             "trace_preserving": cptp.trace_preserving,
@@ -185,7 +183,7 @@ def _cmd_lift(args) -> int:
     else:  # pragma: no cover - argparse restricts choices
         raise SerializationError(f"unknown lift method {args.method!r}")
 
-    compat = compatibility_check(kmap, gamma, tol=_tol(args, TOL_PROB))
+    compat = compatibility_check(kmap, gamma, **_tol(args, "tol"))
     ind = induced_kernel(kmap)
     report["verdicts"].update({
         "compatibility_passed": compat.passed,
@@ -289,7 +287,9 @@ def _demo_scaling(args, report):
     rows = dtmc_to_ctmc_scaling(rate, args.t_star, args.t, epsilons)
     table = []
     for i, row in enumerate(rows):
-        ratio = rows[i - 1].sup_error / row.sup_error if i else None
+        # A zero error leaves the ratio undefined (null in the report).
+        ratio = (rows[i - 1].sup_error / row.sup_error
+                 if i and row.sup_error else None)
         table.append({"epsilon": row.epsilon, "n_steps": row.n_steps,
                       "sup_error": row.sup_error, "error_ratio": ratio})
     report["tables"]["scaling"] = table
@@ -324,13 +324,15 @@ def _demo_phase_memory(args, report):
         "two_step_kernel_x": two_x,
         "two_step_kernel_y": two_y,
     })
+    same = one_step_gap <= DEMO_SAME_GAP
+    distinct = two_step_gap > DEMO_DISTINCT_GAP
     report["verdicts"] = {
-        "one_step_indistinguishable": one_step_gap <= 1e-12,
+        "one_step_indistinguishable": same,
         "one_step_gap": one_step_gap,
         "two_step_gap": two_step_gap,
-        "two_step_distinguishable": two_step_gap > 1e-6,
+        "two_step_distinguishable": distinct,
     }
-    ok = one_step_gap <= 1e-12 and two_step_gap > 1e-6
+    ok = same and distinct
     return [f"phase-memory: one-step gap {one_step_gap:.3e}, "
             f"two-step gap {two_step_gap:.3e}"], ok
 
@@ -347,12 +349,13 @@ def _demo_ctmc_embedding(args, report):
     diagonal_ok = diagonal_preservation_check(gen)
     report["tables"]["classical"] = classical.entries
     report["tables"]["lifted"] = lifted.entries
+    closes = deviation <= DEMO_CLOSE_GAP
     report["verdicts"] = {
         "max_deviation": deviation,
-        "square_closes": deviation <= 1e-10,
+        "square_closes": closes,
         "diagonal_preserving": diagonal_ok,
     }
-    ok = deviation <= 1e-10 and diagonal_ok
+    ok = closes and diagonal_ok
     return [f"ctmc-embedding: lifted vs classical deviation {deviation:.3e}"], ok
 
 
@@ -383,8 +386,7 @@ def _demo_ck_checklist(args, report):
     obj = load_json(args.family) if args.family else None
     grid = args.grid or [0.0, 0.4, 1.0]
     family = _build_family(args.kind, obj, grid)
-    result = ck_checklist(family, fd_step=args.fd_step,
-                          tolerance=_tol(args, CK_TOLERANCE))
+    result = ck_checklist(family, fd_step=args.fd_step, **_tol(args, "tolerance"))
     report["tables"]["identity_residuals"] = {
         str(t): r for t, r in result.identity_residuals.items()}
     report["tables"]["forward_residuals"] = {
@@ -486,7 +488,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_demo.add_argument("--epsilons", type=float, nargs="+")
     p_demo.add_argument("--diag-h", type=float, nargs="+", dest="diag_h")
     p_demo.add_argument("--grid", type=float, nargs="+")
-    p_demo.add_argument("--fd-step", type=float, default=1e-4, dest="fd_step")
+    p_demo.add_argument("--fd-step", type=float, default=FD_STEP, dest="fd_step")
     p_demo.set_defaults(func=_cmd_demo)
     return parser
 

@@ -19,15 +19,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._arrays import (RECORD_FORM_TOL, TOL_DIV, TOL_PROB, TOL_PSD, TOL_STOCH,
+                      TOL_TP, require_psd as _require_psd)
 from .errors import DimensionMismatchError, ValidationError
 from .kernels import (CDivisibilityResult, ProbabilityVector, StochasticKernel,
-                      TOL_DIV, TOL_PROB, TOL_STOCH, c_divisibility_check)
-from .lifts import (QDivisibilityResult, SuperOperator, TOL_PSD, TOL_TP,
+                      c_divisibility_check)
+from .lifts import (QDivisibilityResult, SuperOperator,
                     _diagonal_images_offdiagonal, check_cptp,
-                    q_divisibility_check, superop_kernel_extract, unvec, vec)
-
-#: Cross-block mass tolerance for the classical-record form at the division time.
-RECORD_FORM_TOL = 1e-9
+                    q_divisibility_check, superop_kernel_extract)
 
 
 def partial_trace(matrix: np.ndarray, n_sys: int, n_env: int,
@@ -93,11 +92,6 @@ def _require_cptp(name: str, e: SuperOperator, tol_tp: float = TOL_TP,
             f"min Choi eigenvalue {report.min_choi_eigenvalue:.3e})")
 
 
-def _offdiagonal_max(matrix: np.ndarray) -> float:
-    off = matrix - np.diag(np.diag(matrix))
-    return float(np.abs(off).max())
-
-
 def theorem1_check(e_10: SuperOperator, e_20: SuperOperator,
                    tolerance: float = TOL_DIV) -> DivisionVerdict:
     """Test the divisibility criterion on a pair of lifted legs.
@@ -118,18 +112,16 @@ def theorem1_check(e_10: SuperOperator, e_20: SuperOperator,
     worst_mass = _diagonal_images_offdiagonal(e_10.matrix, e_10.n)
     all_diagonal = worst_mass <= tolerance
 
-    gamma_10 = StochasticKernel(superop_kernel_extract(e_10),
-                                tol_entry=max(TOL_PROB, tolerance),
-                                tol_colsum=max(TOL_STOCH, tolerance))
-    gamma_20 = StochasticKernel(superop_kernel_extract(e_20),
+    def kernel_of(e: SuperOperator) -> StochasticKernel:
+        return StochasticKernel(superop_kernel_extract(e),
                                 tol_entry=max(TOL_PROB, tolerance),
                                 tol_colsum=max(TOL_STOCH, tolerance))
 
+    gamma_10 = kernel_of(e_10)
+    gamma_20 = kernel_of(e_20)
+
     if q_divisible and all_diagonal:
-        witness_kernel = StochasticKernel(
-            superop_kernel_extract(q_result.witness),
-            tol_entry=max(TOL_PROB, tolerance),
-            tol_colsum=max(TOL_STOCH, tolerance))
+        witness_kernel = kernel_of(q_result.witness)
         residual = float(np.abs(
             gamma_20.matrix - witness_kernel.matrix @ gamma_10.matrix).max())
         return DivisionVerdict(True, q_result, True, worst_mass,
@@ -163,16 +155,6 @@ class EnvironmentScenarioReport:
     c_result: CDivisibilityResult | None = None
 
 
-def _block_offdiagonal_mass(joint: np.ndarray, n_sys: int, n_env: int) -> float:
-    t = joint.reshape(n_sys, n_env, n_sys, n_env)
-    worst = 0.0
-    for x in range(n_sys):
-        for y in range(n_sys):
-            if x != y:
-                worst = max(worst, float(np.abs(t[x, :, y, :]).max()))
-    return worst
-
-
 def environment_division_scenario(p_env: ProbabilityVector,
                                   record_interaction: SuperOperator,
                                   post_system: SuperOperator,
@@ -203,35 +185,29 @@ def environment_division_scenario(p_env: ProbabilityVector,
                     ("post_system", post_system), ("post_env", post_env)):
         _require_cptp(name, s)
 
-    rho_env = np.diag(p_env.entries.astype(complex))
+    # Column i is vec(|i><i| kron diag(p_env)): its nonzero entries sit on
+    # the joint diagonal, at vec positions j (m + 1) for j = i n_env + a.
+    inputs = np.zeros((m * m, n_sys), dtype=complex)
+    diagonal = np.arange(m).reshape(n_sys, n_env) * (m + 1)
+    inputs[diagonal, np.arange(n_sys)[:, None]] = p_env.entries
+    # joint[i, x, a, y, b]: the joint state at the division time for input i.
+    joint = (record_interaction.matrix @ inputs).T.reshape(
+        n_sys, n_sys, n_env, n_sys, n_env).transpose(0, 3, 4, 1, 2)
+    reduced = np.einsum("ixaya->ixy", joint)
+    trace_err = float(np.abs(np.einsum("ixx->i", reduced)
+                             - np.einsum("ixaxa->i", joint)).max())
+    if not trace_err <= TOL_TP:
+        raise ValidationError(
+            f"partial trace changed the trace by {trace_err:.3e}")
+    _require_psd(reduced, TOL_PSD, "reduced state")
 
-    kernel_t1 = np.empty((n_sys, n_sys))
-    kernel_t2 = np.empty((n_sys, n_sys))
-    worst_block = 0.0
-    worst_reduced = 0.0
-    for i in range(n_sys):
-        sys0 = np.zeros((n_sys, n_sys), dtype=complex)
-        sys0[i, i] = 1.0
-        joint0 = np.kron(sys0, rho_env)
-        joint1 = unvec(record_interaction.matrix @ vec(joint0))
-
-        reduced1 = partial_trace(joint1, n_sys, n_env, keep="sys")
-        trace_err = abs(np.trace(reduced1) - np.trace(joint1))
-        min_eig = float(np.linalg.eigvalsh(
-            (reduced1 + reduced1.conj().T) / 2.0)[0])
-        if not (trace_err <= TOL_TP and min_eig >= -TOL_PSD):
-            raise ValidationError(
-                "partial trace produced an unphysical reduced state "
-                f"(trace error {trace_err:.3e}, min eigenvalue {min_eig:.3e})")
-
-        worst_block = max(worst_block,
-                          _block_offdiagonal_mass(joint1, n_sys, n_env))
-        worst_reduced = max(worst_reduced, _offdiagonal_max(reduced1))
-        kernel_t1[:, i] = np.real(np.diag(reduced1))
-
-        # Tr_env (post_system x post_env) = post_system Tr_env: post_env is TP.
-        reduced2 = unvec(post_system.matrix @ vec(reduced1))
-        kernel_t2[:, i] = np.real(np.diag(reduced2))
+    off = ~np.eye(n_sys, dtype=bool)
+    worst_block = float(np.abs(joint).max(axis=(2, 4))[:, off].max(initial=0.0))
+    worst_reduced = float(np.abs(reduced)[:, off].max(initial=0.0))
+    kernel_t1 = np.real(np.einsum("ixx->xi", reduced))
+    # Tr_env (post_system x post_env) = post_system Tr_env: post_env is TP.
+    reduced_vecs = reduced.reshape(n_sys, n_sys * n_sys, order="F").T
+    kernel_t2 = np.real((post_system.matrix @ reduced_vecs)[::n_sys + 1])
 
     record_form = worst_block <= tolerance and worst_reduced <= tolerance
     if not record_form:

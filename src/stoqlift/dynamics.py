@@ -20,18 +20,13 @@ import numpy as np
 
 from .errors import DimensionMismatchError, ValidationError
 from .kernels import RateMatrix
-from ._arrays import (expm, frozen as _frozen,
-                      require_hermitian as _require_hermitian,
+from ._arrays import (CK_TOLERANCE, FD_STEP, TOL_HERM, TOL_TP, expm,
+                      frozen as _frozen, require_hermitian as _require_hermitian,
                       square as _square, square_stack as _square_stack,
                       strict_grid as _strict_grid)
-from .lifts import (TOL_HERM, DensityOperator, KrausMap, LeftRightMap,
-                    SuperOperator, _diagonal_images_offdiagonal,
-                    canonical_lift, to_superoperator, unvec, vec)
-
-#: Default finite-difference step for generator extraction.
-FD_STEP = 1e-4
-#: Default residual tolerance for the composition checklist (stencil-limited).
-CK_TOLERANCE = 1e-6
+from .lifts import (DensityOperator, KrausMap, LeftRightMap, SuperOperator,
+                    _diagonal_images_offdiagonal, canonical_lift,
+                    to_superoperator, unvec, vec)
 
 
 class GkslGenerator:
@@ -64,7 +59,7 @@ class GkslGenerator:
         s = self._liouville.matrix
         trace_action = np.abs(vec(eye) @ s).max()
         scale = max(1.0, float(np.abs(s).max()))
-        if not trace_action <= 1e-10 * scale:  # only non-finite jumps reach this
+        if not trace_action <= TOL_TP * scale:  # only non-finite jumps reach this
             raise ValidationError(
                 f"generator does not annihilate the trace ({trace_action:.3e})")
 
@@ -171,7 +166,7 @@ def ctmc_embedding(rate: RateMatrix | np.ndarray,
 
 
 def diagonal_preservation_check(gen: GkslGenerator,
-                                tolerance: float = 1e-10) -> bool:
+                                tolerance: float = TOL_HERM) -> bool:
     """True when the generator maps every diagonal state to a diagonal one.
 
     The basis projectors decide the property by linearity.

@@ -16,16 +16,10 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from ._arrays import (expm, frozen as _frozen, numerical_rank as _numerical_rank,
-                      square as _square, strict_grid as _strict_grid)
+from ._arrays import (TOL_DIV, TOL_PROB, TOL_STOCH, expm, frozen as _frozen,
+                      numerical_rank as _numerical_rank, square as _square,
+                      strict_grid as _strict_grid)
 from .errors import DimensionMismatchError, ValidationError
-
-#: Entrywise negativity tolerance for probabilities; smaller violations clamp to zero.
-TOL_PROB = 1e-12
-#: Column-sum tolerance for stochastic matrices.
-TOL_STOCH = 1e-10
-#: Default tolerance of the classical and quantum divisibility checks.
-TOL_DIV = 1e-9
 
 
 @dataclass(frozen=True)
@@ -570,7 +564,7 @@ class TrivialityRow:
 def theta_markov_triviality_demo(theta_step: Callable[[float], np.ndarray],
                                  t_minus_s: float,
                                  n_values: Sequence[int],
-                                 tol_identity: float = 1e-10
+                                 tol_identity: float = TOL_STOCH
                                  ) -> tuple[TrivialityRow, ...]:
     """Composing many squared-moduli steps of a differentiable matrix family.
 

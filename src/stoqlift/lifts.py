@@ -20,23 +20,15 @@ from typing import Iterable, Sequence, Union
 
 import numpy as np
 
-from ._arrays import (frozen as _frozen, numerical_rank as _numerical_rank,
+from ._arrays import (KRAUS_DROP_NORM, PINV_RCOND, TOL_DIV, TOL_HERM, TOL_PROB,
+                      TOL_PSD, TOL_STOCH, TOL_TP, frozen as _frozen,
+                      numerical_rank as _numerical_rank,
                       require_hermitian as _require_hermitian,
-                      square as _square, square_stack as _square_stack)
+                      require_psd as _require_psd, square as _square,
+                      square_stack as _square_stack)
 from .errors import DimensionMismatchError, ValidationError
-from .kernels import (TOL_DIV, TOL_PROB, TOL_STOCH, KernelValidationReport,
-                      ProbabilityVector, StochasticKernel, validate_kernel)
-
-#: Hermiticity / trace tolerance for operators.
-TOL_HERM = 1e-10
-#: Eigenvalue floor for positive-semidefiniteness tests (scale-aware, see ChoiMatrix).
-TOL_PSD = 1e-9
-#: Completeness-sum tolerance for trace preservation.
-TOL_TP = 1e-10
-#: Relative cutoff below which Choi eigenvalues count as zero in Kraus extraction.
-PINV_RCOND = 1e-12
-#: Kraus operators with Frobenius norm below this are dropped.
-KRAUS_DROP_NORM = 1e-14
+from .kernels import (KernelValidationReport, ProbabilityVector,
+                      StochasticKernel, validate_kernel)
 
 
 def vec(matrix: np.ndarray) -> np.ndarray:
@@ -90,10 +82,7 @@ class DensityOperator:
         trace_err = abs(np.trace(m) - 1.0)
         if not trace_err <= tol_herm:
             raise ValidationError(f"trace differs from 1 by {trace_err:.3e}")
-        eigs = np.linalg.eigvalsh((m + m.conj().T) / 2.0)
-        if not eigs[0] >= -tol_psd:
-            raise ValidationError(
-                f"not positive semidefinite: minimum eigenvalue {eigs[0]:.3e}")
+        _require_psd(m, tol_psd, "density operator")
         self._matrix = _frozen(m.copy())
 
     @property

@@ -18,12 +18,12 @@ import numpy as np
 
 from .errors import DimensionMismatchError, ValidationError
 from .kernels import StochasticKernel
-from ._arrays import (frozen as _frozen, require_hermitian as _require_hermitian,
-                      square as _square, square_stack as _square_stack)
-from .lifts import TOL_HERM, TOL_PSD, TOL_TP, KrausMap, dictionary_kernel
-
-#: Unitarity tolerance: max-norm deviation of U^dagger U from the identity.
-TOL_UNITARY = 1e-10
+from ._arrays import (TOL_COMPOSE, TOL_HERM, TOL_INTERIOR, TOL_PSD, TOL_TP,
+                      TOL_UNITARY, frozen as _frozen,
+                      require_hermitian as _require_hermitian,
+                      require_psd as _require_psd, square as _square,
+                      square_stack as _square_stack)
+from .lifts import KrausMap, dictionary_kernel
 
 
 class PovmEffects:
@@ -36,10 +36,7 @@ class PovmEffects:
             raise ValidationError("a POVM needs at least one effect")
         for idx, e in enumerate(stack):
             _require_hermitian(e, tol_herm, f"effect {idx}")
-            min_eig = float(np.linalg.eigvalsh((e + e.conj().T) / 2.0)[0])
-            if not min_eig >= -tol_psd:
-                raise ValidationError(
-                    f"effect {idx} not positive (min eigenvalue {min_eig:.3e})")
+            _require_psd(e, tol_psd, f"effect {idx}")
         sum_err = float(np.abs(stack.sum(axis=0) - np.eye(stack.shape[1])).max())
         if not sum_err <= tol_sum:
             raise ValidationError(
@@ -169,7 +166,7 @@ def modified_readout_kernel(lambda_ops: KrausMap,
                          for k in evolution.operators])
     return dictionary_kernel(composed, tol_tp=max(
         TOL_TP, 2 * (lambda_ops.completeness_residual
-                     + evolution.completeness_residual + 1e-14)))
+                     + evolution.completeness_residual + TOL_COMPOSE)))
 
 
 def dof_counts(n: int, m: int) -> dict[str, int]:
@@ -218,7 +215,7 @@ class ThreeTimeFreedomReport:
 
 
 def three_time_freedom(gamma_10: StochasticKernel, gamma_20: StochasticKernel,
-                       interior_tol: float = 1e-9) -> ThreeTimeFreedomReport:
+                       interior_tol: float = TOL_INTERIOR) -> ThreeTimeFreedomReport:
     """Affine freedom in p(x2 | x1, x0) under both two-time kernels.
 
     The conditional tensor must be normalized over x2 for every (x1, x0) and

@@ -51,6 +51,9 @@ def _number_rows(obj: dict, columns: int | None = None,
     """The "rows" of a matrix object as a finite float array of shape
     ``(n, columns)`` (``columns`` defaults to n), with a trailing axis of 2
     when the entries are ``[re, im]`` pairs."""
+    if not isinstance(obj, dict):
+        raise SerializationError(
+            f"expected a matrix object, got {type(obj).__name__}")
     if "n" not in obj or "rows" not in obj:
         raise SerializationError('matrix object needs "n" and "rows" keys')
     n = obj["n"]
@@ -74,12 +77,13 @@ def _number_rows(obj: dict, columns: int | None = None,
 
 
 def real_matrix_from_json(obj: dict) -> np.ndarray:
+    m = _number_rows(obj)
     for key in ("from_t", "to_t"):
         t = obj.get(key, 0.0)  # the bound also rejects integers beyond a double
         if (isinstance(t, bool) or not isinstance(t, (int, float))
                 or not abs(t) <= sys.float_info.max):
             raise SerializationError(f'"{key}" must be a finite number, got {t!r}')
-    return _number_rows(obj)
+    return m
 
 
 def real_matrix_to_json(matrix, from_time=None, to_time=None) -> dict:
@@ -136,7 +140,7 @@ def kraus_to_json(kmap: KrausMap) -> dict:
 
 def superoperator_from_json(obj: dict) -> SuperOperator:
     """Accepts either a complex matrix of side N^2 or a Kraus object."""
-    if "ops" in obj:
+    if isinstance(obj, dict) and "ops" in obj:
         return to_superoperator(kraus_from_json(obj))
     return SuperOperator(complex_matrix_from_json(obj))
 
@@ -148,6 +152,8 @@ def superoperator_to_json(s: SuperOperator) -> dict:
 def generator_from_json(obj: dict) -> GkslGenerator:
     if "h" not in obj:
         raise SerializationError('generator object needs an "h" key')
+    if not isinstance(obj.get("jumps", []), list):
+        raise SerializationError('generator "jumps" must be a list')
     h = complex_matrix_from_json(obj["h"])
     jumps = [complex_matrix_from_json(j) for j in obj.get("jumps", [])]
     return GkslGenerator(h, jumps)

@@ -187,6 +187,16 @@ class TestDemos:
         for row in rows[1:]:
             assert row["error_ratio"] == pytest.approx(4.0, abs=1.5)
 
+    def test_scaling_with_zero_errors_reports_null_ratios(self, capsys, tmp_path):
+        path = tmp_path / "zero_rate.json"
+        dump_json({"n": 2, "rows": [[0.0, 0.0], [0.0, 0.0]]}, path)
+        code, report, _ = run(capsys, "demo", "scaling", "--rate", path)
+        assert code == 1
+        assert report["verdicts"]["errors_decreasing"] is False
+        rows = report["tables"]["scaling"]
+        assert [row["sup_error"] for row in rows] == [0.0] * 3
+        assert [row["error_ratio"] for row in rows] == [None] * 3
+
     def test_phase_memory_defaults(self, capsys):
         code, report, _ = run(capsys, "demo", "phase-memory")
         assert code == 0
@@ -280,6 +290,34 @@ class TestReportContract:
         run(capsys, "--tol", 1e-6, *argv)
         assert passed_tolerances == [(), (1e-6,)]
 
+    @pytest.mark.parametrize("target, argv, keywords", [
+        ("validate_kernel", ["validate", "flip"], ["tol_entry", "tol_colsum"]),
+        ("DensityOperator", ["validate", "rho"], ["tol_herm", "tol_psd"]),
+        ("check_cptp", ["validate", "kraus"], ["tol_tp", "tol_psd"]),
+        ("compatibility_check", ["lift", "flip"], ["tol"]),
+        ("ck_checklist", ["demo", "ck-checklist"], ["tolerance"]),
+    ], ids=["kernel", "density", "map", "lift", "ck-checklist"])
+    def test_tol_override_reaches_each_check(self, capsys, files, tmp_path,
+                                             monkeypatch, target, argv, keywords):
+        paths = dict(files, rho=tmp_path / "rho.json", kraus=tmp_path / "kraus.json")
+        dump_json(complex_matrix_to_json(np.diag([0.5, 0.5])), paths["rho"])
+        dump_json({"ops": [complex_matrix_to_json(np.eye(2))]}, paths["kraus"])
+        calls = []
+        check = getattr(cli, target)
+
+        def recording_check(*args, **kwargs):
+            calls.append((len(args), {k: v for k, v in kwargs.items()
+                                      if k != "fd_step"}))
+            return check(*args, **kwargs)
+
+        monkeypatch.setattr(cli, target, recording_check)
+        argv = [paths.get(a, a) for a in argv]
+        assert run(capsys, *argv)[0] == 0
+        assert run(capsys, "--tol", 1e-6, *argv)[0] == 0
+        positional = 2 if target == "compatibility_check" else 1
+        assert calls == [(positional, {}),
+                         (positional, dict.fromkeys(keywords, 1e-6))]
+
 
 def test_import_leaves_scipy_optimize_unloaded():
     # scipy.optimize costs about 19 MB of RSS and 0.3 s in every CLI process.
@@ -335,6 +373,32 @@ class TestMalformedShapes:
         assert code == 2
         assert report is None
         assert '"n" must be a positive integer' in err
+
+
+class TestNonObjectMatrices:
+    """A number where a matrix object belongs is a usage error, not a crash."""
+
+    HERMITIAN = {"n": 1, "rows": [[[1.0, 0.0]]]}
+    CASES = {
+        "kraus-op": (["validate"], {"ops": [1]}),
+        "gksl-h": (["demo", "ck-checklist", "--kind", "gksl", "--family"],
+                   {"h": 3}),
+        "gksl-jumps": (["demo", "ck-checklist", "--kind", "gksl", "--family"],
+                       {"h": HERMITIAN, "jumps": 5}),
+        "pairwise-rate": (["demo", "ck-checklist", "--kind", "pairwise-lift",
+                           "--family"], {"r": 5}),
+        "phase-memory": (["demo", "phase-memory", "--scenario"],
+                         {"u_x": 1, "u_y": HERMITIAN, "v": HERMITIAN}),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_exits_two(self, capsys, tmp_path, name):
+        command, obj = self.CASES[name]
+        path = tmp_path / f"{name}.json"
+        dump_json(obj, path)
+        code, report, err = run(capsys, *command, path)
+        assert (code, report) == (2, None)
+        assert "error" in err
 
 
 class TestNonFiniteFiles:

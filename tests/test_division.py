@@ -219,6 +219,38 @@ class TestEnvironmentKernelT2:
                                               post_sys, post_env)
             assert np.abs(report.kernel_t2 - expected).max() <= 1e-12
 
+    @pytest.mark.parametrize("n_sys, n_env", [(1, 2), (2, 2), (2, 3), (3, 2)])
+    def test_batched_masses_match_the_loop_over_inputs(self, n_sys, n_env):
+        # Reference: one joint state per system basis input, masses taken
+        # block by block.
+        for seed in range(5):
+            rng = np.random.default_rng([n_sys, n_env, seed])
+            p_env = ProbabilityVector(rng.dirichlet(np.ones(n_env)))
+            interaction = random_cptp_superoperator(rng, n_sys * n_env)
+            report = environment_division_scenario(
+                p_env, interaction, SuperOperator.identity(n_sys),
+                SuperOperator.identity(n_env))
+            block = reduced_mass = 0.0
+            kernel_t1 = np.empty((n_sys, n_sys))
+            for i in range(n_sys):
+                sys0 = np.zeros((n_sys, n_sys), dtype=complex)
+                sys0[i, i] = 1.0
+                joint0 = np.kron(sys0, np.diag(p_env.entries.astype(complex)))
+                joint = unvec(interaction.matrix @ vec(joint0))
+                t = joint.reshape(n_sys, n_env, n_sys, n_env)
+                for x in range(n_sys):
+                    for y in range(n_sys):
+                        if x != y:
+                            block = max(block, np.abs(t[x, :, y, :]).max())
+                reduced = partial_trace(joint, n_sys, n_env)
+                reduced_mass = max(reduced_mass, np.abs(
+                    reduced - np.diag(np.diag(reduced))).max())
+                kernel_t1[:, i] = np.real(np.diag(reduced))
+            assert report.max_block_offdiagonal == pytest.approx(block, abs=1e-15)
+            assert report.max_reduced_offdiagonal == pytest.approx(
+                reduced_mass, abs=1e-15)
+            assert np.abs(report.kernel_t1 - kernel_t1).max() <= 1e-15
+
 
 class TestDephasingAsFirstLeg:
     def test_dephasing_first_leg_applies(self):

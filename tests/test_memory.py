@@ -164,6 +164,10 @@ class TestPovm:
         with pytest.raises(ValidationError):
             PovmEffects([np.diag([1.5, 1.0]), np.diag([-0.5, 0.0])])
 
+    def test_non_positive_effect_is_named_by_index(self):
+        with pytest.raises(ValidationError, match="effect 1 not positive"):
+            PovmEffects([np.diag([1.5, 1.0]), np.diag([-0.5, 0.0])])
+
     def test_measurement_operators_coarse_grain_to_effects(self, rng):
         from stoqlift import measurement_operators
         channel = random_kraus_map(rng, 3)

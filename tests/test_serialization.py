@@ -87,6 +87,7 @@ def test_detect_kind():
     {"n": 2, "rows": [[1.0, 0.0]]},             # row count mismatch
     {"n": 2, "rows": [[1.0, "x"], [0.0, 1.0]]},  # non-numeric
     {"n": 0, "rows": []},                       # degenerate size
+    5,                                          # not an object
 ])
 def test_malformed_real_matrix(bad):
     with pytest.raises(SerializationError):
@@ -179,6 +180,18 @@ def test_load_json_rejects_non_json_constants(tmp_path, token):
     path.write_text(f'{{"n": 1, "rows": [[{token}]]}}', encoding="utf-8")
     with pytest.raises(SerializationError, match=f"{token} is not a JSON number"):
         load_json(path)
+
+
+@pytest.mark.parametrize("field", ["p_env", "interaction", "post_sys"])
+@pytest.mark.parametrize("value", [5, "rows", [1.0], None])
+def test_division_scenario_rejects_a_non_object_matrix(field, value):
+    from stoqlift.serialization import division_scenario_from_json
+
+    identity = {"ops": [complex_matrix_to_json(np.eye(1))]}
+    obj = {"n_sys": 1, "n_env": 1, "p_env": {"n": 1, "rows": [[1.0]]},
+           "interaction": identity, "post_sys": identity, "post_env": identity}
+    with pytest.raises(SerializationError, match="matrix object"):
+        division_scenario_from_json(dict(obj, **{field: value}))
 
 
 @pytest.mark.parametrize("key", ["from_t", "to_t"])
