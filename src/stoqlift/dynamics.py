@@ -102,8 +102,8 @@ def short_time_kraus(gen: GkslGenerator, dt: float) -> KrausMap:
     The map is trace preserving to O(dt^2) and reproduces the generator's
     action to first order.
     """
-    if dt <= 0:
-        raise ValueError(f"time step must be positive, got {dt}")
+    if not 0 < dt < np.inf:  # NaN fails too
+        raise ValueError(f"time step must be positive and finite, got {dt}")
     n = gen.n
     drift = 1j * gen.hamiltonian
     for op in gen.jump_ops:
@@ -115,8 +115,8 @@ def short_time_kraus(gen: GkslGenerator, dt: float) -> KrausMap:
 
 def propagate(gen: GkslGenerator, rho0: DensityOperator, t: float) -> DensityOperator:
     """Evolve a state for time ``t`` under a constant generator."""
-    if t < 0:
-        raise ValueError(f"propagation time must be nonnegative, got {t}")
+    if not 0 <= t < np.inf:
+        raise ValueError(f"propagation time must be nonnegative and finite, got {t}")
     if gen.n != rho0.n:
         raise DimensionMismatchError(
             f"generator dimension {gen.n} does not match state dimension {rho0.n}")
@@ -256,8 +256,9 @@ def generator_from_family(family: SuperOperatorFamily, t: float,
                           fd_step: float = FD_STEP) -> SuperOperator:
     """Finite-difference time-local generator of a family at time ``t``: the
     one-sided derivative of ``superop(., t)`` at coincidence."""
-    if fd_step <= 0:
-        raise ValueError(f"finite-difference step must be positive, got {fd_step}")
+    if not 0 < fd_step < np.inf:
+        raise ValueError(
+            f"finite-difference step must be positive and finite, got {fd_step}")
     return SuperOperator(_time_derivative(family, t, t, fd_step)[0])
 
 

@@ -479,8 +479,8 @@ def short_time_derivatives(family: KernelFamily, t: float,
     smallest steps they are second-order accurate for the first derivative.
     """
     hs = sorted({float(h) for h in steps})
-    if any(h <= 0 for h in hs):
-        raise ValueError("all step sizes must be positive")
+    if not all(0 < h < np.inf for h in hs):  # NaN fails too
+        raise ValueError("all step sizes must be positive and finite")
     if len(hs) < 2:
         raise ValueError("need at least two distinct step sizes")
     values = {h: family.kernel(t + h, t).matrix for h in hs}
@@ -504,8 +504,8 @@ def short_time_derivatives(family: KernelFamily, t: float,
 def ctmc_propagate(rate: RateMatrix, p0: ProbabilityVector,
                    t: float) -> ProbabilityVector:
     """Evolve ``p0`` for time ``t`` under the master equation dp/dt = R p."""
-    if t < 0:
-        raise ValueError(f"propagation time must be nonnegative, got {t}")
+    if not 0 <= t < np.inf:
+        raise ValueError(f"propagation time must be nonnegative and finite, got {t}")
     p = expm(t * rate.matrix) @ p0.entries
     return ProbabilityVector(p, tol=TOL_STOCH, tol_sum=TOL_STOCH)
 
@@ -525,16 +525,17 @@ def dtmc_to_ctmc_scaling(rate: RateMatrix, t_star: float, t: float,
     to the power ``floor(t / (eps**2 * t_star))`` by repeated squaring and
     compared in sup-norm against ``exp(t R)``. Errors shrink as ``eps**2``.
     """
-    if t < 0:
-        raise ValueError(f"target time must be nonnegative, got {t}")
-    if t_star <= 0:
-        raise ValueError(f"microscopic time scale must be positive, got {t_star}")
+    if not 0 <= t < np.inf:  # NaN fails too
+        raise ValueError(f"target time must be nonnegative and finite, got {t}")
+    if not 0 < t_star < np.inf:
+        raise ValueError(
+            f"microscopic time scale must be positive and finite, got {t_star}")
     target = expm(t * rate.matrix)
     rows = []
     for eps in epsilons:
         eps = float(eps)
-        if eps <= 0:
-            raise ValueError(f"epsilon must be positive, got {eps}")
+        if not 0 < eps < np.inf:
+            raise ValueError(f"epsilon must be positive and finite, got {eps}")
         dt = eps * eps * t_star
         step_matrix = np.eye(rate.n) + dt * rate.matrix
         report = validate_kernel(step_matrix)
@@ -576,7 +577,7 @@ def theta_markov_triviality_demo(theta_step: Callable[[float], np.ndarray],
     vanishing steps forces the trivial evolution.
     """
     theta0 = np.asarray(theta_step(0.0))
-    if np.abs(theta0 - np.eye(theta0.shape[0])).max() > tol_identity:
+    if not np.abs(theta0 - np.eye(theta0.shape[0])).max() <= tol_identity:
         raise ValidationError("theta_step(0) must be the identity")
     rows = []
     for n in n_values:

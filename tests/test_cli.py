@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -14,8 +15,9 @@ from stoqlift.serialization import (complex_matrix_to_json, dump_json,
                                     kernel_to_json, kraus_from_json)
 from stoqlift import StochasticKernel
 
-from conftest import HADAMARD
+from conftest import HADAMARD, PAULI_X
 
+DATA = Path(__file__).resolve().parent.parent / "demos" / "data"
 FLIP = [[0.0, 1.0], [1.0, 0.0]]
 MIX = [[0.5, 0.5], [0.5, 0.5]]
 
@@ -290,6 +292,52 @@ class TestReportContract:
         run(capsys, "--tol", 1e-6, *argv)
         assert passed_tolerances == [(), (1e-6,)]
 
+    @pytest.mark.parametrize("mode, target", [
+        ("quantum", "q_divisibility_check"), ("theorem1", "theorem1_check"),
+    ], ids=["quantum", "theorem1"])
+    def test_tol_override_reaches_each_divisibility_mode(self, capsys, monkeypatch,
+                                                         mode, target):
+        passed = []
+        check = getattr(cli, target)
+
+        def recording_check(*args, **kwargs):
+            passed.append((args[2:], kwargs))
+            return check(*args, **kwargs)
+
+        monkeypatch.setattr(cli, target, recording_check)
+        argv = ("divisibility", "--mode", mode,
+                DATA / "hadamard_conjugation.json", DATA / "identity_channel.json")
+        assert run(capsys, *argv)[0] == 0
+        assert run(capsys, "--tol", 1e-6, *argv)[0] == 0
+        assert passed == [((), {}), ((1e-6,), {})]
+
+    @pytest.mark.parametrize("argv", [
+        ["divisibility", "--mode", "classical", DATA / "mix_kernel.json",
+         DATA / "flip_kernel.json"],
+        ["demo", "scaling"],
+    ], ids=["divisibility", "demo"])
+    def test_out_holds_the_stdout_bytes(self, capsys, tmp_path, argv):
+        out = tmp_path / "report.json"
+        assert main(["--out", str(out), *map(str, argv)]) == 0
+        assert out.read_bytes() == capsys.readouterr().out.encode("utf-8")
+
+    @pytest.mark.parametrize("option, demo, obj", [
+        ("hamiltonian", "theta-triviality", complex_matrix_to_json(PAULI_X)),
+        ("p0", "ctmc-embedding", {"n": 2, "rows": [[1.0], [0.0]]}),
+        ("scenario", "phase-memory", {
+            "u_x": complex_matrix_to_json(HADAMARD),
+            "u_y": complex_matrix_to_json(np.diag([1.0, 1j]) @ HADAMARD),
+            "v": complex_matrix_to_json(HADAMARD)}),
+    ], ids=["hamiltonian", "p0", "scenario"])
+    def test_demo_input_files_are_digested(self, capsys, tmp_path, option,
+                                           demo, obj):
+        path = tmp_path / f"{option}.json"
+        dump_json(obj, path)
+        code, report, _ = run(capsys, "demo", demo, f"--{option}", path)
+        assert code == 0
+        assert report["inputs"] == {
+            option: hashlib.sha256(path.read_bytes()).hexdigest()}
+
     @pytest.mark.parametrize("target, argv, keywords", [
         ("validate_kernel", ["validate", "flip"], ["tol_entry", "tol_colsum"]),
         ("DensityOperator", ["validate", "rho"], ["tol_herm", "tol_psd"]),
@@ -461,3 +509,40 @@ class TestTimeStamps:
                         '"from_t": 0, "to_t": 0.5}', encoding="utf-8")
         code, _, _ = run(capsys, "lift", "--method", "canonical", path)
         assert code == 0
+
+
+class TestUnusableFiles:
+    """A missing input file or an unwritable --out path is a usage error
+    (exit 2) that writes nothing to stdout."""
+
+    CASES = {
+        "lift-kernel": ["lift", "MISSING"],
+        "divisibility-later": ["divisibility", "--mode", "classical", "MISSING",
+                               DATA / "flip_kernel.json"],
+        "scaling-rate": ["demo", "scaling", "--rate", "MISSING"],
+        "lift-unused-theta": ["lift", DATA / "mix_kernel.json", "--theta", "MISSING"],
+        "out-in-missing-directory": ["--out", "MISSING_DIR", "validate",
+                                     DATA / "flip_kernel.json"],
+    }
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_exits_two_with_empty_stdout(self, capsys, tmp_path, name):
+        paths = {"MISSING": tmp_path / "missing.json",
+                 "MISSING_DIR": tmp_path / "no-such-dir" / "report.json"}
+        code = main([str(paths.get(a, a)) for a in self.CASES[name]])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.startswith("error:")
+        assert captured.out == ""
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize("option", ["--t", "--t-star", "--t-span", "--epsilons",
+                                    "--diag-h", "--grid", "--fd-step"])
+def test_non_finite_number_option_is_usage_error(capsys, option, value):
+    with pytest.raises(SystemExit) as exc:
+        main(["demo", "scaling", option, value])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert f"argument {option}: must be a finite number" in captured.err
+    assert captured.out == ""

@@ -187,6 +187,16 @@ class TestEnvironmentScenario:
                 ProbabilityVector([1.0, 0.0, 0.0]),
                 SuperOperator.identity(4), IDENTITY_2, IDENTITY_2)
 
+    def test_nan_interaction_is_stopped_by_its_cptp_check(self):
+        # The reduced and joint traces sum the same joint diagonal entries, so
+        # only NaN could make them differ; the CPTP check rejects it first.
+        matrix = np.array(controlled_flip_superop().matrix)
+        matrix[0, 0] = np.nan
+        with pytest.raises(ValidationError, match="record_interaction"):
+            environment_division_scenario(
+                ProbabilityVector([1.0, 0.0]), SuperOperator(matrix),
+                IDENTITY_2, IDENTITY_2)
+
 
 def _joint_route_kernel_t2(p_env, interaction, post_sys, post_env):
     """kernel_t2 through the product map on the joint space, then the trace."""

@@ -8,7 +8,10 @@ from stoqlift import (ChoiMatrix, DensityOperator, GkslGenerator,
                       KernelFamily, KrausMap, LeftRightMap, PovmEffects,
                       ProbabilityVector, RateMatrix, StochasticKernel,
                       SuperOperator, SuperOperatorFamily, ValidationError,
-                      check_cptp, to_superoperator, validate_kernel)
+                      check_cptp, ctmc_propagate, dtmc_to_ctmc_scaling,
+                      generator_from_family, propagate, short_time_derivatives,
+                      short_time_kraus, theta_markov_triviality_demo,
+                      to_superoperator, validate_kernel)
 
 # numpy warns on inf - inf (an asymmetry or a grid step); that warning is
 # the only one these cases may raise.
@@ -86,3 +89,35 @@ def test_nan_kraus_operator_is_kept_not_dropped():
     assert kmap.rank == 2
     assert np.isnan(kmap.completeness_residual)
     assert not kmap.trace_preserving
+
+
+RATE = RateMatrix([[-1.0, 1.0], [1.0, -1.0]])
+QUBIT_GENERATOR = GkslGenerator(np.diag([1.0, -1.0]))
+
+# Each case passes the value as one time, step or identity entry that must be
+# finite (and positive or nonnegative).
+SCALAR_CASES = {
+    "generator_from_family.fd_step": lambda v: generator_from_family(
+        SuperOperatorFamily.from_hamiltonian(np.eye(2), [0.0, 1.0]), 0.0, v),
+    "short_time_kraus.dt": lambda v: short_time_kraus(QUBIT_GENERATOR, v),
+    "propagate.t": lambda v: propagate(
+        QUBIT_GENERATOR, DensityOperator(np.eye(2) / 2), v),
+    "ctmc_propagate.t": lambda v: ctmc_propagate(
+        RATE, ProbabilityVector([1.0, 0.0]), v),
+    "dtmc_to_ctmc_scaling.t": lambda v: dtmc_to_ctmc_scaling(RATE, 1.0, v, [0.1]),
+    "dtmc_to_ctmc_scaling.t_star": lambda v: dtmc_to_ctmc_scaling(
+        RATE, v, 1.0, [0.1]),
+    "dtmc_to_ctmc_scaling.eps": lambda v: dtmc_to_ctmc_scaling(RATE, 1.0, 1.0, [v]),
+    "short_time_derivatives.steps": lambda v: short_time_derivatives(
+        KernelFamily.from_rate_matrix(RATE, [0.0, 1.0]), 0.0, [0.01, v]),
+    "theta_markov_triviality_demo.theta_step(0)":
+        lambda v: theta_markov_triviality_demo(
+            lambda h: np.full((2, 2), v), 1.0, [10]),
+}
+
+
+@pytest.mark.parametrize("value", NON_FINITE)
+@pytest.mark.parametrize("name", sorted(SCALAR_CASES))
+def test_non_finite_time_or_step_is_rejected(name, value):
+    with pytest.raises((ValueError, ValidationError)):
+        SCALAR_CASES[name](value)
