@@ -76,6 +76,13 @@ def square(matrix, name: str = "matrix", dtype=complex) -> np.ndarray:
     return m
 
 
+def same_dimension(a: int, b: int, name_a: str, name_b: str) -> None:
+    """Raise unless two operands act on one dimension; both sizes are named."""
+    if a != b:
+        raise DimensionMismatchError(
+            f"{name_a} dimension {a} does not match {name_b} dimension {b}")
+
+
 def square_stack(ops, name: str) -> np.ndarray:
     """Square matrices of one dimension as one new ``(r, N, N)`` complex stack.
 

@@ -36,7 +36,7 @@ from .kernels import (KernelFamily, ProbabilityVector, RateMatrix,
 from .lifts import (DensityOperator, KrausMap, SuperOperator,
                     barandes_column_lift, canonical_lift, check_cptp,
                     compatibility_check, embed_diagonal, induced_kernel,
-                    q_divisibility_check, readout, theta_conjugation_lift)
+                    q_divisibility_check, readout)
 from .division import theorem1_check
 from .memory import mod_square, two_step_kernel
 from .serialization import (SerializationError, complex_matrix_from_json,
@@ -134,15 +134,14 @@ def _cmd_lift(args):
             raise SerializationError(
                 f"method {args.method!r} needs a --theta matrix file")
         theta = complex_matrix_from_json(load_json(args.theta))
-        if args.method == "barandes":
-            kmap = barandes_column_lift(theta)
-        else:
-            conj_report = theta_conjugation_lift(theta)
-            verdicts["tp_residual"] = conj_report.tp_residual
-            if not conj_report.kernel_validation.passed:
-                raise ValidationError(
-                    "squared moduli of theta are not column-stochastic")
-            kmap = KrausMap([theta])
+        kmap = (barandes_column_lift(theta) if args.method == "barandes"
+                else KrausMap([theta]))
+    induced = induced_kernel(kmap)
+    if args.method == "theta":
+        # One operator: residual |theta^dagger theta - I|, kernel |theta|^2.
+        if not induced.validation.passed:
+            raise ValidationError("squared moduli of theta are not column-stochastic")
+        verdicts["tp_residual"] = kmap.completeness_residual
 
     compat = compatibility_check(kmap, gamma, **_tol(args, "tol"))
     verdicts.update(_fields(kmap, "trace_preserving", "completeness_residual"),
@@ -150,7 +149,7 @@ def _cmd_lift(args):
                     compatibility_max_residual=compat.max_residual,
                     kraus_rank=kmap.rank)
     fields = {"verdicts": verdicts, "kraus": kraus_to_json(kmap),
-              "tables": {"induced_kernel": induced_kernel(kmap).kernel}}
+              "tables": {"induced_kernel": induced.kernel}}
     return (fields, compat.passed,
             f"lift method={args.method}: {kmap.rank} Kraus operators, "
             f"compatibility {'pass' if compat.passed else 'FAIL'} "
@@ -360,8 +359,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Stochastic kernels, their quantum-channel lifts, and "
                     "divisibility analysis.")
     parser.add_argument("--seed", type=int, default=42,
-                        help="seed recorded in the report and used by any "
-                             "randomized sub-evaluation (default 42)")
+                        help="seed recorded in the report (default 42)")
     parser.add_argument("--tol", type=_tolerance, default=None,
                         help="override the module default tolerances uniformly")
     parser.add_argument("--out", type=str, default=None,

@@ -105,9 +105,6 @@ def theorem1_check(e_10: SuperOperator, e_20: SuperOperator,
     """
     for name, e in (("e_10", e_10), ("e_20", e_20)):
         _require_cptp(name, e, max(TOL_TP, tolerance), max(TOL_PSD, tolerance))
-    if e_10.n != e_20.n:
-        raise DimensionMismatchError(
-            f"superoperator dimensions differ: {e_10.n} vs {e_20.n}")
 
     q_result = q_divisibility_check(e_20, e_10, tolerance)
     q_divisible = q_result.verdict == "divisible"
@@ -188,13 +185,11 @@ def environment_division_scenario(p_env: ProbabilityVector,
                     ("post_system", post_system), ("post_env", post_env)):
         _require_cptp(name, s)
 
-    # Column i is vec(|i><i| kron diag(p_env)): its nonzero entries sit on
-    # the joint diagonal, at vec positions j (m + 1) for j = i n_env + a.
-    inputs = np.zeros((m * m, n_sys), dtype=complex)
+    # vec(|i><i| kron diag(p_env)) holds p_env[a] at the joint diagonal
+    # position j (m + 1), j = i n_env + a, so its image weighs those columns.
     diagonal = np.arange(m).reshape(n_sys, n_env) * (m + 1)
-    inputs[diagonal, np.arange(n_sys)[:, None]] = p_env.entries
     # joint[i, x, a, y, b]: the joint state at the division time for input i.
-    joint = (record_interaction.matrix @ inputs).T.reshape(
+    joint = (record_interaction.matrix[:, diagonal] @ p_env.entries).T.reshape(
         n_sys, n_sys, n_env, n_sys, n_env).transpose(0, 3, 4, 1, 2)
     reduced = np.einsum("ixaya->ixy", joint)
     _require_psd(reduced, TOL_PSD, "reduced state")

@@ -22,11 +22,11 @@ from .errors import DimensionMismatchError, ValidationError
 from .kernels import RateMatrix
 from ._arrays import (CK_TOLERANCE, FD_STEP, TOL_HERM, TOL_TP, expm,
                       frozen as _frozen, require_hermitian as _require_hermitian,
-                      square as _square, square_stack as _square_stack,
-                      strict_grid as _strict_grid)
+                      same_dimension as _same_dimension, square as _square,
+                      square_stack as _square_stack, strict_grid as _strict_grid)
 from .lifts import (DensityOperator, KrausMap, LeftRightMap, SuperOperator,
-                    _diagonal_images_offdiagonal, canonical_lift,
-                    to_superoperator, unvec, vec)
+                    _diagonal_images_offdiagonal, _rank_one_stack,
+                    canonical_lift, to_superoperator, unvec, vec)
 
 
 class GkslGenerator:
@@ -36,8 +36,9 @@ class GkslGenerator:
     ``K = -iH - D``, ``K~ = +iH - D`` and ``D = 1/2 sum_j J^dagger J``; using
     ``K~`` rather than ``K^dagger`` cancels H in the trace exactly even when H
     is Hermitian only to within ``tol_herm``. The jumps are one read-only
-    ``(r, N, N)`` stack. The generated superoperator annihilates the trace
-    (checked at construction), so finite-time propagation is trace preserving.
+    ``(r, N, N)`` stack, kept with the drift ``K``. The generated superoperator
+    annihilates the trace (checked at construction), so finite-time
+    propagation is trace preserving.
     """
 
     def __init__(self, hamiltonian, jump_ops: Sequence[np.ndarray] = (),
@@ -52,10 +53,11 @@ class GkslGenerator:
         self._hamiltonian = _frozen(h.copy())
         self._jumps = _frozen(jumps.reshape(len(jumps), n, n))
         adjoints = self._jumps.conj().transpose(0, 2, 1)
-        drift = 0.5 * (adjoints @ self._jumps).sum(axis=0)
+        dissipation = 0.5 * (adjoints @ self._jumps).sum(axis=0)
+        self._drift = _frozen(-1j * h - dissipation)
         eye = np.eye(n)
         self._liouville = to_superoperator(LeftRightMap(
-            [-1j * h - drift, eye, *self._jumps], [eye, 1j * h - drift, *adjoints]))
+            [self._drift, eye, *self._jumps], [eye, 1j * h - dissipation, *adjoints]))
         s = self._liouville.matrix
         trace_action = np.abs(vec(eye) @ s).max()
         scale = max(1.0, float(np.abs(s).max()))
@@ -97,29 +99,21 @@ def gksl_superoperator(gen: GkslGenerator) -> SuperOperator:
 def short_time_kraus(gen: GkslGenerator, dt: float) -> KrausMap:
     """Operator-sum map of one short step of the generator.
 
-    The near-identity operator absorbs the Hamiltonian and the dissipative
-    drift at first order; each jump operator enters with weight sqrt(dt).
-    The map is trace preserving to O(dt^2) and reproduces the generator's
-    action to first order.
+    The near-identity operator ``I + dt K`` absorbs the Hamiltonian and the
+    dissipative drift at first order; each jump operator enters with weight
+    sqrt(dt). The map is trace preserving to O(dt^2) and reproduces the
+    generator's action to first order.
     """
     if not 0 < dt < np.inf:  # NaN fails too
         raise ValueError(f"time step must be positive and finite, got {dt}")
-    n = gen.n
-    drift = 1j * gen.hamiltonian
-    for op in gen.jump_ops:
-        drift = drift + 0.5 * (op.conj().T @ op)
-    k0 = np.eye(n) - dt * drift
-    ops = [k0] + [np.sqrt(dt) * op for op in gen.jump_ops]
-    return KrausMap(ops)
+    return KrausMap([np.eye(gen.n) + dt * gen._drift, *(np.sqrt(dt) * gen._jumps)])
 
 
 def propagate(gen: GkslGenerator, rho0: DensityOperator, t: float) -> DensityOperator:
     """Evolve a state for time ``t`` under a constant generator."""
     if not 0 <= t < np.inf:
         raise ValueError(f"propagation time must be nonnegative and finite, got {t}")
-    if gen.n != rho0.n:
-        raise DimensionMismatchError(
-            f"generator dimension {gen.n} does not match state dimension {rho0.n}")
+    _same_dimension(gen.n, rho0.n, "generator", "state")
     out = unvec(expm(t * gen.superoperator.matrix) @ vec(rho0.matrix))
     return DensityOperator(out)
 
@@ -156,13 +150,8 @@ def ctmc_embedding(rate: RateMatrix | np.ndarray,
             raise DimensionMismatchError(
                 f"diagonal Hamiltonian has {d.size} entries, expected {n}")
         h = np.diag(d)
-    # Flat index j * n + i orders the jumps column by column, as in
-    # canonical_lift; multiples of n + 1 are the diagonal.
-    rates = r.matrix.T.reshape(-1)
-    flat = np.flatnonzero((rates > 0) & (np.arange(n * n) % (n + 1) != 0))
-    jumps = np.zeros((len(flat), n, n), dtype=complex)
-    jumps[np.arange(len(flat)), flat % n, flat // n] = np.sqrt(rates[flat])
-    return GkslGenerator(h, jumps)
+    keep = (r.matrix > 0) & ~np.eye(n, dtype=bool)
+    return GkslGenerator(h, _rank_one_stack(r.matrix, keep))
 
 
 def diagonal_preservation_check(gen: GkslGenerator,

@@ -17,7 +17,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from ._arrays import (TOL_DIV, TOL_PROB, TOL_STOCH, expm, frozen as _frozen,
-                      numerical_rank as _numerical_rank, square as _square,
+                      numerical_rank as _numerical_rank,
+                      same_dimension as _same_dimension, square as _square,
                       strict_grid as _strict_grid)
 from .errors import DimensionMismatchError, ValidationError
 
@@ -241,9 +242,7 @@ def compose(later: StochasticKernel, earlier: StochasticKernel) -> StochasticKer
     revalidated with tolerances widened by the dimension to absorb the
     accumulated round-off.
     """
-    if later.n != earlier.n:
-        raise DimensionMismatchError(
-            f"cannot compose kernels of dimension {later.n} and {earlier.n}")
+    _same_dimension(later.n, earlier.n, "later kernel", "earlier kernel")
     if (later.from_time is not None and earlier.to_time is not None
             and later.from_time != earlier.to_time):
         raise ValidationError(
@@ -277,19 +276,20 @@ def check_ck_family(family: KernelFamily, tolerance: float = TOL_STOCH) -> CkFam
 
     Every ordered triple of grid times is checked; the residual is the
     max-norm difference between the direct kernel and the composed one.
+    Each grid pair's kernel is evaluated once.
     """
     grid = family.grid
     if grid.size < 3:
         raise ValueError("composition check needs a grid with at least 3 times")
+    times = [float(x) for x in grid]
+    kernel = {(i, j): family.kernel(times[j], times[i]).matrix
+              for i, j in itertools.combinations(range(len(times)), 2)}
     rows = []
     worst = 0.0
-    for i, j, k in itertools.combinations(range(grid.size), 3):
-        s, u, t = float(grid[i]), float(grid[j]), float(grid[k])
-        direct = family.kernel(t, s).matrix
-        chained = family.kernel(t, u).matrix @ family.kernel(u, s).matrix
-        res = float(np.abs(direct - chained).max())
+    for i, j, k in itertools.combinations(range(len(times)), 3):
+        res = float(np.abs(kernel[i, k] - kernel[j, k] @ kernel[i, j]).max())
         worst = max(worst, res)
-        rows.append(CkTripleResidual(s, u, t, res))
+        rows.append(CkTripleResidual(times[i], times[j], times[k], res))
     return CkFamilyReport(worst <= tolerance, worst, tuple(rows))
 
 
@@ -418,9 +418,7 @@ def c_divisibility_check(gamma_20: StochasticKernel, gamma_10: StochasticKernel,
     included) is then decided by one interval per row, several by a norm
     certificate and, failing that, a linear program.
     """
-    if gamma_20.n != gamma_10.n:
-        raise DimensionMismatchError(
-            f"kernel dimensions differ: {gamma_20.n} vs {gamma_10.n}")
+    _same_dimension(gamma_20.n, gamma_10.n, "gamma_20", "gamma_10")
     n = gamma_10.n
     u, s, vt = np.linalg.svd(gamma_10.matrix)
     rank = _numerical_rank(s, tolerance)
@@ -501,12 +499,29 @@ def short_time_derivatives(family: KernelFamily, t: float,
                            tuple(hs), tuple(masses))
 
 
+def _exp_rate(rate: RateMatrix, t: float) -> np.ndarray:
+    """``exp(t R)``, checked to be stochastic at the default tolerances.
+
+    Rounding in ``expm`` grows with ``t |R|``: the column sums drift off one
+    long before the result overflows to NaN, so either is refused here with
+    the offending ``t``.
+    """
+    if not 0 <= t < np.inf:  # NaN fails too
+        raise ValueError(f"time must be nonnegative and finite, got {t}")
+    kernel = expm(t * rate.matrix)
+    report = validate_kernel(kernel)
+    if not report.passed:
+        raise ValueError(
+            f"t={t} is too large for the rates: exp(tR) is not stochastic "
+            f"(column-sum error {report.max_column_sum_error:.3e}, "
+            f"worst negative entry {report.max_negative_entry:.3e})")
+    return kernel
+
+
 def ctmc_propagate(rate: RateMatrix, p0: ProbabilityVector,
                    t: float) -> ProbabilityVector:
     """Evolve ``p0`` for time ``t`` under the master equation dp/dt = R p."""
-    if not 0 <= t < np.inf:
-        raise ValueError(f"propagation time must be nonnegative and finite, got {t}")
-    p = expm(t * rate.matrix) @ p0.entries
+    p = _exp_rate(rate, t) @ p0.entries
     return ProbabilityVector(p, tol=TOL_STOCH, tol_sum=TOL_STOCH)
 
 
@@ -525,12 +540,10 @@ def dtmc_to_ctmc_scaling(rate: RateMatrix, t_star: float, t: float,
     to the power ``floor(t / (eps**2 * t_star))`` by repeated squaring and
     compared in sup-norm against ``exp(t R)``. Errors shrink as ``eps**2``.
     """
-    if not 0 <= t < np.inf:  # NaN fails too
-        raise ValueError(f"target time must be nonnegative and finite, got {t}")
+    target = _exp_rate(rate, t)
     if not 0 < t_star < np.inf:
         raise ValueError(
             f"microscopic time scale must be positive and finite, got {t_star}")
-    target = expm(t * rate.matrix)
     rows = []
     for eps in epsilons:
         eps = float(eps)
@@ -576,6 +589,8 @@ def theta_markov_triviality_demo(theta_step: Callable[[float], np.ndarray],
     the product distance shrink as ``n`` grows, so a composition law over
     vanishing steps forces the trivial evolution.
     """
+    if not 0 < t_minus_s < np.inf:  # NaN fails too
+        raise ValueError(f"time span must be positive and finite, got {t_minus_s}")
     theta0 = np.asarray(theta_step(0.0))
     if not np.abs(theta0 - np.eye(theta0.shape[0])).max() <= tol_identity:
         raise ValidationError("theta_step(0) must be the identity")

@@ -24,7 +24,8 @@ from ._arrays import (KRAUS_DROP_NORM, PINV_RCOND, TOL_DIV, TOL_HERM, TOL_PROB,
                       TOL_PSD, TOL_STOCH, TOL_TP, frozen as _frozen,
                       numerical_rank as _numerical_rank,
                       require_hermitian as _require_hermitian,
-                      require_psd as _require_psd, square as _square,
+                      require_psd as _require_psd,
+                      same_dimension as _same_dimension, square as _square,
                       square_stack as _square_stack)
 from .errors import DimensionMismatchError, ValidationError
 from .kernels import (KernelValidationReport, ProbabilityVector,
@@ -322,7 +323,7 @@ def readout(rho: DensityOperator, require_diagonal: bool = False,
     """
     m = rho.matrix
     off = m - np.diag(np.diag(m))
-    off_mass = float(np.abs(off).max()) if m.shape[0] > 1 else 0.0
+    off_mass = float(np.abs(off).max())
     if require_diagonal and off_mass > tol:
         raise ValidationError(
             f"operator is not diagonal: off-diagonal mass {off_mass:.3e}")
@@ -336,9 +337,7 @@ def apply_kraus(kmap: KrausMap, rho: DensityOperator) -> DensityOperator:
     preserved exactly when the map is trace preserving, so the result is
     validated as a density operator.
     """
-    if kmap.n != rho.n:
-        raise DimensionMismatchError(
-            f"map dimension {kmap.n} does not match state dimension {rho.n}")
+    _same_dimension(kmap.n, rho.n, "map", "state")
     k = kmap._stack
     return DensityOperator((k @ rho.matrix @ k.conj().transpose(0, 2, 1)).sum(axis=0))
 
@@ -406,19 +405,22 @@ def dictionary_kernel(kmap: KrausMap, tol_tp: float = TOL_TP) -> StochasticKerne
                             tol_colsum=max(TOL_STOCH, kmap.completeness_residual * 2))
 
 
+def _rank_one_stack(m: np.ndarray, keep: np.ndarray) -> np.ndarray:
+    """One operator ``sqrt(m[j, i]) |j><i|`` per kept entry, column by column."""
+    cols, rows = np.nonzero(keep.T)
+    ops = np.zeros((len(rows), *m.shape), dtype=complex)
+    ops[np.arange(len(rows)), rows, cols] = np.sqrt(m[rows, cols])
+    return ops
+
+
 def canonical_lift(gamma: StochasticKernel) -> KrausMap:
     """Rank-one lift of a kernel: one operator ``sqrt(gamma[j,i]) |j><i|`` per entry.
 
     Always a quantum channel; its squared-moduli dictionary returns the input
     kernel identically. Zero-weight operators are dropped.
     """
-    n = gamma.n
-    # Flat index i * n + j orders the operators column by column.
-    weights = np.sqrt(gamma.matrix.T.reshape(-1))
-    flat = np.flatnonzero(weights >= KRAUS_DROP_NORM)
-    ops = np.zeros((len(flat), n, n), dtype=complex)
-    ops[np.arange(len(flat)), flat % n, flat // n] = weights[flat]
-    return KrausMap(ops)
+    m = gamma.matrix
+    return KrausMap(_rank_one_stack(m, np.sqrt(m) >= KRAUS_DROP_NORM))
 
 
 @dataclass(frozen=True)
@@ -487,9 +489,7 @@ def compatibility_check(map_: MapLike, gamma: StochasticKernel,
     linearity the N basis point masses (``probes="basis"``) decide it.
     """
     n = _supported(map_, KrausMap, LeftRightMap, SuperOperator).n
-    if n != gamma.n:
-        raise DimensionMismatchError(
-            f"map dimension {n} does not match kernel dimension {gamma.n}")
+    _same_dimension(n, gamma.n, "map", "kernel")
     if isinstance(probes, str):
         if probes != "basis":
             raise ValueError(f"unknown probe specification {probes!r}")
@@ -499,9 +499,7 @@ def compatibility_check(map_: MapLike, gamma: StochasticKernel,
         if not probe_list:
             raise ValueError("compatibility check needs at least one probe")
         for p in probe_list:
-            if p.n != n:
-                raise DimensionMismatchError(
-                    f"probe dimension {p.n} does not match kernel dimension {n}")
+            _same_dimension(p.n, n, "probe", "kernel")
         columns = np.column_stack([p.entries for p in probe_list])
     residuals = np.abs(map_._induced()[0] @ columns - gamma.matrix @ columns).max(axis=0)
     worst = float(residuals.max())
@@ -553,9 +551,7 @@ def q_divisibility_check(e_20: SuperOperator, e_10: SuperOperator,
     above ``max(TOL_HERM, tolerance)`` is not CPTP; a smaller one is
     symmetrized away before the CPTP check.
     """
-    if e_20.n != e_10.n:
-        raise DimensionMismatchError(
-            f"superoperator dimensions differ: {e_20.n} vs {e_10.n}")
+    _same_dimension(e_20.n, e_10.n, "e_20", "e_10")
     sv_10 = np.linalg.svd(e_10.matrix, compute_uv=False)
     rank_10 = _numerical_rank(sv_10, tolerance)
     unique = rank_10 == sv_10.size

@@ -16,12 +16,13 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatchError, ValidationError
+from .errors import ValidationError
 from .kernels import StochasticKernel
 from ._arrays import (TOL_COMPOSE, TOL_HERM, TOL_INTERIOR, TOL_PSD, TOL_TP,
                       TOL_UNITARY, frozen as _frozen,
                       require_hermitian as _require_hermitian,
-                      require_psd as _require_psd, square as _square,
+                      require_psd as _require_psd,
+                      same_dimension as _same_dimension, square as _square,
                       square_stack as _square_stack)
 from .lifts import KrausMap, dictionary_kernel
 
@@ -41,22 +42,23 @@ class PovmEffects:
         if not sum_err <= tol_sum:
             raise ValidationError(
                 f"effects do not sum to the identity (residual {sum_err:.3e})")
-        self._effects = tuple(stack)
+        self._stack = stack
 
     @property
     def effects(self) -> tuple[np.ndarray, ...]:
-        return self._effects
+        """The effects in input order, as read-only views of one ``(m, N, N)`` stack."""
+        return tuple(self._stack)
 
     @property
     def n(self) -> int:
-        return self._effects[0].shape[0]
+        return self._stack.shape[1]
 
     def outcome_probabilities(self, rho: np.ndarray) -> np.ndarray:
-        """Probabilities Tr(E_j rho) for each outcome j."""
-        return np.array([float(np.real(np.trace(e @ rho))) for e in self._effects])
+        """Probabilities Tr(E_j rho) = sum_ik E_j[i, k] rho[k, i] for each outcome j."""
+        return np.einsum("jik,ki->j", self._stack, rho).real
 
     def __repr__(self):
-        return f"PovmEffects(n={self.n}, outcomes={len(self._effects)})"
+        return f"PovmEffects(n={self.n}, outcomes={len(self._stack)})"
 
 
 def mod_square(u) -> np.ndarray:
@@ -76,8 +78,7 @@ def one_step_indistinguishable(u_x, u_y, tolerance: float = TOL_UNITARY) -> bool
     """Do two unitaries generate the same one-step kernel?"""
     mx = _require_unitary(u_x, "u_x")
     my = _require_unitary(u_y, "u_y")
-    if mx.shape != my.shape:
-        raise DimensionMismatchError("unitaries must share one dimension")
+    _same_dimension(len(mx), len(my), "u_x", "u_y")
     return bool(np.abs(mod_square(mx) - mod_square(my)).max() <= tolerance)
 
 
@@ -89,8 +90,7 @@ def two_step_kernel(v, u) -> np.ndarray:
     """
     mv = _require_unitary(v, "v")
     mu = _require_unitary(u, "u")
-    if mv.shape != mu.shape:
-        raise DimensionMismatchError("unitaries must share one dimension")
+    _same_dimension(len(mv), len(mu), "v", "u")
     return mod_square(mv @ mu)
 
 
@@ -115,19 +115,16 @@ def povm_from_channel(lambda_ops: KrausMap, tol_tp: float = TOL_TP) -> PovmEffec
     """Effects of reading out in the configuration basis after a channel.
 
     Coarse-graining the unobserved Kraus branch of the channel turns the
-    projective readout into the POVM ``E_j = sum_b L_b^dagger P_j L_b``.
+    projective readout into the POVM ``E_j = sum_b L_b^dagger P_j L_b``,
+    whose entry ``[i, k]`` is ``sum_b conj(L_b[j, i]) L_b[j, k]``.
     """
     if not lambda_ops.completeness_residual <= tol_tp:
         raise ValidationError(
             "channel is not trace preserving (residual "
             f"{lambda_ops.completeness_residual:.3e})")
-    n = lambda_ops.n
-    effects = []
-    for j in range(n):
-        proj = np.zeros((n, n), dtype=complex)
-        proj[j, j] = 1.0
-        effects.append(sum(op.conj().T @ proj @ op for op in lambda_ops.operators))
-    return PovmEffects(effects, tol_sum=max(TOL_TP, 2 * lambda_ops.completeness_residual))
+    ops = lambda_ops._stack
+    return PovmEffects(np.einsum("bji,bjk->jik", ops.conj(), ops),
+                       tol_sum=max(TOL_TP, 2 * lambda_ops.completeness_residual))
 
 
 def measurement_operators(lambda_ops: KrausMap) -> tuple[tuple[np.ndarray, ...], ...]:
@@ -135,15 +132,10 @@ def measurement_operators(lambda_ops: KrausMap) -> tuple[tuple[np.ndarray, ...],
 
     Each pair (outcome j, branch b) is a joint event; summing
     ``M^dagger M`` over the unobserved branch index recovers the effects of
-    :func:`povm_from_channel`.
+    :func:`povm_from_channel`. ``P_j L_b`` is ``L_b`` with only row j kept.
     """
-    n = lambda_ops.n
-    rows = []
-    for j in range(n):
-        proj = np.zeros((n, n), dtype=complex)
-        proj[j, j] = 1.0
-        rows.append(tuple(proj @ op for op in lambda_ops.operators))
-    return tuple(rows)
+    row_j = np.eye(lambda_ops.n, dtype=bool)[:, None, :, None]
+    return tuple(map(tuple, np.where(row_j, lambda_ops._stack, 0)))
 
 
 def modified_readout_kernel(lambda_ops: KrausMap,
@@ -154,16 +146,15 @@ def modified_readout_kernel(lambda_ops: KrausMap,
     dictionary in one step; composing the two dictionary kernels instead
     would discard the interference between the branches.
     """
-    if lambda_ops.n != evolution.n:
-        raise DimensionMismatchError(
-            f"channel dimensions differ: {lambda_ops.n} vs {evolution.n}")
+    _same_dimension(lambda_ops.n, evolution.n, "readout channel", "evolution")
     for name, kmap in (("readout channel", lambda_ops), ("evolution", evolution)):
         if not kmap.trace_preserving:
             raise ValidationError(
                 f"{name} is not trace preserving "
                 f"(residual {kmap.completeness_residual:.3e})")
-    composed = KrausMap([lam @ k for lam in lambda_ops.operators
-                         for k in evolution.operators])
+    # Every L_b K_a, b outer and a inner, as one broadcast product.
+    composed = KrausMap((lambda_ops._stack[:, None] @ evolution._stack)
+                        .reshape(-1, evolution.n, evolution.n))
     return dictionary_kernel(composed, tol_tp=max(
         TOL_TP, 2 * (lambda_ops.completeness_residual
                      + evolution.completeness_residual + TOL_COMPOSE)))
@@ -240,9 +231,7 @@ def three_time_freedom(gamma_10: StochasticKernel, gamma_20: StochasticKernel,
       solution has a larger minimum entry than the sample, whose minimum is
       ``min gamma_20``.
     """
-    if gamma_10.n != gamma_20.n:
-        raise DimensionMismatchError(
-            f"kernel dimensions differ: {gamma_10.n} vs {gamma_20.n}")
+    _same_dimension(gamma_10.n, gamma_20.n, "gamma_10", "gamma_20")
     n = gamma_10.n
     g20 = gamma_20.matrix
     sample = _frozen(np.repeat(g20[:, None, :], n, axis=1))

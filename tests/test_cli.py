@@ -546,3 +546,35 @@ def test_non_finite_number_option_is_usage_error(capsys, option, value):
     assert exc.value.code == 2
     assert f"argument {option}: must be a finite number" in captured.err
     assert captured.out == ""
+
+
+class TestThetaLiftReadsOneKrausMap:
+    """``lift --method theta`` reads its residual and kernel off the one
+    Kraus map it reports; both equal the conjugation report's bit for bit."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_residual_and_kernel_match_the_conjugation_report(self, capsys,
+                                                              tmp_path, seed):
+        from stoqlift import theta_conjugation_lift
+        from stoqlift.random_ops import random_unitary
+        theta = random_unitary(np.random.default_rng(seed), 3)
+        conj = theta_conjugation_lift(theta)
+        theta_file, kernel_file = tmp_path / "theta.json", tmp_path / "kernel.json"
+        dump_json(complex_matrix_to_json(theta), theta_file)
+        dump_json(kernel_to_json(StochasticKernel(conj.kernel)), kernel_file)
+        code, report, _ = run(capsys, "lift", kernel_file, "--method", "theta",
+                              "--theta", theta_file)
+        assert code == 0
+        verdicts = report["verdicts"]
+        assert verdicts["tp_residual"] == conj.tp_residual
+        assert verdicts["completeness_residual"] == conj.tp_residual
+        assert report["tables"]["induced_kernel"] == conj.kernel.tolist()
+
+    def test_nonstochastic_theta_keeps_its_message(self, capsys, files, tmp_path):
+        theta = tmp_path / "theta.json"
+        dump_json(complex_matrix_to_json(2.0 * np.eye(2)), theta)
+        code, report, err = run(capsys, "lift", files["eye"],
+                                "--method", "theta", "--theta", theta)
+        assert code == 1
+        assert report is None
+        assert err == "error: squared moduli of theta are not column-stochastic\n"
