@@ -47,11 +47,22 @@ def frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def expm(a: np.ndarray) -> np.ndarray:
-    """scipy's matrix exponential. ``scipy.linalg`` is imported here, on each
-    call, so that importing the package does not pay for it."""
-    from scipy.linalg import expm as scipy_expm
-    return scipy_expm(a)
+def semigroup(a: np.ndarray, t: float, conserved: np.ndarray | None = None,
+              tol: float = TOL_STOCH) -> np.ndarray:
+    """``exp(t a)``, refusing a ``t`` that is not nonnegative and finite, a
+    non-finite result, or one whose column sums weighted by ``conserved`` (a
+    row with ``conserved @ a = 0``) miss that row by more than ``tol``, as
+    rounding grows with ``t |a|`` (Higham 2002, ch. 10). The package's one
+    scipy ``expm`` call, imported per call so the package imports without it."""
+    if not 0 <= t < np.inf:  # NaN fails too
+        raise ValueError(f"time must be nonnegative and finite, got {t}")
+    from scipy.linalg import expm
+    out = expm(t * a)
+    err = 0.0 if conserved is None else float(np.abs(conserved @ out - conserved).max())
+    if not (err <= tol and np.isfinite(out).all()):
+        raise ValueError(f"t={t} is too large for the generator: exp(tA) is not finite "
+                         f"or loses what it conserves (column-sum error {err:.3e})")
+    return out
 
 
 def numerical_rank(s: np.ndarray, tolerance: float) -> int:

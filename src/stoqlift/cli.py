@@ -25,7 +25,7 @@ import numpy as np
 
 from . import __version__
 from ._arrays import (DEMO_CLOSE_GAP, DEMO_DISTINCT_GAP, DEMO_SAME_GAP,
-                      FD_STEP, expm)
+                      FD_STEP, semigroup)
 from .dynamics import (SuperOperatorFamily, ck_checklist, ctmc_embedding,
                        diagonal_preservation_check, propagate)
 from .errors import ValidationError
@@ -209,7 +209,7 @@ def _demo_theta_triviality(args):
     h_matrix = (complex_matrix_from_json(load_json(args.hamiltonian))
                 if args.hamiltonian else PAULI_X)
     rows = theta_markov_triviality_demo(
-        lambda h: expm(-1j * h_matrix * h), args.t_span, args.n_values)
+        lambda h: semigroup(-1j * h_matrix, h), args.t_span, args.n_values)
     table = [{"n": r.n_subdivisions, "step": r.step, "alpha": r.alpha,
               "bound": r.bound, "product_distance": r.product_distance}
              for r in rows]
@@ -293,7 +293,7 @@ def _build_family(kind: str, obj: dict | None, grid) -> SuperOperatorFamily:
     # pairwise-lift
     if obj is None or "h" in obj:
         h = complex_matrix_from_json(obj["h"]) if obj else PAULI_X
-        kfam = KernelFamily.from_theta(lambda t, s: expm(-1j * h * (t - s)), grid)
+        kfam = KernelFamily.from_theta(lambda t, s: semigroup(-1j * h, t - s), grid)
     elif "r" in obj:
         kfam = KernelFamily.from_rate_matrix(rate_matrix_from_json(obj["r"]), grid)
     else:

@@ -20,8 +20,8 @@ import numpy as np
 
 from .errors import DimensionMismatchError, ValidationError
 from .kernels import RateMatrix
-from ._arrays import (CK_TOLERANCE, FD_STEP, TOL_HERM, TOL_TP, expm,
-                      frozen as _frozen, require_hermitian as _require_hermitian,
+from ._arrays import (CK_TOLERANCE, FD_STEP, TOL_HERM, TOL_TP, frozen as _frozen,
+                      require_hermitian as _require_hermitian, semigroup as _semigroup,
                       same_dimension as _same_dimension, square as _square,
                       square_stack as _square_stack, strict_grid as _strict_grid)
 from .lifts import (DensityOperator, KrausMap, LeftRightMap, SuperOperator,
@@ -111,11 +111,9 @@ def short_time_kraus(gen: GkslGenerator, dt: float) -> KrausMap:
 
 def propagate(gen: GkslGenerator, rho0: DensityOperator, t: float) -> DensityOperator:
     """Evolve a state for time ``t`` under a constant generator."""
-    if not 0 <= t < np.inf:
-        raise ValueError(f"propagation time must be nonnegative and finite, got {t}")
     _same_dimension(gen.n, rho0.n, "generator", "state")
-    out = unvec(expm(t * gen.superoperator.matrix) @ vec(rho0.matrix))
-    return DensityOperator(out)
+    evolution = _semigroup(gen.superoperator.matrix, t, vec(np.eye(gen.n)), TOL_TP)
+    return DensityOperator(unvec(evolution @ vec(rho0.matrix)))
 
 
 def propagate_piecewise(segments: Sequence[tuple[GkslGenerator, float]],
@@ -196,9 +194,9 @@ class SuperOperatorFamily:
     def from_generator(cls, gen: GkslGenerator | SuperOperator,
                        grid: Sequence[float]) -> "SuperOperatorFamily":
         """Semigroup family ``exp((t - s) L)`` of a constant generator."""
-        l_matrix = (gen.superoperator if isinstance(gen, GkslGenerator)
-                    else gen).matrix
-        return cls(grid, lambda t, s: expm((t - s) * l_matrix))
+        trace = vec(np.eye(gen.n)) if isinstance(gen, GkslGenerator) else None
+        l_matrix = (gen if trace is None else gen.superoperator).matrix
+        return cls(grid, lambda t, s: _semigroup(l_matrix, t - s, trace, TOL_TP))
 
     @classmethod
     def from_hamiltonian(cls, hamiltonian, grid: Sequence[float]
@@ -206,8 +204,14 @@ class SuperOperatorFamily:
         """Unitary-conjugation family generated by a constant Hamiltonian."""
         h = _square(hamiltonian, "hamiltonian")
         _require_hermitian(h, TOL_HERM, "hamiltonian")
-        return cls(grid, lambda t, s: to_superoperator(
-            KrausMap([expm(-1j * (t - s) * h)])))
+
+        def conjugation(t, s):
+            kmap = KrausMap([_semigroup(-1j * h, t - s)])
+            if not kmap.trace_preserving:
+                raise ValueError(f"t={t - s} is too large for the Hamiltonian: exp(-itH) "
+                                 f"is not unitary ({kmap.completeness_residual:.3e})")
+            return to_superoperator(kmap)
+        return cls(grid, conjugation)
 
     @classmethod
     def from_kernel_family(cls, family, lift: str = "canonical",

@@ -16,10 +16,10 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from ._arrays import (TOL_DIV, TOL_PROB, TOL_STOCH, expm, frozen as _frozen,
+from ._arrays import (TOL_DIV, TOL_PROB, TOL_STOCH, frozen as _frozen,
                       numerical_rank as _numerical_rank,
-                      same_dimension as _same_dimension, square as _square,
-                      strict_grid as _strict_grid)
+                      same_dimension as _same_dimension, semigroup as _semigroup,
+                      square as _square, strict_grid as _strict_grid)
 from .errors import DimensionMismatchError, ValidationError
 
 
@@ -226,7 +226,8 @@ class KernelFamily:
                          grid: Sequence[float]) -> "KernelFamily":
         """Semigroup family ``exp((t - s) R)`` of a constant rate matrix."""
         r = rate if isinstance(rate, RateMatrix) else RateMatrix(rate)
-        return cls(grid, lambda t, s: expm((t - s) * r.matrix))
+        ones = np.ones(r.n)
+        return cls(grid, lambda t, s: _semigroup(r.matrix, t - s, ones))
 
     @classmethod
     def from_theta(cls, theta_fn: Callable[[float, float], np.ndarray],
@@ -499,29 +500,10 @@ def short_time_derivatives(family: KernelFamily, t: float,
                            tuple(hs), tuple(masses))
 
 
-def _exp_rate(rate: RateMatrix, t: float) -> np.ndarray:
-    """``exp(t R)``, checked to be stochastic at the default tolerances.
-
-    Rounding in ``expm`` grows with ``t |R|``: the column sums drift off one
-    long before the result overflows to NaN, so either is refused here with
-    the offending ``t``.
-    """
-    if not 0 <= t < np.inf:  # NaN fails too
-        raise ValueError(f"time must be nonnegative and finite, got {t}")
-    kernel = expm(t * rate.matrix)
-    report = validate_kernel(kernel)
-    if not report.passed:
-        raise ValueError(
-            f"t={t} is too large for the rates: exp(tR) is not stochastic "
-            f"(column-sum error {report.max_column_sum_error:.3e}, "
-            f"worst negative entry {report.max_negative_entry:.3e})")
-    return kernel
-
-
 def ctmc_propagate(rate: RateMatrix, p0: ProbabilityVector,
                    t: float) -> ProbabilityVector:
     """Evolve ``p0`` for time ``t`` under the master equation dp/dt = R p."""
-    p = _exp_rate(rate, t) @ p0.entries
+    p = _semigroup(rate.matrix, t, np.ones(rate.n)) @ p0.entries
     return ProbabilityVector(p, tol=TOL_STOCH, tol_sum=TOL_STOCH)
 
 
@@ -540,7 +522,7 @@ def dtmc_to_ctmc_scaling(rate: RateMatrix, t_star: float, t: float,
     to the power ``floor(t / (eps**2 * t_star))`` by repeated squaring and
     compared in sup-norm against ``exp(t R)``. Errors shrink as ``eps**2``.
     """
-    target = _exp_rate(rate, t)
+    target = _semigroup(rate.matrix, t, np.ones(rate.n))
     if not 0 < t_star < np.inf:
         raise ValueError(
             f"microscopic time scale must be positive and finite, got {t_star}")
@@ -550,6 +532,8 @@ def dtmc_to_ctmc_scaling(rate: RateMatrix, t_star: float, t: float,
         if not 0 < eps < np.inf:
             raise ValueError(f"epsilon must be positive and finite, got {eps}")
         dt = eps * eps * t_star
+        if not (dt > 0 and t / dt < np.inf):
+            raise ValueError(f"epsilon={eps} and t_star={t_star} give a step {dt} too small")
         step_matrix = np.eye(rate.n) + dt * rate.matrix
         report = validate_kernel(step_matrix)
         if not report.passed:

@@ -536,6 +536,37 @@ class TestUnusableFiles:
         assert captured.out == ""
 
 
+class TestUnusableContents:
+    """A file or option set that a subcommand cannot use is a usage error
+    (exit 2) whose message says what is missing; stdout stays empty."""
+
+    #: argv (FILE is the written file), the file's content, the message.
+    CASES = {
+        "validate-generator": (["validate", DATA / "decay_generator.json"], None,
+                               "no validator for file kind 'generator'"),
+        "gksl-without-family": (["demo", "ck-checklist", "--kind", "gksl"], None,
+                                'family kind "gksl" needs a --family file'),
+        "pairwise-family-without-h-or-r": (
+            ["demo", "ck-checklist", "--kind", "pairwise-lift", "--family", "FILE"],
+            {"jumps": []}, 'pairwise-lift family file needs "h" or "r"'),
+        "phase-memory-without-v": (
+            ["demo", "phase-memory", "--scenario", "FILE"],
+            {"u_x": complex_matrix_to_json(HADAMARD.astype(complex)),
+             "u_y": complex_matrix_to_json(HADAMARD.astype(complex))},
+            'phase-memory scenario needs "v"'),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_exits_two_naming_the_problem(self, capsys, tmp_path, name):
+        argv, content, message = self.CASES[name]
+        path = tmp_path / "input.json"
+        if content is not None:
+            dump_json(content, path)
+        code, report, err = run(capsys, *(path if a == "FILE" else a for a in argv))
+        assert (code, report) == (2, None)
+        assert err == f"error: {message}\n"
+
+
 @pytest.mark.parametrize("value", ["nan", "inf"])
 @pytest.mark.parametrize("option", ["--t", "--t-star", "--t-span", "--epsilons",
                                     "--diag-h", "--grid", "--fd-step"])

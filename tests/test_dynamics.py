@@ -290,6 +290,17 @@ class TestFamilies:
         with pytest.raises(ValueError):
             ck_checklist(family)
 
+    def test_superop_runs_forward_only(self):
+        family = SuperOperatorFamily([0.0, 1.0],
+                                     lambda t, s: np.eye(4, dtype=complex))
+        with pytest.raises(ValueError, match="t >= s"):
+            family.superop(0.0, 1.0)
+
+    def test_kernel_family_lift_must_be_canonical(self):
+        kfam = KernelFamily([0.0, 1.0], lambda t, s: np.eye(2))
+        with pytest.raises(ValueError, match="unsupported lift choice 'barandes'"):
+            SuperOperatorFamily.from_kernel_family(kfam, lift="barandes")
+
 
 EPS = np.finfo(complex).eps
 DIMS = (1, 2, 3, 5)

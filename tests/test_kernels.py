@@ -143,6 +143,16 @@ class TestCkFamily:
         with pytest.raises(ValidationError):
             KernelFamily([0.0, 1.0], lambda t, s: MIX)
 
+    def test_family_of_kernel_objects_names_the_failing_time(self):
+        with pytest.raises(ValidationError,
+                           match=r"kernel\(0\.0, 0\.0\) is not the identity"):
+            KernelFamily([0.0, 1.0], lambda t, s: StochasticKernel(FLIP))
+
+    def test_kernel_runs_forward_only(self):
+        family = KernelFamily([0.0, 1.0], lambda t, s: np.eye(2))
+        with pytest.raises(ValueError, match="t >= s"):
+            family.kernel(0.0, 1.0)
+
 
 class TestCDivisibility:
     def test_identity_pair(self):

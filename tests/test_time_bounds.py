@@ -3,20 +3,31 @@
 ``exp(t R)`` drifts off the stochastic matrices as ``t |R|`` grows (its
 column sums miss one by about 1e-6 at t = 1e10 for unit rates) and is NaN
 long before a float overflows, so a ``t`` too large for the rates is a
-``ValueError``. A triviality demo runs forward over a positive, finite span.
+``ValueError``. The same holds for every exponential of the package: a GKSL
+evolution must keep the trace and a unitary family must stay unitary
+(exp(-iX t) is off by 5e-10 at t = 5e6). A triviality demo runs forward over
+a positive, finite span, and a scaling step must be positive with a finite
+step count.
 """
 
 import io
 import re
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from stoqlift import (ProbabilityVector, RateMatrix, ctmc_propagate,
-                      dtmc_to_ctmc_scaling, theta_markov_triviality_demo)
+from stoqlift import (DensityOperator, GkslGenerator, KernelFamily,
+                      ProbabilityVector, RateMatrix, SuperOperatorFamily,
+                      ctmc_propagate, dtmc_to_ctmc_scaling, propagate,
+                      theta_markov_triviality_demo)
 from stoqlift.cli import main
+
+from conftest import PAULI_X
+
+DATA = Path(__file__).resolve().parent.parent / "demos" / "data"
 
 RATE = RateMatrix([[-1.0, 1.0], [1.0, -1.0]])
 CALLS = {
@@ -70,3 +81,58 @@ def test_cli_non_positive_span_exits_one(span):
     assert code == 1
     assert out == ""
     assert err.startswith("error: ") and f"got {float(span)}" in err
+
+
+DECAY = GkslGenerator(np.zeros((2, 2)), [[[0.0, 1.0], [0.0, 0.0]]])
+#: Each evolution from time s to time t, as one library call.
+EVOLUTIONS = {
+    "propagate": lambda t, s: propagate(DECAY, DensityOperator(np.diag([0.0, 1.0])),
+                                        t - s),
+    "gksl-family": lambda t, s: SuperOperatorFamily.from_generator(
+        DECAY, [0, 1]).superop(t, s),
+    "unitary-family": lambda t, s: SuperOperatorFamily.from_hamiltonian(
+        PAULI_X, [0, 1]).superop(t, s),
+    "rate-family": lambda t, s: KernelFamily.from_rate_matrix(RATE, [0, 1]).kernel(t, s),
+}
+
+
+@pytest.mark.parametrize("name, t, s", [
+    ("propagate", 1e300, 0.0), ("gksl-family", 1e300, 0.0),
+    ("unitary-family", 1e300, 0.0), ("unitary-family", 1e7, 5e6),
+    ("rate-family", 1e10, 0.0)])
+def test_too_large_elapsed_time_raises_naming_it(name, t, s):
+    with pytest.raises(ValueError, match=rf"t={re.escape(str(t - s))} is too large"):
+        EVOLUTIONS[name](t, s)
+
+
+@pytest.mark.parametrize("name", list(EVOLUTIONS))
+def test_moderate_elapsed_time_still_evolves(name):
+    assert EVOLUTIONS[name](100.0, 0.0) is not None
+
+
+@pytest.mark.parametrize("t_star, epsilon, named", [
+    (1.0, 1e-300, "epsilon=1e-300"), (1e-320, 0.1, "t_star=1e-320")])
+def test_scaling_step_that_underflows_raises_naming_the_value(t_star, epsilon, named):
+    with pytest.raises(ValueError, match=named):
+        dtmc_to_ctmc_scaling(RATE, t_star, 1.0, [epsilon])
+
+
+@pytest.mark.parametrize("argv, named", [
+    (["ck-checklist", "--kind", "gksl", "--family",
+      str(DATA / "decay_generator.json"), "--grid", "0", "1e300"], "t=1e+300"),
+    (["ck-checklist", "--kind", "unitary", "--grid", "0", "1e300"], "t=1e+300"),
+    (["ck-checklist", "--kind", "unitary", "--grid", "0", "5e6", "1e7"],
+     "t=5000000.0"),
+    (["ck-checklist", "--kind", "pairwise-lift", "--grid", "0", "1e300"], "t=1e+300"),
+    (["theta-triviality", "--t-span", "1e300"], "t=1e+299"),
+    (["scaling", "--epsilons", "1e-300"], "epsilon=1e-300"),
+    (["scaling", "--t-star", "1e-320"], "t_star=1e-320"),
+], ids=["gksl", "unitary", "unitary-drift", "pairwise-lift", "theta-triviality",
+        "scaling-epsilon", "scaling-t-star"])
+def test_cli_refusal_exits_one_naming_the_value_without_warnings(argv, named):
+    code, out, err, caught = _run_cli("demo", *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and named in err
+    assert "Traceback" not in err
+    assert not caught
