@@ -29,7 +29,7 @@ PINV_RCOND = 1e-12  #: Relative cutoff of zero Choi eigenvalues in Kraus extract
 KRAUS_DROP_NORM = 1e-14  #: Frobenius norm below which a Kraus operator is dropped.
 # Dynamics.
 FD_STEP = 1e-4  #: Default finite-difference step for generator extraction.
-CK_TOLERANCE = 1e-6  #: Residual of the composition checklist (stencil-limited).
+CK_TOLERANCE = 1e-6  #: Identity and composition residuals of the CK checklist.
 # Division and memory.
 RECORD_FORM_TOL = 1e-9  #: Cross-block mass of a classical record at the division time.
 TOL_UNITARY = 1e-10  #: Max-norm deviation of U^dagger U from the identity.
@@ -49,13 +49,16 @@ def frozen(a: np.ndarray) -> np.ndarray:
 
 def semigroup(a: np.ndarray, t: float, conserved: np.ndarray | None = None,
               tol: float = TOL_STOCH) -> np.ndarray:
-    """``exp(t a)``, refusing a ``t`` that is not nonnegative and finite, a
-    non-finite result, or one whose column sums weighted by ``conserved`` (a
-    row with ``conserved @ a = 0``) miss that row by more than ``tol``, as
-    rounding grows with ``t |a|`` (Higham 2002, ch. 10). The package's one
-    scipy ``expm`` call, imported per call so the package imports without it."""
+    """``exp(t a)``, refusing a ``t`` that is not nonnegative and finite or
+    that makes ``t a`` overflow, a non-finite result, or one whose column sums
+    weighted by ``conserved`` (a row with ``conserved @ a = 0``) miss that row
+    by more than ``tol``, as rounding grows with ``t |a|`` (Higham 2002, ch.
+    10). The package's one scipy ``expm`` call, imported per call so the
+    package imports without it."""
     if not 0 <= t < np.inf:  # NaN fails too
         raise ValueError(f"time must be nonnegative and finite, got {t}")
+    if not t * float(np.abs(a).max()) < np.inf:  # so t * a cannot overflow
+        raise ValueError(f"t={t} is too large for the generator: t|A| is not finite")
     from scipy.linalg import expm
     out = expm(t * a)
     err = 0.0 if conserved is None else float(np.abs(conserved @ out - conserved).max())

@@ -24,8 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from ._arrays import (DEMO_CLOSE_GAP, DEMO_DISTINCT_GAP, DEMO_SAME_GAP,
-                      FD_STEP, semigroup)
+from ._arrays import DEMO_CLOSE_GAP, DEMO_DISTINCT_GAP, DEMO_SAME_GAP, semigroup
 from .dynamics import (SuperOperatorFamily, ck_checklist, ctmc_embedding,
                        diagonal_preservation_check, propagate)
 from .errors import ValidationError
@@ -304,20 +303,20 @@ def _build_family(kind: str, obj: dict | None, grid) -> SuperOperatorFamily:
 def _demo_ck_checklist(args):
     obj = load_json(args.family) if args.family else None
     family = _build_family(args.kind, obj, args.grid)
-    result = ck_checklist(family, fd_step=args.fd_step, **_tol(args, "tolerance"))
+    result = ck_checklist(family, **_tol(args, "tolerance"))
     tables = {
         "identity_residuals": {
             str(t): r for t, r in result.identity_residuals.items()},
-        "forward_residuals": {
-            f"({s},{t})": r for (s, t), r in result.forward_residuals.items()},
+        "composition_residuals": {
+            f"({row.s},{row.u},{row.t})": row.residual for row in result.triples},
     }
     verdicts = _fields(result, "passed", "max_identity_residual",
-                       "max_forward_residual", "stencil_error_estimate",
-                       "tolerance_dominates_stencil")
+                       "max_composition_residual", "min_choi_eigenvalue")
     return ({"verdicts": verdicts, "tables": tables}, result.passed,
             f"ck-checklist kind={args.kind}: "
             f"{'pass' if result.passed else 'FAIL'} "
-            f"(worst forward residual {result.max_forward_residual:.3e})")
+            f"(worst composition residual {result.max_composition_residual:.3e}, "
+            f"smallest Choi eigenvalue {result.min_choi_eigenvalue:.3e})")
 
 
 DEMOS = {
@@ -405,7 +404,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_demo.add_argument("--diag-h", type=_number, nargs="+")
     p_demo.add_argument("--grid", type=_number, nargs="+",
                         default=[0.0, 0.4, 1.0])
-    p_demo.add_argument("--fd-step", type=_number, default=FD_STEP)
     p_demo.set_defaults(func=_cmd_demo)
     return parser
 

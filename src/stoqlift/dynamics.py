@@ -4,9 +4,9 @@ A two-parameter family of lifted maps that composes (Chapman-Kolmogorov
 property) and is differentiable admits a time-local generator in
 Gorini-Kossakowski-Sudarshan-Lindblad form. This module builds the generator
 superoperator, a consistent short-time Kraus choice, finite-time propagation,
-the embedding of a classical rate matrix, and the practical three-step
-checklist (normalization at coincidence, generator extraction, forward
-equation) that certifies the composition property of a supplied family.
+the embedding of a classical rate matrix, and the three-part checklist
+(normalization at coincidence, composition on grid triples, CPTP members)
+that certifies a supplied family on its grid.
 The generator is a left-right map, and every Liouville matrix here is built
 by :func:`stoqlift.lifts.to_superoperator`.
 """
@@ -19,14 +19,14 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import DimensionMismatchError, ValidationError
-from .kernels import RateMatrix
+from .kernels import CkTripleResidual, RateMatrix, _composition_triples
 from ._arrays import (CK_TOLERANCE, FD_STEP, TOL_HERM, TOL_TP, frozen as _frozen,
                       require_hermitian as _require_hermitian, semigroup as _semigroup,
                       same_dimension as _same_dimension, square as _square,
                       square_stack as _square_stack, strict_grid as _strict_grid)
 from .lifts import (DensityOperator, KrausMap, LeftRightMap, SuperOperator,
                     _diagonal_images_offdiagonal, _rank_one_stack,
-                    canonical_lift, to_superoperator, unvec, vec)
+                    canonical_lift, check_cptp, to_superoperator, unvec, vec)
 
 
 class GkslGenerator:
@@ -229,56 +229,35 @@ class SuperOperatorFamily:
             canonical_lift(family.kernel(t, s))))
 
 
-def _time_derivative(family: SuperOperatorFamily, t: float, s: float,
-                     h: float) -> tuple[np.ndarray, np.ndarray]:
-    """``(dS/dt, S(t, s))`` by second-order finite differences with step ``h``.
-
-    Families are only guaranteed forward in time (t >= s), so the central
-    rule is used when ``t - s > h`` and otherwise the one-sided three-point
-    rule on {t, t+h, t+2h}.
-    """
-    here = family.superop(t, s).matrix
-    plus = family.superop(t + h, s).matrix
-    if t - s > h:
-        return (plus - family.superop(t - h, s).matrix) / (2.0 * h), here
-    plus2 = family.superop(t + 2 * h, s).matrix
-    return (-3.0 * here + 4.0 * plus - plus2) / (2.0 * h), here
-
-
 def generator_from_family(family: SuperOperatorFamily, t: float,
                           fd_step: float = FD_STEP) -> SuperOperator:
     """Finite-difference time-local generator of a family at time ``t``: the
-    one-sided derivative of ``superop(., t)`` at coincidence."""
+    derivative of ``superop(., t)`` at coincidence by the second-order
+    one-sided rule on {t, t+h, t+2h}, as families only run forward in time."""
     if not 0 < fd_step < np.inf:
         raise ValueError(
             f"finite-difference step must be positive and finite, got {fd_step}")
-    return SuperOperator(_time_derivative(family, t, t, fd_step)[0])
+    here, plus, plus2 = (family.superop(t + k * fd_step, t).matrix for k in range(3))
+    return SuperOperator((-3.0 * here + 4.0 * plus - plus2) / (2.0 * fd_step))
 
 
 @dataclass(frozen=True)
 class CkChecklistReport:
-    """Results of the three-step composition checklist on a family.
+    """Results of the composition checklist on a family.
 
     check A: identity residual at coincidence, per grid time.
-    check B: extracted generator, per grid time (an estimate, not a gate).
-    check C: forward-equation residual ``dS/dt - L(t) S`` per grid pair (s, t).
-
-    ``stencil_error_estimate`` is an order-of-magnitude bound on the
-    finite-difference error; the tolerance should dominate it, and
-    ``tolerance_dominates_stencil`` records whether it does.
+    check B: composition residual ``|S(t,s) - S(t,u) S(u,s)|`` per grid
+    triple s < u < t; ``max_composition_residual`` is the worst.
+    check C: every member ``S(t, s)``, s < t, is CPTP; ``min_choi_eigenvalue``
+    is the smallest Choi eigenvalue over them.
     """
 
     passed: bool
     identity_residuals: dict[float, float]
-    generators: dict[float, np.ndarray]
-    forward_residuals: dict[tuple[float, float], float]
-    stencil_error_estimate: float
+    triples: tuple[CkTripleResidual, ...]
+    max_composition_residual: float
+    min_choi_eigenvalue: float
     tolerance: float
-    fd_step: float
-
-    @property
-    def tolerance_dominates_stencil(self) -> bool:
-        return self.tolerance >= self.stencil_error_estimate
 
     @property
     def max_identity_residual(self) -> float:
@@ -286,39 +265,25 @@ class CkChecklistReport:
 
     @property
     def max_forward_residual(self) -> float:
-        return max(self.forward_residuals.values()) if self.forward_residuals else 0.0
+        """``max_composition_residual`` under the name of the earlier
+        forward-equation check, for callers that still read it."""
+        return self.max_composition_residual
 
 
-def ck_checklist(family: SuperOperatorFamily, fd_step: float = FD_STEP,
+def ck_checklist(family: SuperOperatorFamily,
                  tolerance: float = CK_TOLERANCE) -> CkChecklistReport:
-    """Run the composition checklist on a superoperator family.
+    """Run the Chapman-Kolmogorov checklist on a superoperator family.
 
-    A family that satisfies the forward equation ``dS(t,s)/dt = L(t) S(t,s)``
-    with the generator extracted at coincidence composes by uniqueness of the
-    linear initial-value problem, so passing A and C certifies the
-    composition property up to stencil error.
+    It passes when ``S(s, s)`` is the identity at every grid time and
+    ``S(t, s) = S(t, u) S(u, s)`` on every grid triple, both to within
+    ``tolerance``, and when every member ``S(t, s)`` is CPTP (``check_cptp``
+    at its defaults). Each grid pair is evaluated once; the grid needs at
+    least 3 times. A member whose Choi matrix is not Hermitian raises
+    ``ValidationError``.
     """
-    if family.grid.size < 2:
-        raise ValueError("checklist needs a grid with at least 2 times")
-    identity_residuals = dict(family.identity_residuals)
-    generators = {}
-    for t in family.grid:
-        generators[float(t)] = _frozen(
-            generator_from_family(family, float(t), fd_step).matrix)
-
-    forward_residuals = {}
-    for i_s in range(family.grid.size):
-        for i_t in range(i_s + 1, family.grid.size):
-            s, t = float(family.grid[i_s]), float(family.grid[i_t])
-            dsdt, here = _time_derivative(family, t, s, fd_step)
-            err = dsdt - generators[t] @ here
-            forward_residuals[(s, t)] = float(np.abs(err).max())
-
-    gen_scale = max(
-        (float(np.abs(g).max()) for g in generators.values()), default=1.0)
-    stencil_estimate = fd_step ** 2 * max(1.0, gen_scale) ** 3
-    passed = all(r <= tolerance for r in (*identity_residuals.values(),
-                                          *forward_residuals.values()))
-    return CkChecklistReport(passed, identity_residuals, generators,
-                             forward_residuals, stencil_estimate,
-                             tolerance, fd_step)
+    members, triples, worst = _composition_triples(family.grid, family.superop)
+    cptp = [check_cptp(m) for m in members]
+    passed = (all(r <= tolerance for r in family.identity_residuals.values())
+              and worst <= tolerance and all(r.passed for r in cptp))
+    return CkChecklistReport(passed, dict(family.identity_residuals), triples, worst,
+                             min(r.min_choi_eigenvalue for r in cptp), tolerance)

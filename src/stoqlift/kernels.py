@@ -272,26 +272,32 @@ class CkFamilyReport:
     triples: tuple[CkTripleResidual, ...]
 
 
-def check_ck_family(family: KernelFamily, tolerance: float = TOL_STOCH) -> CkFamilyReport:
-    """Test the composition law kernel(t,s) = kernel(t,u) @ kernel(u,s).
+def _composition_triples(grid: np.ndarray, member: Callable[[float, float], object]
+                         ) -> tuple[list, tuple[CkTripleResidual, ...], float]:
+    """Test the composition law M(t,s) = M(t,u) M(u,s) on a grid.
 
-    Every ordered triple of grid times is checked; the residual is the
-    max-norm difference between the direct kernel and the composed one.
-    Each grid pair's kernel is evaluated once.
+    ``member(t, s)`` (anything with a ``matrix``) is evaluated once per grid
+    pair s < t; every ordered triple s < u < t gets the max-norm difference
+    between the direct member and the composed one. Returns the members, the
+    triple residuals and the worst of them (NaN if any residual is).
     """
-    grid = family.grid
     if grid.size < 3:
         raise ValueError("composition check needs a grid with at least 3 times")
     times = [float(x) for x in grid]
-    kernel = {(i, j): family.kernel(times[j], times[i]).matrix
-              for i, j in itertools.combinations(range(len(times)), 2)}
-    rows = []
-    worst = 0.0
-    for i, j, k in itertools.combinations(range(len(times)), 3):
-        res = float(np.abs(kernel[i, k] - kernel[j, k] @ kernel[i, j]).max())
-        worst = max(worst, res)
-        rows.append(CkTripleResidual(times[i], times[j], times[k], res))
-    return CkFamilyReport(worst <= tolerance, worst, tuple(rows))
+    members = {(i, j): member(times[j], times[i])
+               for i, j in itertools.combinations(range(len(times)), 2)}
+    m = {pair: op.matrix for pair, op in members.items()}
+    rows = tuple(CkTripleResidual(times[i], times[j], times[k],
+                                  float(np.abs(m[i, k] - m[j, k] @ m[i, j]).max()))
+                 for i, j, k in itertools.combinations(range(len(times)), 3))
+    return list(members.values()), rows, float(np.max([r.residual for r in rows]))
+
+
+def check_ck_family(family: KernelFamily, tolerance: float = TOL_STOCH) -> CkFamilyReport:
+    """Test the composition law kernel(t,s) = kernel(t,u) @ kernel(u,s) on
+    every ordered triple of grid times, each grid pair's kernel evaluated once."""
+    _, rows, worst = _composition_triples(family.grid, family.kernel)
+    return CkFamilyReport(worst <= tolerance, worst, rows)
 
 
 @dataclass(frozen=True)

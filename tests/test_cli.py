@@ -228,7 +228,13 @@ class TestDemos:
         code, report, _ = run(capsys, "demo", "ck-checklist",
                               "--kind", "pairwise-lift")
         assert code == 1
-        assert report["verdicts"]["max_forward_residual"] >= 1e-2
+        assert report["verdicts"]["max_composition_residual"] >= 1e-2
+        assert report["verdicts"]["min_choi_eigenvalue"] >= 0.0
+
+    def test_ck_checklist_two_time_grid_exits_one(self, capsys):
+        code, report, err = run(capsys, "demo", "ck-checklist", "--grid", "0", "1")
+        assert (code, report) == (1, None)
+        assert "at least 3 times" in err
 
     def test_unknown_demo_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -354,8 +360,7 @@ class TestReportContract:
         check = getattr(cli, target)
 
         def recording_check(*args, **kwargs):
-            calls.append((len(args), {k: v for k, v in kwargs.items()
-                                      if k != "fd_step"}))
+            calls.append((len(args), kwargs))
             return check(*args, **kwargs)
 
         monkeypatch.setattr(cli, target, recording_check)
@@ -569,7 +574,7 @@ class TestUnusableContents:
 
 @pytest.mark.parametrize("value", ["nan", "inf"])
 @pytest.mark.parametrize("option", ["--t", "--t-star", "--t-span", "--epsilons",
-                                    "--diag-h", "--grid", "--fd-step"])
+                                    "--diag-h", "--grid"])
 def test_non_finite_number_option_is_usage_error(capsys, option, value):
     with pytest.raises(SystemExit) as exc:
         main(["demo", "scaling", option, value])

@@ -207,53 +207,58 @@ class TestFamilies:
         report = ck_checklist(family)
         assert report.passed
         assert report.max_identity_residual <= 1e-12
-        assert report.max_forward_residual <= 1e-6
-        assert report.tolerance_dominates_stencil
+        assert report.max_composition_residual <= 1e-12
+        assert report.max_forward_residual == report.max_composition_residual
+        assert report.min_choi_eigenvalue >= -1e-12
 
     def test_unitary_family_passes_checklist_with_constant_generator(self):
-        family = SuperOperatorFamily.from_hamiltonian(PAULI_X, [0.0, 0.4, 1.0])
+        grid = [0.0, 0.4, 1.0]
+        family = SuperOperatorFamily.from_hamiltonian(PAULI_X, grid)
         report = ck_checklist(family)
         assert report.passed
-        gens = list(report.generators.values())
+        gens = [generator_from_family(family, t).matrix for t in grid]
         for g in gens[1:]:
             assert np.abs(g - gens[0]).max() < 1e-6
 
     def test_constant_identity_family(self):
-        family = SuperOperatorFamily([0.0, 0.5, 1.0],
-                                     lambda t, s: np.eye(4, dtype=complex))
+        grid = [0.0, 0.5, 1.0]
+        family = SuperOperatorFamily(grid, lambda t, s: np.eye(4, dtype=complex))
         report = ck_checklist(family)
         assert report.passed
-        for g in report.generators.values():
-            assert np.abs(g).max() < 1e-9
+        assert report.max_composition_residual == 0.0
+        for t in grid:
+            assert np.abs(generator_from_family(family, t).matrix).max() < 1e-9
 
-    def test_pairwise_lift_of_rotation_moduli_fails_forward_equation(self):
+    def test_pairwise_lift_of_rotation_moduli_fails_composition(self):
         kfam = KernelFamily.from_theta(
             lambda t, s: expm(-1j * PAULI_X * (t - s)), [0.0, 0.4, 1.0])
         family = SuperOperatorFamily.from_kernel_family(kfam)
         report = ck_checklist(family)
         assert not report.passed
-        assert report.max_forward_residual >= 1e-2
+        assert report.max_composition_residual >= 1e-2
         # The same defect shows up at coincidence: the pairwise lift of the
         # identity kernel is the dephasing map, not the identity map.
         assert report.max_identity_residual == pytest.approx(1.0)
 
-    def test_forward_equation_residual_against_brute_force(self):
-        # Oracle for one pair: central difference and generator both built
-        # directly from the family callable, independent of ck_checklist.
+    def test_composition_residuals_against_brute_force(self):
+        # Oracle for every triple, built directly from family.superop,
+        # independent of ck_checklist.
+        grid = [0.0, 0.4, 1.0, 1.5]
         kfam = KernelFamily.from_theta(
-            lambda t, s: expm(-1j * PAULI_X * (t - s)), [0.0, 0.4, 1.0])
+            lambda t, s: expm(-1j * PAULI_X * (t - s)), grid)
         family = SuperOperatorFamily.from_kernel_family(kfam)
-        h = 1e-4
-        s_val, t_val = 0.0, 0.4
-        dsdt = (family.superop(t_val + h, s_val).matrix
-                - family.superop(t_val - h, s_val).matrix) / (2 * h)
-        gen = (-3.0 * family.superop(t_val, t_val).matrix
-               + 4.0 * family.superop(t_val + h, t_val).matrix
-               - family.superop(t_val + 2 * h, t_val).matrix) / (2 * h)
-        brute = np.abs(dsdt - gen @ family.superop(t_val, s_val).matrix).max()
+        brute = {}
+        for a, s_val in enumerate(grid):
+            for b in range(a + 1, len(grid)):
+                for t_val in grid[b + 1:]:
+                    u_val = grid[b]
+                    composed = (family.superop(t_val, u_val).matrix
+                                @ family.superop(u_val, s_val).matrix)
+                    brute[(s_val, u_val, t_val)] = np.abs(
+                        family.superop(t_val, s_val).matrix - composed).max()
         report = ck_checklist(family)
-        assert report.forward_residuals[(s_val, t_val)] == pytest.approx(
-            brute, rel=1e-9)
+        assert {(r.s, r.u, r.t): r.residual for r in report.triples} == brute
+        assert report.max_composition_residual == max(brute.values())
 
     def test_generator_extraction_matches_known_generator(self):
         gen = decay_generator()
@@ -287,7 +292,13 @@ class TestFamilies:
     def test_checklist_grid_requirement(self):
         family = SuperOperatorFamily([0.0],
                                      lambda t, s: np.eye(4, dtype=complex))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="at least 3 times"):
+            ck_checklist(family)
+
+    def test_checklist_refuses_a_two_time_grid(self):
+        family = SuperOperatorFamily.from_hamiltonian(PAULI_X, [0.0, 1.0])
+        with pytest.raises(ValueError,
+                           match="composition check needs a grid with at least 3 times"):
             ck_checklist(family)
 
     def test_superop_runs_forward_only(self):
@@ -408,14 +419,13 @@ class TestLiouvilleAgainstLoops:
 
 
 def test_checklist_evaluates_each_superoperator_once():
-    # Grid pair (0, 5e-5) is shorter than the step and takes the one-sided
-    # rule; the other two pairs take the central rule.
-    grid = [0.0, 5e-5, 1.0]
+    n_times = 5
+    grid = np.linspace(0.0, 1.0, n_times)
     base = SuperOperatorFamily.from_generator(decay_generator(), grid)
     calls = []
     family = SuperOperatorFamily(
         grid, lambda t, s: calls.append((t, s)) or base.superop(t, s))
     calls.clear()
-    ck_checklist(family, fd_step=1e-4)
-    # Three stencil points per generator and three per pair, none repeated.
-    assert len(calls) == len(set(calls)) == 3 * 3 + 3 * 3
+    ck_checklist(family)
+    # One evaluation per grid pair s < t, none repeated.
+    assert len(calls) == len(set(calls)) == math.comb(n_times, 2)

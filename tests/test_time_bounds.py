@@ -11,6 +11,7 @@ step count.
 """
 
 import io
+import json
 import re
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
@@ -117,19 +118,33 @@ def test_scaling_step_that_underflows_raises_naming_the_value(t_star, epsilon, n
         dtmc_to_ctmc_scaling(RATE, t_star, 1.0, [epsilon])
 
 
+#: A decay generator whose jump entry is 1e5, so that 1e300 times its largest
+#: Liouville entry (1e10) overflows; written out by the test that uses it.
+STRONG_DECAY = "STRONG_DECAY"
+
+
 @pytest.mark.parametrize("argv, named", [
     (["ck-checklist", "--kind", "gksl", "--family",
-      str(DATA / "decay_generator.json"), "--grid", "0", "1e300"], "t=1e+300"),
-    (["ck-checklist", "--kind", "unitary", "--grid", "0", "1e300"], "t=1e+300"),
+      str(DATA / "decay_generator.json"), "--grid", "0", "1", "1e300"], "t=1e+300"),
+    (["ck-checklist", "--kind", "gksl", "--family", STRONG_DECAY,
+      "--grid", "0", "1e-10", "1e300"], "t=1e+300"),
+    (["ck-checklist", "--kind", "unitary", "--grid", "0", "1", "1e300"], "t=1e+300"),
     (["ck-checklist", "--kind", "unitary", "--grid", "0", "5e6", "1e7"],
      "t=5000000.0"),
-    (["ck-checklist", "--kind", "pairwise-lift", "--grid", "0", "1e300"], "t=1e+300"),
+    (["ck-checklist", "--kind", "pairwise-lift", "--grid", "0", "1", "1e300"],
+     "t=1e+300"),
     (["theta-triviality", "--t-span", "1e300"], "t=1e+299"),
     (["scaling", "--epsilons", "1e-300"], "epsilon=1e-300"),
     (["scaling", "--t-star", "1e-320"], "t_star=1e-320"),
-], ids=["gksl", "unitary", "unitary-drift", "pairwise-lift", "theta-triviality",
-        "scaling-epsilon", "scaling-t-star"])
-def test_cli_refusal_exits_one_naming_the_value_without_warnings(argv, named):
+], ids=["gksl", "gksl-overflow", "unitary", "unitary-drift", "pairwise-lift",
+        "theta-triviality", "scaling-epsilon", "scaling-t-star"])
+def test_cli_refusal_exits_one_naming_the_value_without_warnings(argv, named, tmp_path):
+    if STRONG_DECAY in argv:
+        family = json.loads((DATA / "decay_generator.json").read_text())
+        family["jumps"][0]["rows"][1][0] = [1e5, 0.0]
+        path = tmp_path / "strong_decay.json"
+        path.write_text(json.dumps(family), encoding="utf-8")
+        argv = [str(path) if a == STRONG_DECAY else a for a in argv]
     code, out, err, caught = _run_cli("demo", *argv)
     assert code == 1
     assert out == ""
