@@ -81,6 +81,28 @@ def numerical_rank(s: np.ndarray, tolerance: float) -> int:
     return int(np.count_nonzero(s >= cutoff)) if cutoff > 0 else 0
 
 
+def inverse_certifies_full_rank(a: np.ndarray, inverse: np.ndarray,
+                                tolerance: float) -> bool:
+    """Whether ``numerical_rank`` would keep every direction of the square
+    ``a``, shown from a computed ``inverse`` without singular values.
+
+    It keeps them all when cond_2(a) <= |a|_F |a^-1|_F is at most its limit
+    ``max(tolerance, n eps) / (n eps)``; a computed inverse is within a factor
+    2 of |a^-1| while n eps times that product is small (Higham 2002, ch. 14),
+    so the computed product must be within a quarter of the limit, capped at
+    ``1 / (n eps)``. A NaN or infinite product certifies nothing, nor does a
+    limit under which the rule's cutoff ``s_1 / limit`` may underflow to 0.
+    """
+    n = a.shape[0]
+    floor = n * EPS
+    scale = floor / max(float(tolerance), floor)  # 1 / limit
+    with np.errstate(over="ignore"):  # an overflowing norm is infinite
+        norm_a, norm_inv = float(np.linalg.norm(a)), float(np.linalg.norm(inverse))
+    # Python floats, so inf * 0 is NaN without a warning; |a|_F / (2n) < s_1.
+    return (norm_a / (2 * n) * scale > 0
+            and norm_a * norm_inv * max(scale, floor) <= 0.25)
+
+
 def square(matrix, name: str = "matrix", dtype=complex) -> np.ndarray:
     """``matrix`` as a nonempty square array of ``dtype``."""
     m = np.asarray(matrix, dtype=dtype)

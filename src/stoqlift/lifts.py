@@ -16,12 +16,14 @@ reshuffle (an involution) turns it into the Liouville matrix and back.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence, Union
 
 import numpy as np
 
 from ._arrays import (KRAUS_DROP_NORM, PINV_RCOND, TOL_DIV, TOL_HERM, TOL_PROB,
                       TOL_PSD, TOL_STOCH, TOL_TP, frozen as _frozen,
+                      inverse_certifies_full_rank as _inverse_certifies_full_rank,
                       numerical_rank as _numerical_rank,
                       require_hermitian as _require_hermitian,
                       require_psd as _require_psd,
@@ -144,10 +146,15 @@ class KrausMap:
     def rank(self) -> int:
         return len(self._stack)
 
-    def _choi(self) -> np.ndarray:
-        """``V^T conj(V)``, where row b of V is the column-stacked vec of K_b."""
+    @cached_property
+    def _choi_product(self) -> np.ndarray:
+        """``V^T conj(V)``, where row b of V is the column-stacked vec of K_b:
+        formed once, read-only, as the map is immutable."""
         v = self._stack.transpose(0, 2, 1).reshape(self.rank, -1)
-        return v.T @ v.conj()
+        return _frozen(v.T @ v.conj())
+
+    def _choi(self) -> np.ndarray:
+        return self._choi_product
 
     def _tp_residual(self) -> float:
         return self.completeness_residual
@@ -543,20 +550,32 @@ def q_divisibility_check(e_20: SuperOperator, e_10: SuperOperator,
 
     e_10's singular values are cut by the classical check's rule
     (``_arrays.numerical_rank``). With none cut the factor
-    ``e_20 @ inv(e_10)`` is unique and its CPTP check decides. Otherwise
-    the candidate ``e_20 V_r S_r^-1 U_r^dagger`` must reproduce e_20 to
+    ``e_20 @ inv(e_10)`` is unique and its CPTP check decides. The inverse
+    comes first, and no SVD is taken when ``|e_10|_F |inv(e_10)|_F``, a
+    bound on cond_2(e_10), is at most a fixed quarter of the rule's limit
+    ``max(tolerance, n eps) / (n eps)`` (see
+    ``_arrays.inverse_certifies_full_rank``). Otherwise the candidate
+    ``e_20 V_r S_r^-1 U_r^dagger`` of a cut map must reproduce e_20 to
     within ``tolerance + |candidate|_2 s_(r+1)``, or the pair is
     indivisible (a rank obstruction when e_20 has the larger rank); a
     candidate that does but is not CPTP is inconclusive. A Choi asymmetry
     above ``max(TOL_HERM, tolerance)`` is not CPTP; a smaller one is
-    symmetrized away before the CPTP check.
+    symmetrized away first.
     """
     _same_dimension(e_20.n, e_10.n, "e_20", "e_10")
-    sv_10 = np.linalg.svd(e_10.matrix, compute_uv=False)
-    rank_10 = _numerical_rank(sv_10, tolerance)
-    unique = rank_10 == sv_10.size
-    if unique:
-        candidate = e_20.matrix @ np.linalg.inv(e_10.matrix)
+    try:
+        inverse = np.linalg.inv(e_10.matrix)
+    except np.linalg.LinAlgError:  # exactly singular: the SVD rule decides
+        inverse = None
+    unique = (inverse is not None
+              and _inverse_certifies_full_rank(e_10.matrix, inverse, tolerance))
+    if not unique:
+        sv_10 = np.linalg.svd(e_10.matrix, compute_uv=False)
+        rank_10 = _numerical_rank(sv_10, tolerance)
+        unique = rank_10 == sv_10.size
+    if unique:  # a full-rank map that LU finds singular raises here
+        candidate = e_20.matrix @ (np.linalg.inv(e_10.matrix) if inverse is None
+                                   else inverse)
     else:
         u, s, vh = np.linalg.svd(e_10.matrix)
         scaled = e_20.matrix @ vh[:rank_10].conj().T / s[:rank_10]
@@ -577,14 +596,14 @@ def q_divisibility_check(e_20: SuperOperator, e_10: SuperOperator,
     if asymmetry <= max(TOL_HERM, tolerance):
         if asymmetry > TOL_HERM:
             candidate = _reshuffle((choi + choi.conj().T) / 2.0, e_10.n)
-        report = check_cptp(SuperOperator(candidate),
-                            tol_tp=max(TOL_TP, tolerance),
+        witness = SuperOperator(candidate)
+        report = check_cptp(witness, tol_tp=max(TOL_TP, tolerance),
                             tol_psd=max(TOL_PSD, tolerance))
         if report.passed:
             reason = ("unique factor is CPTP" if unique
                       else "pseudo-inverse factor is CPTP")
-            return QDivisibilityResult("divisible", SuperOperator(candidate),
-                                       report, reason, candidate=candidate)
+            return QDivisibilityResult("divisible", witness, report, reason,
+                                       candidate=candidate)
     reason = ("earlier map is invertible and its unique factor is not CPTP"
               if unique else
               "factor on the range of the earlier map is not CPTP; a CPTP "

@@ -1,6 +1,12 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import settings
+
+from stoqlift._arrays import numerical_rank
+from stoqlift.lifts import (TOL_DIV, TOL_HERM, TOL_PSD, TOL_TP, QDivisibilityResult,
+                            SuperOperator, _reshuffle, _same_dimension, check_cptp)
 
 settings.register_profile("ci", deadline=None, derandomize=True, max_examples=25)
 settings.load_profile("ci")
@@ -73,3 +79,83 @@ def signed_factor_pair(seed, n=3, k=1):
     x += shift - shift.mean(axis=0)
     g20 = x @ g10
     return None if g20.min() < 0 else (g20, g10)
+
+
+def svd_rule_q_divisibility(e_20, e_10, tolerance=TOL_DIV):
+    """``q_divisibility_check`` as it was before the inverse certificate,
+    kept as the reference: the singular values of e_10 are always computed
+    and cut by ``numerical_rank`` before any inverse is taken."""
+    _same_dimension(e_20.n, e_10.n, "e_20", "e_10")
+    sv_10 = np.linalg.svd(e_10.matrix, compute_uv=False)
+    rank_10 = numerical_rank(sv_10, tolerance)
+    unique = rank_10 == sv_10.size
+    if unique:
+        candidate = e_20.matrix @ np.linalg.inv(e_10.matrix)
+    else:
+        u, s, vh = np.linalg.svd(e_10.matrix)
+        scaled = e_20.matrix @ vh[:rank_10].conj().T / s[:rank_10]
+        candidate = scaled @ u[:, :rank_10].conj().T
+        recon = float(np.abs(candidate @ e_10.matrix - e_20.matrix).max())
+        allowed = tolerance + np.linalg.norm(scaled, 2) * s[rank_10]
+        if not recon <= allowed:
+            sv_20 = np.linalg.svd(e_20.matrix, compute_uv=False)
+            rank_20 = numerical_rank(sv_20, tolerance)
+            reason = (f"rank obstruction: rank {rank_10} cannot factor rank {rank_20}"
+                      if rank_10 < rank_20 else
+                      f"no linear factorization exists (residual {recon:.3e})")
+            return QDivisibilityResult("indivisible", None, None, reason,
+                                       candidate=candidate)
+    choi = _reshuffle(candidate, e_10.n)
+    asymmetry = float(np.abs(choi - choi.conj().T).max())
+    report = None
+    if asymmetry <= max(TOL_HERM, tolerance):
+        if asymmetry > TOL_HERM:
+            candidate = _reshuffle((choi + choi.conj().T) / 2.0, e_10.n)
+        report = check_cptp(SuperOperator(candidate),
+                            tol_tp=max(TOL_TP, tolerance),
+                            tol_psd=max(TOL_PSD, tolerance))
+        if report.passed:
+            reason = ("unique factor is CPTP" if unique
+                      else "pseudo-inverse factor is CPTP")
+            return QDivisibilityResult("divisible", SuperOperator(candidate),
+                                       report, reason, candidate=candidate)
+    reason = ("earlier map is invertible and its unique factor is not CPTP"
+              if unique else
+              "factor on the range of the earlier map is not CPTP; a CPTP "
+              "completion off that range is not searched")
+    return QDivisibilityResult("indivisible" if unique else "inconclusive",
+                               None, report, reason, candidate=candidate)
+
+
+def q_bits(r):
+    """A quantum divisibility result as comparable bits: verdict, reason,
+    candidate and witness bytes, and the CPTP report."""
+    return (r.verdict, r.reason,
+            None if r.candidate is None else r.candidate.tobytes(),
+            None if r.witness is None else r.witness.matrix.tobytes(),
+            r.cptp_report)
+
+
+def outcome(fn, *args, bits=q_bits):
+    """``bits`` of what ``fn(*args)`` returns, or the type and message of
+    what it raises, with the warnings it gives on the way."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            result = bits(fn(*args))
+        except Exception as exc:  # the exception is the outcome compared
+            result = ("raised", type(exc).__name__, str(exc))
+    return result, [(w.category.__name__, str(w.message)) for w in caught]
+
+
+def depolarizing(d, q):
+    """Superoperator of ``rho -> q rho + (1 - q) tr(rho) I / d``."""
+    v = np.eye(d).reshape(-1, order="F")
+    return q * np.eye(d * d) + (1.0 - q) / d * np.outer(v, v)
+
+
+def random_channel(rng, d, rank):
+    g = rng.normal(size=(rank, d, d)) + 1j * rng.normal(size=(rank, d, d))
+    w, v = np.linalg.eigh(np.einsum("bji,bjk->ik", g.conj(), g))
+    kraus = g @ ((v / np.sqrt(w)) @ v.conj().T)
+    return sum(np.kron(k.conj(), k) for k in kraus)

@@ -60,6 +60,7 @@ def test_families_that_compose_by_construction_pass_at_rounding_level(kind, n):
     assert report.max_composition_residual <= 1e-12
     assert report.max_identity_residual <= 1e-12
     assert report.min_choi_eigenvalue >= -1e-12
+    assert report.max_choi_asymmetry <= 1e-12
 
 
 @pytest.mark.parametrize("n", DIMENSIONS)
@@ -111,3 +112,19 @@ def test_transpose_generator_composes_but_is_not_cptp():
         SuperOperator(swap - np.eye(n * n)), [0.0, 0.25, 0.5]))
     assert half.min_choi_eigenvalue == pytest.approx(-np.exp(-0.5) * np.sinh(0.5))
 
+
+
+def test_phase_generator_composes_but_fails_on_its_choi_asymmetry():
+    # L = iI generates S(t, s) = exp(i(t - s)) I, which composes exactly, but
+    # the member's Choi matrix exp(i(t - s)) |Omega><Omega| is not Hermitian:
+    # its worst asymmetry is 2 sin(t - s). The checklist fails it and reports
+    # that number rather than raising.
+    family = SuperOperatorFamily.from_generator(SuperOperator(1j * np.eye(4)),
+                                                [0.0, 0.5, 1.0])
+    report = ck_checklist(family)
+    assert not report.passed
+    assert report.max_identity_residual == 0.0
+    assert report.max_composition_residual <= 1e-15
+    assert report.max_choi_asymmetry == pytest.approx(2 * np.sin(1.0))
+    # The Hermitian part cos(t - s) |Omega><Omega| is positive semidefinite.
+    assert report.min_choi_eigenvalue == pytest.approx(0.0, abs=1e-15)

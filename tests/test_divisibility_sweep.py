@@ -20,7 +20,8 @@ from stoqlift import (StochasticKernel, SuperOperator, c_divisibility_check,
                       q_divisibility_check, theorem1_check)
 from stoqlift.kernels import TOL_DIV
 
-from conftest import kernel_of_nullity, lazy_kernel, reference_feasible
+from conftest import (depolarizing, kernel_of_nullity, lazy_kernel, outcome, q_bits,
+                      random_channel, reference_feasible, svd_rule_q_divisibility)
 
 DECADES = list(range(2, 15)) + [None]  # None: exactly singular
 
@@ -53,19 +54,6 @@ def classical_pair(decade, seed, divisible):
     if divisible:
         return rng.dirichlet(np.ones(n), size=n).T @ g10, g10
     return np.eye(n), g10
-
-
-def depolarizing(d, q):
-    """Superoperator of ``rho -> q rho + (1 - q) tr(rho) I / d``."""
-    v = np.eye(d).reshape(-1, order="F")
-    return q * np.eye(d * d) + (1.0 - q) / d * np.outer(v, v)
-
-
-def random_channel(rng, d, rank):
-    g = rng.normal(size=(rank, d, d)) + 1j * rng.normal(size=(rank, d, d))
-    w, v = np.linalg.eigh(np.einsum("bji,bjk->ik", g.conj(), g))
-    kraus = g @ ((v / np.sqrt(w)) @ v.conj().T)
-    return sum(np.kron(k.conj(), k) for k in kraus)
 
 
 def quantum_pair(decade, seed, divisible):
@@ -104,6 +92,29 @@ class TestConditionSweep:
             verdict = theorem1_check(SuperOperator(e10), SuperOperator(e20))
             assert verdict.q_divisible == divisible
             assert verdict.c_divisible == divisible
+
+    @pytest.mark.parametrize("tolerance", [TOL_DIV, 0.0])
+    def test_quantum_matches_svd_rule(self, decade, seed, tolerance):
+        for divisible in (True, False):
+            e20, e10 = map(SuperOperator, quantum_pair(decade, seed, divisible))
+            assert (outcome(q_divisibility_check, e20, e10, tolerance)
+                    == outcome(svd_rule_q_divisibility, e20, e10, tolerance))
+
+    @pytest.mark.parametrize("tolerance", [TOL_DIV, 0.0])
+    def test_theorem1_matches_svd_rule(self, decade, seed, tolerance, monkeypatch):
+        def bits(v):
+            return (q_bits(v.q_result), v.q_divisible, v.c_divisible,
+                    v.theorem_applies, v.all_diagonal_at_t1, v.max_offdiagonal_mass,
+                    v.factorization_residual,
+                    None if v.c_witness is None else v.c_witness.matrix.tobytes())
+
+        for divisible in (True, False):
+            e20, e10 = map(SuperOperator, quantum_pair(decade, seed, divisible))
+            ours = outcome(theorem1_check, e10, e20, tolerance, bits=bits)
+            monkeypatch.setattr(stoqlift.division, "q_divisibility_check",
+                                svd_rule_q_divisibility)
+            assert ours == outcome(theorem1_check, e10, e20, tolerance, bits=bits)
+            monkeypatch.undo()
 
     def test_zero_tolerance_gives_no_false_positive(self, decade, seed):
         g20, g10 = classical_pair(decade, seed, False)

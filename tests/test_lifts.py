@@ -164,6 +164,28 @@ class TestKrausMap:
         with pytest.raises(ValidationError, match="at least one nonzero operator"):
             KrausMap(ops)
 
+    def test_choi_product_is_formed_once_and_read_only(self, rng):
+        kmap = random_kraus_map(rng, 3, 4)
+        choi = kmap._choi()
+        assert kmap._choi() is choi and not choi.flags.writeable
+        with pytest.raises(ValueError):
+            choi[0, 0] = 1.0
+
+    def test_cached_choi_gives_the_bits_of_a_fresh_map(self, rng):
+        kmap = random_kraus_map(rng, 3, 4)
+        report = check_cptp(kmap)  # forms the product first here
+        fresh = KrausMap(kmap.operators)
+        assert (to_superoperator(kmap).matrix.tobytes()
+                == to_superoperator(fresh).matrix.tobytes())
+        assert check_cptp(fresh) == report == check_cptp(kmap)
+
+    def test_choi_from_kraus_is_an_independent_copy(self, rng):
+        kmap = random_kraus_map(rng, 3, 4)
+        first, second = choi_from_kraus(kmap), choi_from_kraus(kmap)
+        np.testing.assert_array_equal(first.matrix, kmap._choi())
+        assert not np.shares_memory(first.matrix, kmap._choi())
+        assert not np.shares_memory(first.matrix, second.matrix)
+
 
 class TestLeftRightMap:
     def test_operators_are_read_only_views_in_input_order(self):

@@ -1,0 +1,120 @@
+"""The inverse certificate of ``q_divisibility_check`` against the SVD rule.
+
+When ``|e_10|_F |inv(e_10)|_F`` is at most a quarter of the condition limit
+of ``_arrays.numerical_rank``, the check takes no SVD. These tests hold it
+to the reference ``svd_rule_q_divisibility`` of ``conftest``, which always
+cuts the singular values first: same verdict, reason, candidate and
+witness bits, same exception, and no new warning.
+"""
+
+import numpy as np
+import pytest
+
+from stoqlift import SuperOperator, q_divisibility_check
+from stoqlift._arrays import EPS, inverse_certifies_full_rank, numerical_rank
+from stoqlift.kernels import TOL_DIV
+
+from conftest import depolarizing, outcome, random_channel, svd_rule_q_divisibility
+
+
+def limit(n, tolerance):
+    """The condition limit of ``numerical_rank`` for an n x n map."""
+    return max(tolerance, n * EPS) / (n * EPS)
+
+
+def assert_matches_svd_rule(e20, e10, tolerance=TOL_DIV):
+    e20, e10 = SuperOperator(e20), SuperOperator(e10)
+    ours = outcome(q_divisibility_check, e20, e10, tolerance)
+    assert ours == outcome(svd_rule_q_divisibility, e20, e10, tolerance)
+    return ours
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+@pytest.mark.parametrize("tolerance", [TOL_DIV, 1e-6])
+def test_depolarizing_steps_across_both_limits(d, tolerance):
+    # cond_2 of depolarizing(d, q) is 1/q, and |A|_F |A^-1|_F is about
+    # sqrt(d^2 - 1)/q: the steps of 1/q run from well inside the
+    # certificate, past it and past the rule's limit.
+    n = d * d
+    rng = np.random.default_rng(d)
+    routes = set()
+    for inv_q in np.geomspace(limit(n, tolerance) / (40 * n), 40 * limit(n, tolerance), 31):
+        e10 = depolarizing(d, 1.0 / inv_q)
+        certified = inverse_certifies_full_rank(e10, np.linalg.inv(e10), tolerance)
+        full = numerical_rank(np.linalg.svd(e10, compute_uv=False), tolerance) == n
+        assert full or not certified
+        routes.add((certified, full))
+        for e20 in (random_channel(rng, d, 2) @ e10, np.eye(n)):
+            assert_matches_svd_rule(e20, e10, tolerance)
+    assert routes == {(True, True), (False, True), (False, False)}
+
+
+def test_svd_runs_only_without_the_certificate(monkeypatch):
+    calls = []
+    svd = np.linalg.svd
+
+    def counting_svd(a, *args, **kwargs):
+        calls.append(kwargs.get("compute_uv", True))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    rng = np.random.default_rng(0)
+    e10 = depolarizing(2, 0.5)
+    e20 = random_channel(rng, 2, 2) @ e10
+    result = q_divisibility_check(SuperOperator(e20), SuperOperator(e10))
+    assert result.verdict == "divisible" and calls == []
+    e10 = depolarizing(2, 0.0)
+    result = q_divisibility_check(SuperOperator(depolarizing(2, 0.0)), SuperOperator(e10))
+    assert result.verdict == "divisible"
+    assert calls.count(False) == 1  # the rule's one values-only SVD
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_earlier_map(bad):
+    e10 = depolarizing(2, 0.5)
+    e10[1, 2] = bad
+    # NaN makes the rule's SVD raise; an infinite entry leaves rank 0, and
+    # the reconstruction residual warns on inf * 0, as the rule did.
+    result, _ = assert_matches_svd_rule(np.eye(4), e10)
+    assert result[0] == ("raised" if np.isnan(bad) else "indivisible")
+
+
+def test_exactly_singular_earlier_map():
+    rng = np.random.default_rng(1)
+    for e10 in (depolarizing(2, 0.0), np.zeros((4, 4))):
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.inv(e10)
+        for e20 in (random_channel(rng, 2, 1) @ e10, np.eye(4)):
+            assert_matches_svd_rule(e20, e10)
+            assert_matches_svd_rule(e20, e10, 0.0)
+
+
+@pytest.mark.parametrize("scale", [1e-160, 1e-310])
+def test_tiny_earlier_map_whose_inverse_overflows(scale):
+    # At 1e-160 the inverse is finite but its Frobenius norm overflows; at
+    # 1e-310 (subnormal) the inverse itself is infinite.
+    e10 = scale * depolarizing(2, 0.5)
+    with np.errstate(over="ignore"):
+        assert not np.isfinite(np.linalg.norm(np.linalg.inv(e10)))
+    for e20 in (depolarizing(2, 0.5), np.eye(4)):
+        assert_matches_svd_rule(e20, e10)
+
+
+def test_certificate_bounds():
+    a = depolarizing(2, 0.5)
+    inv = np.linalg.inv(a)
+    assert inverse_certifies_full_rank(a, inv, TOL_DIV)
+    # No product of norms is at most a quarter of the limit 1 at tolerance 0.
+    assert not inverse_certifies_full_rank(a, inv, 0.0)
+    # The rule keeps no direction at an infinite or NaN tolerance.
+    for tolerance in (np.inf, np.nan):
+        assert numerical_rank(np.linalg.svd(a, compute_uv=False), tolerance) == 0
+        assert not inverse_certifies_full_rank(a, inv, tolerance)
+    # A limit above 1 / (n eps) is capped there, so n eps times the product
+    # stays at most 1/4: this product is within a quarter of the limit at
+    # tolerance 1e3 but certifies nothing.
+    bad = depolarizing(2, 1e-15)
+    bad_inv = np.linalg.inv(bad)
+    product = np.linalg.norm(bad) * np.linalg.norm(bad_inv)
+    assert 4 * product <= limit(4, 1e3) and 4 * EPS * product > 0.25
+    assert not inverse_certifies_full_rank(bad, bad_inv, 1e3)
