@@ -12,15 +12,15 @@ Run:  python3 demos/lift_dictionary.py
 
 import numpy as np
 
-from stoqlift import (ProbabilityVector, canonical_lift,
+from stoqlift import (ProbabilityVector, StochasticKernel, canonical_lift,
                       compatibility_check, dephase, dictionary_kernel,
                       embed_diagonal, readout, apply_kraus)
-from stoqlift.random_ops import random_stochastic
 
 np.set_printoptions(precision=6, suppress=True)
 
 rng = np.random.default_rng(42)
-gamma = random_stochastic(rng, 3)
+draw = rng.random((3, 3)) + 1e-12  # strictly positive columns, normalized
+gamma = StochasticKernel(draw / draw.sum(axis=0))
 print("random 3-state transition matrix (columns are distributions):")
 print(gamma.matrix)
 

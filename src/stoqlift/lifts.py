@@ -548,13 +548,14 @@ def q_divisibility_check(e_20: SuperOperator, e_10: SuperOperator,
                          tolerance: float = TOL_DIV) -> QDivisibilityResult:
     """Decide whether e_20 factors through e_10 as a quantum channel.
 
-    e_10's singular values are cut by the classical check's rule
-    (``_arrays.numerical_rank``). With none cut the factor
-    ``e_20 @ inv(e_10)`` is unique and its CPTP check decides. The inverse
-    comes first, and no SVD is taken when ``|e_10|_F |inv(e_10)|_F``, a
-    bound on cond_2(e_10), is at most a fixed quarter of the rule's limit
-    ``max(tolerance, n eps) / (n eps)`` (see
-    ``_arrays.inverse_certifies_full_rank``). Otherwise the candidate
+    A NaN or infinite entry in either map raises ``ValidationError``. e_10 is
+    inverted by LU once, and no SVD is taken if ``|e_10|_F |inv(e_10)|_F``,
+    a bound on cond_2(e_10), is at most a fixed quarter of the limit
+    ``max(tolerance, n eps) / (n eps)`` (``_arrays.inverse_certifies_full_rank``).
+    Otherwise, LU singular included, one full SVD of e_10 is cut by the
+    classical check's rule (``_arrays.numerical_rank``). With none cut, the
+    CPTP check of the unique factor ``e_20 @ inv(e_10)`` (``e_20 V S^-1
+    U^dagger`` if LU found e_10 singular) decides. Otherwise the candidate
     ``e_20 V_r S_r^-1 U_r^dagger`` of a cut map must reproduce e_20 to
     within ``tolerance + |candidate|_2 s_(r+1)``, or the pair is
     indivisible (a rank obstruction when e_20 has the larger rank); a
@@ -563,23 +564,25 @@ def q_divisibility_check(e_20: SuperOperator, e_10: SuperOperator,
     symmetrized away first.
     """
     _same_dimension(e_20.n, e_10.n, "e_20", "e_10")
+    for name, m in (("e_20", e_20.matrix), ("e_10", e_10.matrix)):
+        if not np.isfinite(m).all():
+            raise ValidationError(f"{name} has a non-finite entry (NaN or infinity)")
     try:
         inverse = np.linalg.inv(e_10.matrix)
-    except np.linalg.LinAlgError:  # exactly singular: the SVD rule decides
+    except np.linalg.LinAlgError:  # exactly singular to LU: the SVD decides
         inverse = None
-    unique = (inverse is not None
-              and _inverse_certifies_full_rank(e_10.matrix, inverse, tolerance))
-    if not unique:
-        sv_10 = np.linalg.svd(e_10.matrix, compute_uv=False)
-        rank_10 = _numerical_rank(sv_10, tolerance)
-        unique = rank_10 == sv_10.size
-    if unique:  # a full-rank map that LU finds singular raises here
-        candidate = e_20.matrix @ (np.linalg.inv(e_10.matrix) if inverse is None
-                                   else inverse)
-    else:
+    rank_10 = size = e_10.matrix.shape[0]
+    if inverse is None or not _inverse_certifies_full_rank(e_10.matrix, inverse,
+                                                           tolerance):
         u, s, vh = np.linalg.svd(e_10.matrix)
+        rank_10 = _numerical_rank(s, tolerance)
+    unique = rank_10 == size
+    if unique and inverse is not None:
+        candidate = e_20.matrix @ inverse
+    else:
         scaled = e_20.matrix @ vh[:rank_10].conj().T / s[:rank_10]
         candidate = scaled @ u[:, :rank_10].conj().T
+    if not unique:
         recon = float(np.abs(candidate @ e_10.matrix - e_20.matrix).max())
         allowed = tolerance + np.linalg.norm(scaled, 2) * s[rank_10]
         if not recon <= allowed:

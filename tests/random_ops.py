@@ -8,8 +8,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .kernels import ProbabilityVector, RateMatrix, StochasticKernel
-from .lifts import KrausMap, SuperOperator, to_superoperator
+from stoqlift.kernels import ProbabilityVector, RateMatrix, StochasticKernel
+from stoqlift.lifts import KrausMap, SuperOperator, to_superoperator
 
 
 def random_probability_vector(rng: np.random.Generator, n: int) -> ProbabilityVector:

@@ -19,11 +19,11 @@ from stoqlift import (GkslGenerator, KernelFamily, KrausMap,
                       short_time_derivatives, theorem1_check,
                       theta_markov_triviality_demo, to_superoperator,
                       two_step_kernel)
-from stoqlift.random_ops import (random_cptp_superoperator, random_density,
-                                 random_kraus_map, random_rate_matrix,
-                                 random_stochastic)
 
 from conftest import HADAMARD, PAULI_X
+from random_ops import (random_cptp_superoperator, random_density,
+                        random_kraus_map, random_rate_matrix,
+                        random_stochastic)
 
 SYM_RATE = np.array([[-1.0, 1.0], [1.0, -1.0]])
 

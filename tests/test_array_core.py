@@ -26,8 +26,9 @@ from stoqlift import (DensityOperator, DimensionMismatchError, GkslGenerator,
                       theorem1_check, three_time_freedom, to_superoperator,
                       two_step_kernel, unvec, vec)
 from stoqlift._arrays import KRAUS_DROP_NORM
-from stoqlift.random_ops import (random_density, random_kraus_map,
-                                 random_probability_vector, random_stochastic)
+
+from random_ops import (random_density, random_kraus_map,
+                        random_probability_vector, random_stochastic)
 
 EPS = np.finfo(float).eps
 DIMS = (1, 2, 3, 5)

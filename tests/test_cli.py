@@ -592,7 +592,7 @@ class TestThetaLiftReadsOneKrausMap:
     def test_residual_and_kernel_match_the_conjugation_report(self, capsys,
                                                               tmp_path, seed):
         from stoqlift import theta_conjugation_lift
-        from stoqlift.random_ops import random_unitary
+        from random_ops import random_unitary
         theta = random_unitary(np.random.default_rng(seed), 3)
         conj = theta_conjugation_lift(theta)
         theta_file, kernel_file = tmp_path / "theta.json", tmp_path / "kernel.json"

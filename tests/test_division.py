@@ -8,10 +8,10 @@ from stoqlift import (DimensionMismatchError, KrausMap, ProbabilityVector,
                       environment_division_scenario, gksl_superoperator,
                       partial_trace, tensor_superoperator, theorem1_check,
                       to_superoperator, unvec, vec)
-from stoqlift.random_ops import (random_cptp_superoperator, random_density,
-                                 random_rate_matrix, random_unitary)
 
 from conftest import HADAMARD
+from random_ops import (random_cptp_superoperator, random_density,
+                        random_rate_matrix, random_unitary)
 
 MIX = np.array([[0.5, 0.5], [0.5, 0.5]])
 IDENTITY_2 = SuperOperator.identity(2)

@@ -13,9 +13,9 @@ from stoqlift import (DensityOperator, DimensionMismatchError, GkslGenerator,
                       generator_from_family, gksl_superoperator, propagate,
                       propagate_piecewise, readout, short_time_kraus, unvec,
                       vec)
-from stoqlift.random_ops import random_rate_matrix
 
 from conftest import PAULI_X
+from random_ops import random_rate_matrix
 
 PAULI_Z = np.diag([1.0, -1.0])
 DECAY = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)  # |0><1|

@@ -1,9 +1,8 @@
-"""The feasibility route of ``c_divisibility_check``.
-
-These tests once covered a hand-written phase-1 simplex and keep its test
-names; they now check the route that replaced it (interval certificate,
-norm certificate and elastic HiGHS program) against the n^2 + n program of
-``conftest.loop_feasibility_program``, solved by scipy.
+"""The feasibility route of ``c_divisibility_check``: the interval
+certificate, the norm certificate and the elastic HiGHS program, checked
+against the n^2 + n program of ``conftest.loop_feasibility_program``,
+solved by scipy. Some test names still speak of a simplex; that solver
+was replaced by this route, and the names were kept.
 """
 
 import numpy as np

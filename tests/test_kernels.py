@@ -11,10 +11,10 @@ from stoqlift import (DimensionMismatchError, KernelFamily, ProbabilityVector,
                       short_time_derivatives, theta_markov_triviality_demo,
                       validate_kernel)
 from stoqlift.kernels import TOL_DIV
-from stoqlift.random_ops import random_stochastic
 
 from conftest import (PAULI_X, loop_feasibility_program, reference_feasible,
                       signed_factor_pair)
+from random_ops import random_stochastic
 
 FLIP = np.array([[0.0, 1.0], [1.0, 0.0]])
 MIX = np.array([[0.5, 0.5], [0.5, 0.5]])

@@ -14,11 +14,11 @@ from stoqlift import (DensityOperator, DimensionMismatchError, KrausMap,
                       readout, superop_kernel_extract, theta_conjugation_lift,
                       to_superoperator, unvec, vec)
 from stoqlift.lifts import _reshuffle
-from stoqlift.random_ops import (random_density, random_kraus_map,
-                                 random_probability_vector, random_stochastic,
-                                 random_unitary)
 
 from conftest import HADAMARD
+from random_ops import (random_density, random_kraus_map,
+                        random_probability_vector, random_stochastic,
+                        random_unitary)
 
 FLIP = np.array([[0.0, 1.0], [1.0, 0.0]])
 MIX = np.array([[0.5, 0.5], [0.5, 0.5]])

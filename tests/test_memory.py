@@ -10,10 +10,10 @@ from stoqlift import (DimensionMismatchError, KrausMap, PovmEffects,
                       one_step_indistinguishable, povm_from_channel,
                       three_time_freedom, two_step_difference,
                       two_step_kernel)
-from stoqlift.random_ops import (random_density, random_kraus_map,
-                                 random_stochastic, random_unitary)
 
 from conftest import HADAMARD
+from random_ops import (random_density, random_kraus_map,
+                        random_stochastic, random_unitary)
 
 FLIP = np.array([[0.0, 1.0], [1.0, 0.0]])
 MIX = np.array([[0.5, 0.5], [0.5, 0.5]])

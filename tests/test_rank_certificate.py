@@ -1,18 +1,24 @@
 """The inverse certificate of ``q_divisibility_check`` against the SVD rule.
 
 When ``|e_10|_F |inv(e_10)|_F`` is at most a quarter of the condition limit
-of ``_arrays.numerical_rank``, the check takes no SVD. These tests hold it
-to the reference ``svd_rule_q_divisibility`` of ``conftest``, which always
-cuts the singular values first: same verdict, reason, candidate and
-witness bits, same exception, and no new warning.
+of ``_arrays.numerical_rank``, the check takes no SVD, and otherwise one full
+SVD. These tests hold it to the reference ``svd_rule_q_divisibility`` of
+``conftest``, which always cuts the singular values first: same verdict,
+reason, candidate and witness bits, same exception, and no new warning.
+Where the reference fails on valid input, a full-rank map that LU finds
+singular, the check answers from its SVD; a non-finite map it refuses.
 """
+
+import json
 
 import numpy as np
 import pytest
 
 from stoqlift import SuperOperator, q_divisibility_check
 from stoqlift._arrays import EPS, inverse_certifies_full_rank, numerical_rank
+from stoqlift.cli import main
 from stoqlift.kernels import TOL_DIV
+from stoqlift.serialization import dump_json, superoperator_to_json
 
 from conftest import depolarizing, outcome, random_channel, svd_rule_q_divisibility
 
@@ -50,33 +56,51 @@ def test_depolarizing_steps_across_both_limits(d, tolerance):
 
 
 def test_svd_runs_only_without_the_certificate(monkeypatch):
-    calls = []
-    svd = np.linalg.svd
+    calls, inverses = [], []
+    svd, inv = np.linalg.svd, np.linalg.inv
 
     def counting_svd(a, *args, **kwargs):
         calls.append(kwargs.get("compute_uv", True))
         return svd(a, *args, **kwargs)
 
+    def counting_inv(a):
+        inverses.append(a.shape)
+        return inv(a)
+
     monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    monkeypatch.setattr(np.linalg, "inv", counting_inv)
     rng = np.random.default_rng(0)
     e10 = depolarizing(2, 0.5)
     e20 = random_channel(rng, 2, 2) @ e10
     result = q_divisibility_check(SuperOperator(e20), SuperOperator(e10))
-    assert result.verdict == "divisible" and calls == []
+    assert result.verdict == "divisible" and calls == [] and len(inverses) == 1
     e10 = depolarizing(2, 0.0)
     result = q_divisibility_check(SuperOperator(depolarizing(2, 0.0)), SuperOperator(e10))
     assert result.verdict == "divisible"
-    assert calls.count(False) == 1  # the rule's one values-only SVD
+    assert calls == [True]  # one SVD, with vectors
+    assert len(inverses) == 2  # the second raised: LU finds e10 singular
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_non_finite_earlier_map(bad):
     e10 = depolarizing(2, 0.5)
     e10[1, 2] = bad
-    # NaN makes the rule's SVD raise; an infinite entry leaves rank 0, and
-    # the reconstruction residual warns on inf * 0, as the rule did.
-    result, _ = assert_matches_svd_rule(np.eye(4), e10)
-    assert result[0] == ("raised" if np.isnan(bad) else "indivisible")
+    result, caught = outcome(q_divisibility_check, SuperOperator(np.eye(4)),
+                             SuperOperator(e10))
+    assert result == ("raised", "ValidationError",
+                      "e_10 has a non-finite entry (NaN or infinity)")
+    assert caught == []
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_later_map(bad):
+    e20 = np.eye(4)
+    e20[1, 2] = bad
+    result, caught = outcome(q_divisibility_check, SuperOperator(e20),
+                             SuperOperator(depolarizing(2, 0.5)))
+    assert result == ("raised", "ValidationError",
+                      "e_20 has a non-finite entry (NaN or infinity)")
+    assert caught == []
 
 
 def test_exactly_singular_earlier_map():
@@ -98,6 +122,25 @@ def test_tiny_earlier_map_whose_inverse_overflows(scale):
         assert not np.isfinite(np.linalg.norm(np.linalg.inv(e10)))
     for e20 in (depolarizing(2, 0.5), np.eye(4)):
         assert_matches_svd_rule(e20, e10)
+
+
+def test_full_rank_map_that_lu_finds_singular(tmp_path, capsys):
+    # At tolerance 1e6 the rule keeps all four singular values of this rank-2
+    # matrix, yet LU finds it exactly singular: the SVD forms the factor.
+    e10 = np.arange(1.0, 17.0).reshape(4, 4)
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.inv(e10)
+    assert numerical_rank(np.linalg.svd(e10, compute_uv=False), 1e6) == 4
+    result = q_divisibility_check(SuperOperator(np.eye(4)), SuperOperator(e10), 1e6)
+    assert result.verdict == "indivisible" and result.witness is None
+    assert result.reason == "earlier map is invertible and its unique factor is not CPTP"
+    paths = [tmp_path / "later.json", tmp_path / "earlier.json"]
+    for path, m in zip(paths, (np.eye(4), e10)):
+        dump_json(superoperator_to_json(SuperOperator(m)), path)
+    code = main(["--tol", "1e6", "divisibility", "--mode", "quantum", *map(str, paths)])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert json.loads(out)["verdicts"]["verdict"] == "indivisible"
 
 
 def test_certificate_bounds():

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from stoqlift import GkslGenerator, ProbabilityVector, StochasticKernel
-from stoqlift.random_ops import random_kraus_map, random_stochastic
 from stoqlift.serialization import (SerializationError,
                                     complex_matrix_from_json,
                                     complex_matrix_to_json, detect_kind,
@@ -14,6 +13,8 @@ from stoqlift.serialization import (SerializationError,
                                     superoperator_from_json,
                                     superoperator_to_json)
 from stoqlift.lifts import to_superoperator
+
+from random_ops import random_kraus_map, random_stochastic
 
 
 def test_kernel_roundtrip(rng):

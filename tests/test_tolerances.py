@@ -15,9 +15,8 @@ from stoqlift import _arrays
 SRC = Path(_arrays.__file__).resolve().parent
 
 #: Float literals of the form ``1e-9`` that are not tolerances: the floor
-#: nudge in ``dtmc_to_ctmc_scaling`` and the positivity offsets of the random
-#: kernels and vectors.
-NOT_TOLERANCES = {"kernels.py": ["1e-9"], "random_ops.py": ["1e-12", "1e-12"]}
+#: nudge in ``dtmc_to_ctmc_scaling``.
+NOT_TOLERANCES = {"kernels.py": ["1e-9"]}
 
 #: Module-level names that existed before the table and must keep importing.
 REEXPORTS = {
