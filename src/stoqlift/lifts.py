@@ -115,9 +115,10 @@ class KrausMap:
     ``KRAUS_DROP_NORM``) are dropped at construction; a non-finite one is
     kept, so its map is not trace preserving. Trace preservation is
     recorded as a checked flag, not required: short-time maps are only trace
-    preserving to leading order. ``canonical_reduction`` re-extracts at most
-    N^2 operators from the Choi spectrum when a redundant set has
-    accumulated, e.g. by composition.
+    preserving to leading order. The Choi matrix and, on the first
+    ``check_cptp``, its spectrum are formed once, as the map is immutable.
+    ``canonical_reduction`` re-extracts at most N^2 operators from the Choi
+    spectrum when a redundant set has accumulated, e.g. by composition.
     """
 
     def __init__(self, operators: Iterable[np.ndarray], tol_tp: float = TOL_TP):
@@ -132,6 +133,7 @@ class KrausMap:
         self.completeness_residual = float(
             np.abs(rows.conj().T @ rows - np.eye(n)).max())
         self.trace_preserving = self.completeness_residual <= tol_tp
+        self._checked_choi: list[ChoiMatrix] = []  # filled by check_cptp
 
     @property
     def operators(self) -> tuple[np.ndarray, ...]:
@@ -217,7 +219,13 @@ class LeftRightMap:
 
 
 class SuperOperator:
-    """N^2 x N^2 matrix acting on column-stacked vectorized operators."""
+    """N^2 x N^2 matrix acting on column-stacked vectorized operators.
+
+    Its Choi matrix is checked and diagonalised on the first ``check_cptp``
+    and kept. One made by ``to_superoperator`` from a Kraus map shares that
+    map's Choi matrix and spectrum, the same bits since the reshuffle is an
+    involution, so the form checked second costs no diagonalisation.
+    """
 
     def __init__(self, matrix):
         m = _square(matrix, "superoperator")
@@ -227,6 +235,7 @@ class SuperOperator:
                 f"superoperator side {m.shape[0]} is not a perfect square")
         self._matrix = _frozen(m.copy())
         self._n = n
+        self._checked_choi: list[ChoiMatrix] = []  # filled by check_cptp
 
     @property
     def matrix(self) -> np.ndarray:
@@ -365,9 +374,18 @@ class CptpReport:
 
 def check_cptp(map_: KrausMap | SuperOperator, tol_tp: float = TOL_TP,
                tol_psd: float = TOL_PSD) -> CptpReport:
-    """Report whether a map is a quantum channel (CPTP)."""
+    """Report whether a map is a quantum channel (CPTP).
+
+    The map's Choi matrix is diagonalised on its first check and kept, and a
+    superoperator from ``to_superoperator`` shares its Kraus map's, so each
+    Choi matrix is diagonalised at most once. The tolerances are applied on
+    every call; a Choi matrix too asymmetric to be Hermitian raises
+    ``ValidationError`` on every call.
+    """
     tp_residual = _supported(map_, KrausMap, SuperOperator)._tp_residual()
-    choi = ChoiMatrix(map_._choi())
+    if not map_._checked_choi:  # kept only once formed, so a refusal recurs
+        map_._checked_choi.append(ChoiMatrix(map_._choi()))
+    choi = map_._checked_choi[0]
     return CptpReport(tp_residual <= tol_tp, tp_residual,
                       choi.is_completely_positive(tol_psd),
                       choi.min_eigenvalue)
@@ -514,9 +532,18 @@ def compatibility_check(map_: MapLike, gamma: StochasticKernel,
 
 
 def to_superoperator(map_: KrausMap | LeftRightMap) -> SuperOperator:
-    """Liouville matrix of an operator-sum or left-right map."""
+    """Liouville matrix of an operator-sum or left-right map.
+
+    Nothing is checked or diagonalised here. The superoperator of a Kraus
+    map shares the map's slot for its checked Choi matrix, so that
+    ``check_cptp`` of either form diagonalises their one Choi matrix at most
+    once; it keeps no reference to the map itself.
+    """
     choi = _supported(map_, KrausMap, LeftRightMap)._choi()
-    return SuperOperator(_reshuffle(choi, map_.n))
+    s = SuperOperator(_reshuffle(choi, map_.n))
+    if isinstance(map_, KrausMap):
+        s._checked_choi = map_._checked_choi
+    return s
 
 
 def superop_kernel_extract(s: SuperOperator) -> np.ndarray:
@@ -607,9 +634,13 @@ def q_divisibility_check(e_20: SuperOperator, e_10: SuperOperator,
                       else "pseudo-inverse factor is CPTP")
             return QDivisibilityResult("divisible", witness, report, reason,
                                        candidate=candidate)
-    reason = ("earlier map is invertible and its unique factor is not CPTP"
-              if unique else
-              "factor on the range of the earlier map is not CPTP; a CPTP "
-              "completion off that range is not searched")
+    if not unique:
+        reason = ("factor on the range of the earlier map is not CPTP; a CPTP "
+                  "completion off that range is not searched")
+    elif inverse is not None:
+        reason = "earlier map is invertible and its unique factor is not CPTP"
+    else:
+        reason = ("earlier map is singular to LU but full rank at this "
+                  "tolerance, and its factor is not CPTP")
     return QDivisibilityResult("indivisible" if unique else "inconclusive",
                                None, report, reason, candidate=candidate)

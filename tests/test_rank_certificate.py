@@ -133,7 +133,8 @@ def test_full_rank_map_that_lu_finds_singular(tmp_path, capsys):
     assert numerical_rank(np.linalg.svd(e10, compute_uv=False), 1e6) == 4
     result = q_divisibility_check(SuperOperator(np.eye(4)), SuperOperator(e10), 1e6)
     assert result.verdict == "indivisible" and result.witness is None
-    assert result.reason == "earlier map is invertible and its unique factor is not CPTP"
+    assert result.reason == ("earlier map is singular to LU but full rank at this "
+                             "tolerance, and its factor is not CPTP")
     paths = [tmp_path / "later.json", tmp_path / "earlier.json"]
     for path, m in zip(paths, (np.eye(4), e10)):
         dump_json(superoperator_to_json(SuperOperator(m)), path)
