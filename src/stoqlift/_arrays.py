@@ -134,11 +134,12 @@ def square_stack(ops, name: str) -> np.ndarray:
     return np.stack(mats) if mats else np.empty((0, 0, 0), dtype=complex)
 
 
-def require_hermitian(m: np.ndarray, tol: float, name: str) -> None:
-    """Raise unless the worst entry of ``m - m^dagger`` is at most ``tol``."""
+def require_hermitian(m: np.ndarray, tol: float, name: str) -> float:
+    """The worst entry of ``m - m^dagger``; raise unless it is at most ``tol``."""
     err = float(np.abs(m - m.conj().T).max())
     if not err <= tol:
         raise ValidationError(f"{name} not Hermitian: worst asymmetry {err:.3e}")
+    return err
 
 
 def require_psd(m: np.ndarray, tol: float, name: str) -> None:

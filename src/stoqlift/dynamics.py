@@ -25,7 +25,7 @@ from ._arrays import (CK_TOLERANCE, FD_STEP, TOL_HERM, TOL_TP, frozen as _frozen
                       same_dimension as _same_dimension, square as _square,
                       square_stack as _square_stack, strict_grid as _strict_grid)
 from .lifts import (ChoiMatrix, DensityOperator, KrausMap, LeftRightMap, SuperOperator,
-                    _diagonal_images_offdiagonal, _rank_one_stack,
+                    _diagonal_images_offdiagonal, _rank_one_stack, _reshuffle,
                     canonical_lift, to_superoperator, unvec, vec)
 
 
@@ -285,8 +285,8 @@ def ck_checklist(family: SuperOperatorFamily,
     """
     members, triples, worst = _composition_triples(family.grid, family.superop)
     # Any finite asymmetry is admitted here, so that it fails instead of raising.
-    chois = [ChoiMatrix(m._choi(), tol_herm=np.inf) for m in members]
-    asymmetry = max(float(np.abs(c.matrix - c.matrix.conj().T).max()) for c in chois)
+    chois = [ChoiMatrix(_reshuffle(m.matrix, m.n), tol_herm=np.inf) for m in members]
+    asymmetry = max(c.asymmetry for c in chois)
     cptp = (asymmetry <= TOL_HERM and all(c.is_completely_positive() for c in chois)
             and all(m._tp_residual() <= TOL_TP for m in members))
     passed = (all(r <= tolerance for r in family.identity_residuals.values())

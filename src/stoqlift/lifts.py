@@ -115,10 +115,11 @@ class KrausMap:
     ``KRAUS_DROP_NORM``) are dropped at construction; a non-finite one is
     kept, so its map is not trace preserving. Trace preservation is
     recorded as a checked flag, not required: short-time maps are only trace
-    preserving to leading order. The Choi matrix and, on the first
-    ``check_cptp``, its spectrum are formed once, as the map is immutable.
-    ``canonical_reduction`` re-extracts at most N^2 operators from the Choi
-    spectrum when a redundant set has accumulated, e.g. by composition.
+    preserving to leading order. The map owns one ``SuperOperator``, the
+    reshuffled ``V^T conj(V)`` (row b of V is the column-stacked vec of K_b),
+    formed on first use and kept, as the map is immutable; it holds the Choi
+    data of both forms. ``canonical_reduction`` re-extracts at most N^2
+    operators from the Choi spectrum when a redundant set has accumulated.
     """
 
     def __init__(self, operators: Iterable[np.ndarray], tol_tp: float = TOL_TP):
@@ -133,7 +134,6 @@ class KrausMap:
         self.completeness_residual = float(
             np.abs(rows.conj().T @ rows - np.eye(n)).max())
         self.trace_preserving = self.completeness_residual <= tol_tp
-        self._checked_choi: list[ChoiMatrix] = []  # filled by check_cptp
 
     @property
     def operators(self) -> tuple[np.ndarray, ...]:
@@ -149,14 +149,9 @@ class KrausMap:
         return len(self._stack)
 
     @cached_property
-    def _choi_product(self) -> np.ndarray:
-        """``V^T conj(V)``, where row b of V is the column-stacked vec of K_b:
-        formed once, read-only, as the map is immutable."""
+    def _superoperator(self) -> "SuperOperator":
         v = self._stack.transpose(0, 2, 1).reshape(self.rank, -1)
-        return _frozen(v.T @ v.conj())
-
-    def _choi(self) -> np.ndarray:
-        return self._choi_product
+        return SuperOperator(_reshuffle(v.T @ v.conj(), self.n))
 
     def _tp_residual(self) -> float:
         return self.completeness_residual
@@ -200,10 +195,12 @@ class LeftRightMap:
     def n(self) -> int:
         return self._left.shape[1]
 
-    def _choi(self) -> np.ndarray:
-        """``sum_b vec(A_b) vec(B_b^T)^T``; a row of B_b is a column of B_b^T."""
+    @property
+    def _superoperator(self) -> "SuperOperator":
+        """A new one from the Choi matrix ``sum_b vec(A_b) vec(B_b^T)^T``."""
         r = len(self._left)
-        return self._left.transpose(0, 2, 1).reshape(r, -1).T @ self._right.reshape(r, -1)
+        choi = self._left.transpose(0, 2, 1).reshape(r, -1).T @ self._right.reshape(r, -1)
+        return SuperOperator(_reshuffle(choi, self.n))
 
     def _induced(self) -> tuple[np.ndarray, dict]:
         """Diagonal action ``sum_b A_b o B_b^T``, with the trace condition."""
@@ -221,10 +218,9 @@ class LeftRightMap:
 class SuperOperator:
     """N^2 x N^2 matrix acting on column-stacked vectorized operators.
 
-    Its Choi matrix is checked and diagonalised on the first ``check_cptp``
-    and kept. One made by ``to_superoperator`` from a Kraus map shares that
-    map's Choi matrix and spectrum, the same bits since the reshuffle is an
-    involution, so the form checked second costs no diagonalisation.
+    The first ``check_cptp`` checks its Choi matrix and keeps the spectrum
+    (the eigenvalues only); a refusal is not kept, so it recurs. A Kraus
+    map's one superoperator holds this spectrum for both forms.
     """
 
     def __init__(self, matrix):
@@ -235,7 +231,6 @@ class SuperOperator:
                 f"superoperator side {m.shape[0]} is not a perfect square")
         self._matrix = _frozen(m.copy())
         self._n = n
-        self._checked_choi: list[ChoiMatrix] = []  # filled by check_cptp
 
     @property
     def matrix(self) -> np.ndarray:
@@ -250,8 +245,13 @@ class SuperOperator:
     def identity(cls, n: int) -> "SuperOperator":
         return cls(np.eye(n * n, dtype=complex))
 
-    def _choi(self) -> np.ndarray:
-        return _reshuffle(self._matrix, self._n)
+    @property
+    def _superoperator(self) -> "SuperOperator":
+        return self
+
+    @cached_property
+    def _choi_spectrum(self) -> np.ndarray:
+        return choi_from_superoperator(self).eigenvalues
 
     def _tp_residual(self) -> float:
         vec_id = vec(np.eye(self._n))
@@ -267,11 +267,13 @@ class SuperOperator:
 
 
 class ChoiMatrix:
-    """Choi matrix of a map; positive semidefiniteness encodes complete positivity."""
+    """Choi matrix of a map; positive semidefiniteness encodes complete
+    positivity. ``asymmetry``, the worst entry of ``C - C^dagger``, is at most
+    ``tol_herm``: a larger one, or NaN, raises ``ValidationError``."""
 
     def __init__(self, matrix, tol_herm: float = TOL_HERM):
         m = _square(matrix, "Choi matrix")
-        _require_hermitian(m, tol_herm, "Choi matrix")
+        self.asymmetry = _require_hermitian(m, tol_herm, "Choi matrix")
         self._matrix = _frozen(m.copy())
         self.eigenvalues = _frozen(np.linalg.eigvalsh((m + m.conj().T) / 2.0))
 
@@ -284,9 +286,13 @@ class ChoiMatrix:
         return float(self.eigenvalues[0])
 
     def is_completely_positive(self, tol_psd: float = TOL_PSD) -> bool:
-        """Scale-aware positivity: the floor grows with the spectral magnitude."""
-        scale = max(1.0, float(np.abs(self.eigenvalues).max()))
-        return self.min_eigenvalue >= -tol_psd * scale
+        return _completely_positive(self.eigenvalues, tol_psd)
+
+
+def _completely_positive(eigenvalues: np.ndarray, tol_psd: float) -> bool:
+    """Scale-aware positivity of an ascending spectrum: the floor grows with it."""
+    scale = max(1.0, float(np.abs(eigenvalues).max()))
+    return float(eigenvalues[0]) >= -tol_psd * scale
 
 
 MapLike = Union[KrausMap, LeftRightMap, SuperOperator]
@@ -299,13 +305,13 @@ def _supported(map_, *types):
 
 
 def choi_from_kraus(kmap: KrausMap) -> ChoiMatrix:
-    """Choi matrix ``sum_b vec(K_b) vec(K_b)^dagger`` as one product."""
-    return ChoiMatrix(kmap._choi())
+    """Choi matrix ``sum_b vec(K_b) vec(K_b)^dagger``, a new copy each call."""
+    return choi_from_superoperator(kmap._superoperator)
 
 
 def choi_from_superoperator(s: SuperOperator) -> ChoiMatrix:
     """Reshuffle a superoperator into its Choi matrix (an involution)."""
-    return ChoiMatrix(s._choi())
+    return ChoiMatrix(_reshuffle(s.matrix, s.n))
 
 
 def kraus_from_choi(choi: ChoiMatrix, cutoff: float = PINV_RCOND) -> KrausMap:
@@ -376,19 +382,16 @@ def check_cptp(map_: KrausMap | SuperOperator, tol_tp: float = TOL_TP,
                tol_psd: float = TOL_PSD) -> CptpReport:
     """Report whether a map is a quantum channel (CPTP).
 
-    The map's Choi matrix is diagonalised on its first check and kept, and a
-    superoperator from ``to_superoperator`` shares its Kraus map's, so each
-    Choi matrix is diagonalised at most once. The tolerances are applied on
-    every call; a Choi matrix too asymmetric to be Hermitian raises
-    ``ValidationError`` on every call.
+    The trace residual is the map's own (a Kraus map's completeness
+    residual). The Choi spectrum is kept by the map's superoperator, which
+    ``to_superoperator(kmap)`` returns, so a Kraus map and its superoperator
+    take one diagonalisation between them. The tolerances are applied, and a
+    Choi matrix too asymmetric to be Hermitian refused, on every call.
     """
     tp_residual = _supported(map_, KrausMap, SuperOperator)._tp_residual()
-    if not map_._checked_choi:  # kept only once formed, so a refusal recurs
-        map_._checked_choi.append(ChoiMatrix(map_._choi()))
-    choi = map_._checked_choi[0]
+    spectrum = map_._superoperator._choi_spectrum
     return CptpReport(tp_residual <= tol_tp, tp_residual,
-                      choi.is_completely_positive(tol_psd),
-                      choi.min_eigenvalue)
+                      _completely_positive(spectrum, tol_psd), float(spectrum[0]))
 
 
 @dataclass(frozen=True)
@@ -534,16 +537,12 @@ def compatibility_check(map_: MapLike, gamma: StochasticKernel,
 def to_superoperator(map_: KrausMap | LeftRightMap) -> SuperOperator:
     """Liouville matrix of an operator-sum or left-right map.
 
-    Nothing is checked or diagonalised here. The superoperator of a Kraus
-    map shares the map's slot for its checked Choi matrix, so that
-    ``check_cptp`` of either form diagonalises their one Choi matrix at most
-    once; it keeps no reference to the map itself.
+    For a Kraus map it returns the map's one superoperator, the same object
+    on every call, so ``check_cptp`` of both forms takes one diagonalisation;
+    a left-right map gets a new one. The conversion checks and diagonalises
+    nothing.
     """
-    choi = _supported(map_, KrausMap, LeftRightMap)._choi()
-    s = SuperOperator(_reshuffle(choi, map_.n))
-    if isinstance(map_, KrausMap):
-        s._checked_choi = map_._checked_choi
-    return s
+    return _supported(map_, KrausMap, LeftRightMap)._superoperator
 
 
 def superop_kernel_extract(s: SuperOperator) -> np.ndarray:

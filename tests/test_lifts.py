@@ -166,10 +166,10 @@ class TestKrausMap:
 
     def test_choi_product_is_formed_once_and_read_only(self, rng):
         kmap = random_kraus_map(rng, 3, 4)
-        choi = kmap._choi()
-        assert kmap._choi() is choi and not choi.flags.writeable
+        s = to_superoperator(kmap)
+        assert to_superoperator(kmap) is s and not s.matrix.flags.writeable
         with pytest.raises(ValueError):
-            choi[0, 0] = 1.0
+            s.matrix[0, 0] = 1.0
 
     def test_cached_choi_gives_the_bits_of_a_fresh_map(self, rng):
         kmap = random_kraus_map(rng, 3, 4)
@@ -182,8 +182,10 @@ class TestKrausMap:
     def test_choi_from_kraus_is_an_independent_copy(self, rng):
         kmap = random_kraus_map(rng, 3, 4)
         first, second = choi_from_kraus(kmap), choi_from_kraus(kmap)
-        np.testing.assert_array_equal(first.matrix, kmap._choi())
-        assert not np.shares_memory(first.matrix, kmap._choi())
+        s = to_superoperator(kmap)
+        np.testing.assert_array_equal(first.matrix, _reshuffle(s.matrix, kmap.n))
+        np.testing.assert_array_equal(first.matrix, second.matrix)
+        assert not np.shares_memory(first.matrix, s.matrix)
         assert not np.shares_memory(first.matrix, second.matrix)
 
 
