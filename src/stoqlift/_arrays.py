@@ -74,11 +74,17 @@ def numerical_rank(s: np.ndarray, tolerance: float) -> int:
     Inverting along direction i has forward error about ``n * eps * sigma_1
     / sigma_i`` (Higham 2002, ch. 7). A direction is kept while that stays
     within ``max(tolerance, n * eps)``, as no computed factor beats n * eps;
-    the others, zero singular values among them, are free.
+    the others, zero singular values among them, are free. The test is on
+    ``sigma_i / sigma_1``, so a map of subnormal scale keeps the rank of its
+    normal-scale multiples: no product of sigma_1 with the small ratio ``1 /
+    limit`` is formed to underflow. A zero map, or an infinite or NaN
+    tolerance, keeps no direction.
     """
     floor = s.size * EPS
-    cutoff = s[0] * floor / max(tolerance, floor)
-    return int(np.count_nonzero(s >= cutoff)) if cutoff > 0 else 0
+    ratio = floor / max(tolerance, floor)  # 1 / limit
+    if not (ratio > 0 and s[0] > 0):
+        return 0
+    return int(np.count_nonzero(s / s[0] >= ratio))
 
 
 def inverse_certifies_full_rank(a: np.ndarray, inverse: np.ndarray,
@@ -91,15 +97,16 @@ def inverse_certifies_full_rank(a: np.ndarray, inverse: np.ndarray,
     2 of |a^-1| while n eps times that product is small (Higham 2002, ch. 14),
     so the computed product must be within a quarter of the limit, capped at
     ``1 / (n eps)``. A NaN or infinite product certifies nothing, nor does a
-    limit under which the rule's cutoff ``s_1 / limit`` may underflow to 0.
+    zero ``a`` or a limit the rule treats as keeping nothing (``1 / limit``
+    zero or NaN).
     """
     n = a.shape[0]
     floor = n * EPS
     scale = floor / max(float(tolerance), floor)  # 1 / limit
     with np.errstate(over="ignore"):  # an overflowing norm is infinite
         norm_a, norm_inv = float(np.linalg.norm(a)), float(np.linalg.norm(inverse))
-    # Python floats, so inf * 0 is NaN without a warning; |a|_F / (2n) < s_1.
-    return (norm_a / (2 * n) * scale > 0
+    # Python floats, so inf * 0 is NaN without a warning.
+    return (scale > 0 and norm_a > 0
             and norm_a * norm_inv * max(scale, floor) <= 0.25)
 
 

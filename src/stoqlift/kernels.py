@@ -430,7 +430,10 @@ def c_divisibility_check(gamma_20: StochasticKernel, gamma_10: StochasticKernel,
     u, s, vt = np.linalg.svd(gamma_10.matrix)
     rank = _numerical_rank(s, tolerance)
     b = gamma_20.matrix @ vt.T
-    x0 = (b[:, :rank] / s[:rank]) @ u[:, :rank].T
+    # A kept direction of tiny (subnormal) scale can overflow x0; a
+    # non-finite candidate fails validation.
+    with np.errstate(over="ignore", invalid="ignore"):
+        x0 = (b[:, :rank] / s[:rank]) @ u[:, :rank].T
     if rank == n:
         return _validated(x0, "inverse", tolerance)
 

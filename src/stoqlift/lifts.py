@@ -15,13 +15,13 @@ reshuffle (an involution) turns it into the Liouville matrix and back.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Sequence, Union
 
 import numpy as np
 
-from ._arrays import (KRAUS_DROP_NORM, PINV_RCOND, TOL_DIV, TOL_HERM, TOL_PROB,
+from ._arrays import (EPS, KRAUS_DROP_NORM, PINV_RCOND, TOL_DIV, TOL_HERM, TOL_PROB,
                       TOL_PSD, TOL_STOCH, TOL_TP, frozen as _frozen,
                       inverse_certifies_full_rank as _inverse_certifies_full_rank,
                       numerical_rank as _numerical_rank,
@@ -118,8 +118,10 @@ class KrausMap:
     preserving to leading order. The map owns one ``SuperOperator``, the
     reshuffled ``V^T conj(V)`` (row b of V is the column-stacked vec of K_b),
     formed on first use and kept, as the map is immutable; it holds the Choi
-    data of both forms. ``canonical_reduction`` re-extracts at most N^2
-    operators from the Choi spectrum when a redundant set has accumulated.
+    data of both forms, and it is marked with the Kraus rank, so that
+    ``check_cptp`` can pass its complete positivity from that structure.
+    ``canonical_reduction`` re-extracts at most N^2 operators from the Choi
+    spectrum when a redundant set has accumulated.
     """
 
     def __init__(self, operators: Iterable[np.ndarray], tol_tp: float = TOL_TP):
@@ -151,7 +153,9 @@ class KrausMap:
     @cached_property
     def _superoperator(self) -> "SuperOperator":
         v = self._stack.transpose(0, 2, 1).reshape(self.rank, -1)
-        return SuperOperator(_reshuffle(v.T @ v.conj(), self.n))
+        superop = SuperOperator(_reshuffle(v.T @ v.conj(), self.n))
+        superop._kraus_rank = self.rank
+        return superop
 
     def _tp_residual(self) -> float:
         return self.completeness_residual
@@ -218,10 +222,16 @@ class LeftRightMap:
 class SuperOperator:
     """N^2 x N^2 matrix acting on column-stacked vectorized operators.
 
-    The first ``check_cptp`` checks its Choi matrix and keeps the spectrum
-    (the eigenvalues only); a refusal is not kept, so it recurs. A Kraus
-    map's one superoperator holds this spectrum for both forms.
+    It keeps its Choi spectrum (the eigenvalues only) once one ``eigvalsh``
+    has found it: in ``check_cptp`` where no certificate decides, or on a
+    read of ``CptpReport.min_choi_eigenvalue``. A Kraus map's one
+    superoperator holds it for both forms. A refusal of the Choi matrix as
+    not Hermitian is not kept, so it recurs.
     """
+
+    #: Kraus rank r when the matrix is a Kraus map's reshuffled ``V^T
+    #: conj(V)``, set by ``KrausMap._superoperator``; 0 for any other.
+    _kraus_rank = 0
 
     def __init__(self, matrix):
         m = _square(matrix, "superoperator")
@@ -231,6 +241,7 @@ class SuperOperator:
                 f"superoperator side {m.shape[0]} is not a perfect square")
         self._matrix = _frozen(m.copy())
         self._n = n
+        self._eigenvalues = None
 
     @property
     def matrix(self) -> np.ndarray:
@@ -249,9 +260,48 @@ class SuperOperator:
     def _superoperator(self) -> "SuperOperator":
         return self
 
+    def _choi(self) -> np.ndarray:
+        """The Choi matrix, a new array; one whose worst entry of ``C -
+        C^dagger`` exceeds ``TOL_HERM`` (or is NaN) raises ``ValidationError``."""
+        choi = _reshuffle(self._matrix, self._n)
+        _require_hermitian(choi, TOL_HERM, "Choi matrix")
+        return choi
+
+    def _choi_spectrum(self, herm: np.ndarray | None = None) -> np.ndarray:
+        """Ascending eigenvalues of the Hermitian part of the Choi matrix,
+        from one ``eigvalsh`` on the first call, kept. ``herm`` is that part
+        when the caller has already formed it."""
+        if self._eigenvalues is None:
+            if herm is None:
+                herm = _hermitian_part(self._choi())
+            self._eigenvalues = _frozen(np.linalg.eigvalsh(herm))
+        return self._eigenvalues
+
     @cached_property
-    def _choi_spectrum(self) -> np.ndarray:
-        return choi_from_superoperator(self).eigenvalues
+    def _kraus_rounding_bound(self) -> float:
+        """``2 (r + N^2) eps tr(C)`` for a Kraus map's superoperator, r its
+        Kraus rank: no computed eigenvalue of the Hermitian part of the
+        computed ``W W^dagger`` lies below minus this bound. The product's
+        error E has ``|E| <= gamma_r |W| |W|^dagger`` entrywise, so
+        ``|E|_2 <= r eps |W|_F^2 = r eps tr(C)`` (Higham 2002, ch. 3, with the
+        complex factor of section 3.6), and ``eigvalsh`` is backward stable,
+        each eigenvalue within about ``N^2 eps |C|_2`` of the exact one (LAPACK
+        Users' Guide, section 4.7); ``tr(C) >= |C|_2`` for a PSD C. The
+        Hermiticity refusal runs first; it raises, so it is not kept."""
+        trace = float(np.trace(self._choi()).real)
+        return 2 * (self._kraus_rank + self._n ** 2) * EPS * trace
+
+    def _passes_cp(self, tol_psd: float) -> bool:
+        """``_completely_positive`` of the Choi spectrum: a kept spectrum
+        decides, else a certificate that applies, else one ``eigvalsh``."""
+        if self._eigenvalues is None:
+            if self._kraus_rank and tol_psd > self._kraus_rounding_bound:
+                return True
+            herm = _hermitian_part(self._choi())
+            if not self._kraus_rank and _cholesky_certifies(herm, tol_psd):
+                return True
+            self._choi_spectrum(herm)
+        return _completely_positive(self._eigenvalues, tol_psd)
 
     def _tp_residual(self) -> float:
         vec_id = vec(np.eye(self._n))
@@ -269,7 +319,11 @@ class SuperOperator:
 class ChoiMatrix:
     """Choi matrix of a map; positive semidefiniteness encodes complete
     positivity. ``asymmetry``, the worst entry of ``C - C^dagger``, is at most
-    ``tol_herm``: a larger one, or NaN, raises ``ValidationError``."""
+    ``tol_herm``: a larger one, or NaN, raises ``ValidationError``. The
+    constructor keeps a copy of the matrix and diagonalises its Hermitian
+    part at once; ``ck_checklist``, which reports the smallest eigenvalue of
+    every member, uses it. ``check_cptp`` does not: it decides from a
+    certificate where one applies (see there)."""
 
     def __init__(self, matrix, tol_herm: float = TOL_HERM):
         m = _square(matrix, "Choi matrix")
@@ -293,6 +347,42 @@ def _completely_positive(eigenvalues: np.ndarray, tol_psd: float) -> bool:
     """Scale-aware positivity of an ascending spectrum: the floor grows with it."""
     scale = max(1.0, float(np.abs(eigenvalues).max()))
     return float(eigenvalues[0]) >= -tol_psd * scale
+
+
+def _hermitian_part(m: np.ndarray) -> np.ndarray:
+    """``(m + m^dagger) / 2`` as a new array (bit for bit the same)."""
+    herm = m + m.conj().T
+    herm /= 2.0
+    return herm
+
+
+def _cholesky_certifies(herm: np.ndarray, tol_psd: float) -> bool:
+    """Whether one Cholesky factorisation shows that ``_completely_positive``
+    passes the spectrum of the Hermitian ``herm`` (n x n) at ``tol_psd``.
+
+    It factors ``herm + (tol_psd - delta) I`` with ``delta = 4 n^2 eps
+    (|herm|_F + tol_psd)``. Success means ``herm + (tol_psd - delta) I + dA``
+    is PSD for a backward error with ``|dA|_2 <= n gamma_(n+1) |herm +
+    (tol_psd - delta) I|_2`` (Higham 2002, Thm 10.3 and section 10.1; about
+    ``n^2 eps`` of the shifted matrix in complex arithmetic), and
+    ``eigvalsh`` moves each eigenvalue by at most about ``n eps |herm|_2``
+    more; delta covers both. So every computed eigenvalue is at least
+    ``-tol_psd``, which the rule's floor ``-tol_psd max(1, max |lambda|)``
+    never exceeds. With ``tol_psd <= delta`` (NaN included), or when the
+    factorisation fails, it certifies nothing and the spectrum decides.
+    ``herm`` is left unchanged.
+    """
+    n = len(herm)
+    delta = 4 * n * n * EPS * (float(np.linalg.norm(herm)) + tol_psd)
+    if not tol_psd > delta:
+        return False
+    shifted = herm.copy()
+    shifted.reshape(-1)[::n + 1] += tol_psd - delta
+    try:
+        np.linalg.cholesky(shifted)
+    except np.linalg.LinAlgError:
+        return False
+    return True
 
 
 MapLike = Union[KrausMap, LeftRightMap, SuperOperator]
@@ -366,16 +456,43 @@ def apply_kraus(kmap: KrausMap, rho: DensityOperator) -> DensityOperator:
 
 @dataclass(frozen=True)
 class CptpReport:
-    """Trace-preservation and complete-positivity check of a map."""
+    """Trace-preservation and complete-positivity check of a map.
+
+    ``min_choi_eigenvalue``, the smallest eigenvalue of the Hermitian part of
+    the Choi matrix, is computed on first read, by the one ``eigvalsh`` that
+    the checked map's superoperator keeps (shared by a Kraus map and its
+    superoperator, and with the check when it had to diagonalise). Two
+    reports are equal when these four values are.
+    """
 
     trace_preserving: bool
     tp_residual: float
     completely_positive: bool
-    min_choi_eigenvalue: float
+    # Not compared: equality is by the four values (``__eq__``), and so is the
+    # hash, which dataclass forms from the compared fields.
+    _superoperator: SuperOperator = field(compare=False)
+
+    @property
+    def min_choi_eigenvalue(self) -> float:
+        return float(self._superoperator._choi_spectrum()[0])
 
     @property
     def passed(self) -> bool:
         return self.trace_preserving and self.completely_positive
+
+    def _values(self) -> tuple:
+        return (self.trace_preserving, self.tp_residual, self.completely_positive,
+                self.min_choi_eigenvalue)
+
+    def __eq__(self, other):
+        if not isinstance(other, CptpReport):
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __repr__(self):
+        return ("CptpReport(trace_preserving={!r}, tp_residual={!r}, "
+                "completely_positive={!r}, min_choi_eigenvalue={!r})"
+                .format(*self._values()))
 
 
 def check_cptp(map_: KrausMap | SuperOperator, tol_tp: float = TOL_TP,
@@ -383,15 +500,31 @@ def check_cptp(map_: KrausMap | SuperOperator, tol_tp: float = TOL_TP,
     """Report whether a map is a quantum channel (CPTP).
 
     The trace residual is the map's own (a Kraus map's completeness
-    residual). The Choi spectrum is kept by the map's superoperator, which
-    ``to_superoperator(kmap)`` returns, so a Kraus map and its superoperator
-    take one diagonalisation between them. The tolerances are applied, and a
-    Choi matrix too asymmetric to be Hermitian refused, on every call.
+    residual). Complete positivity is the verdict of the spectral rule,
+    smallest Choi eigenvalue at least ``-tol_psd max(1, max |lambda|)``, but
+    the spectrum is taken only where no certificate decides:
+
+    - a Kraus map and the superoperator ``to_superoperator(kmap)`` returns
+      pass with no factorisation when ``tol_psd`` exceeds the rounding bound
+      ``2 (r + N^2) eps tr(C)`` of the computed ``W W^dagger`` (r the Kraus
+      rank; ``SuperOperator._kraus_rounding_bound``);
+    - any other superoperator passes when one Cholesky factorisation of
+      ``H + (tol_psd - delta) I``, H the Hermitian part of the Choi matrix,
+      succeeds, delta covering the rounding of it and of ``eigvalsh``
+      (``_cholesky_certifies``);
+    - otherwise (``tol_psd = 0`` among others) one ``eigvalsh`` decides, and
+      its spectrum is kept on the superoperator.
+
+    ``min_choi_eigenvalue`` is computed on the report's first read, so a
+    caller reading only ``passed`` takes no diagonalisation, and both forms
+    of one lift share at most one. The tolerances are applied on every call;
+    a Choi matrix too asymmetric to be Hermitian (NaN included) is refused on
+    every call.
     """
     tp_residual = _supported(map_, KrausMap, SuperOperator)._tp_residual()
-    spectrum = map_._superoperator._choi_spectrum
+    superop = map_._superoperator
     return CptpReport(tp_residual <= tol_tp, tp_residual,
-                      _completely_positive(spectrum, tol_psd), float(spectrum[0]))
+                      superop._passes_cp(tol_psd), superop)
 
 
 @dataclass(frozen=True)
@@ -538,9 +671,9 @@ def to_superoperator(map_: KrausMap | LeftRightMap) -> SuperOperator:
     """Liouville matrix of an operator-sum or left-right map.
 
     For a Kraus map it returns the map's one superoperator, the same object
-    on every call, so ``check_cptp`` of both forms takes one diagonalisation;
-    a left-right map gets a new one. The conversion checks and diagonalises
-    nothing.
+    on every call, so ``check_cptp`` of both forms shares its Kraus
+    certificate and at most one diagonalisation; a left-right map gets a new
+    one. The conversion checks, factors and diagonalises nothing.
     """
     return _supported(map_, KrausMap, LeftRightMap)._superoperator
 

@@ -1,12 +1,15 @@
-"""A Kraus map owns one superoperator, which keeps the Choi spectrum of both
-forms and no copy of the Choi matrix; ``ChoiMatrix.asymmetry`` is the number
-its Hermiticity check computed."""
+"""A Kraus map owns one superoperator, which keeps no copy of the Choi matrix
+and, once it is read, the Choi spectrum of both forms; ``ChoiMatrix.asymmetry``
+is the number its Hermiticity check computed."""
+
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from stoqlift import (ChoiMatrix, SuperOperator, SuperOperatorFamily,
                       ValidationError, check_cptp, ck_checklist, to_superoperator)
+from stoqlift.lifts import TOL_PSD
 
 from random_ops import random_kraus_map
 
@@ -32,15 +35,40 @@ def _retained_arrays(*roots):
 
 
 @pytest.mark.parametrize("n", [2, 4])
-def test_checked_forms_retain_one_matrix_and_one_spectrum(rng, n):
+def test_checked_forms_retain_one_matrix_and_a_spectrum_once_read(rng, n):
     kmap = random_kraus_map(rng, n, 3)
     s = to_superoperator(kmap)
-    assert check_cptp(kmap).passed and check_cptp(s).passed
-    retained = [a for a in _retained_arrays(kmap, s)
-                if not np.shares_memory(a, kmap.operators[0])]  # the Kraus stack
-    assert sorted((a.shape, a.dtype.kind) for a in retained) == [
-        ((n * n,), "f"), ((n * n, n * n), "c")]
-    assert sum(a.nbytes for a in retained) == 16 * n ** 4 + 8 * n ** 2
+    reports = check_cptp(kmap), check_cptp(s)
+    assert all(report.passed for report in reports)
+
+    def retained():
+        return sorted((a.shape, a.dtype.kind)
+                      for a in _retained_arrays(kmap, s, *reports)
+                      if not np.shares_memory(a, kmap.operators[0]))  # the Kraus stack
+
+    assert retained() == [((n * n, n * n), "c")]
+    reports[1].min_choi_eigenvalue
+    assert retained() == [((n * n,), "f"), ((n * n, n * n), "c")]
+
+
+def test_first_read_of_a_bare_superoperator_keeps_no_second_choi_copy(rng):
+    # At N = 16 a Choi matrix is 1 MiB. The check and the first read of
+    # min_choi_eigenvalue hold at most three such matrices at once (C,
+    # conj(C) and C - C^dagger in the Hermiticity check): the Hermitian part
+    # is diagonalised without one more copy of the reshuffled matrix.
+    n = 16
+    matrix = to_superoperator(random_kraus_map(rng, n, 3)).matrix
+    size = 16 * n ** 4
+    for tol_psd in (TOL_PSD, 0.0):  # the Cholesky route, and none
+        s = SuperOperator(matrix)
+        tracemalloc.start()
+        try:
+            value = check_cptp(s, tol_psd=tol_psd).min_choi_eigenvalue
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert value > -1e-12
+        assert peak < 3.5 * size
 
 
 def test_asymmetry_is_the_worst_entry_of_c_minus_c_dagger(rng):

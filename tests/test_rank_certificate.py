@@ -14,7 +14,8 @@ import json
 import numpy as np
 import pytest
 
-from stoqlift import SuperOperator, q_divisibility_check
+from stoqlift import (StochasticKernel, SuperOperator, c_divisibility_check,
+                      q_divisibility_check)
 from stoqlift._arrays import EPS, inverse_certifies_full_rank, numerical_rank
 from stoqlift.cli import main
 from stoqlift.kernels import TOL_DIV
@@ -122,6 +123,46 @@ def test_tiny_earlier_map_whose_inverse_overflows(scale):
         assert not np.isfinite(np.linalg.norm(np.linalg.inv(e10)))
     for e20 in (depolarizing(2, 0.5), np.eye(4)):
         assert_matches_svd_rule(e20, e10)
+
+
+#: Normal and subnormal scales (the smallest normal double is 2.2e-308).
+SCALES = (1e300, 1.0, 1e-100, 1e-300, 2.2250738585072014e-308, 1e-308, 1e-309, 1e-310)
+
+
+@pytest.mark.parametrize("tolerance", [0.0, 1e-12, TOL_DIV, 1e-3])
+def test_rank_is_the_same_at_every_scale(tolerance):
+    # The kept values stay far enough above the subnormal range at every
+    # scale that their ratios to the largest keep their leading digits.
+    s = np.array([1.0, 0.5, 1e-2, 1e-6, 1e-10, 1e-14, 0.0])
+    expected = numerical_rank(s, tolerance)
+    assert expected == {0.0: 1, 1e-12: 3, TOL_DIV: 3, 1e-3: 5}[tolerance]
+    for a in SCALES:
+        assert numerical_rank(a * s, tolerance) == expected, a
+    assert numerical_rank(0.0 * s, tolerance) == 0
+
+
+def test_subnormal_earlier_map_keeps_its_rank():
+    # 1e-310 D has condition number 2: no rank obstruction, and the factor
+    # 1e310 I of D over it is not trace preserving.
+    d = depolarizing(2, 0.5)
+    result = q_divisibility_check(SuperOperator(d), SuperOperator(1e-310 * d))
+    assert result.verdict == "indivisible"
+    assert result.reason == "earlier map is invertible and its unique factor is not CPTP"
+
+
+def test_classical_check_inverts_a_subnormal_kernel():
+    # The classical check cuts by the same rule: X g over g divides through
+    # the inverse at every scale down to 1e-310, and g over 1e-310 g does not.
+    g = np.array([[0.7, 0.2], [0.3, 0.8]])
+    x = np.array([[0.6, 0.3], [0.4, 0.7]])
+    for a in (1.0, 1e-300, 1e-310):
+        result = c_divisibility_check(StochasticKernel(a * x @ g, tol_colsum=1.0),
+                                      StochasticKernel(a * g, tol_colsum=1.0))
+        assert result.divisible and result.route == "inverse"
+        np.testing.assert_allclose(result.witness.matrix, x, atol=1e-12)
+    result = c_divisibility_check(StochasticKernel(x @ g),
+                                  StochasticKernel(1e-310 * g, tol_colsum=1.0))
+    assert not result.divisible and result.route == "inverse"
 
 
 def test_full_rank_map_that_lu_finds_singular(tmp_path, capsys):
