@@ -23,7 +23,7 @@ TOL_STOCH = 1e-10  #: Column-sum error of a stochastic matrix; family identity t
 TOL_DIV = 1e-9  #: Default of the classical and quantum divisibility checks.
 # Lifts.
 TOL_HERM = 1e-10  #: Hermiticity and trace error; off-diagonal mass left on a diagonal.
-TOL_PSD = 1e-9  #: Eigenvalue floor of PSD tests (scale-aware, see ChoiMatrix).
+TOL_PSD = 1e-9  #: Eigenvalue floor of PSD tests (scale-aware for Choi spectra).
 TOL_TP = 1e-10  #: Completeness residual (trace preservation), relative for generators.
 PINV_RCOND = 1e-12  #: Relative cutoff of zero Choi eigenvalues in Kraus extraction.
 KRAUS_DROP_NORM = 1e-14  #: Frobenius norm below which a Kraus operator is dropped.
@@ -143,17 +143,27 @@ def square_stack(ops, name: str) -> np.ndarray:
 
 def require_hermitian(m: np.ndarray, tol: float, name: str) -> float:
     """The worst entry of ``m - m^dagger``; raise unless it is at most ``tol``."""
-    err = float(np.abs(m - m.conj().T).max())
-    if not err <= tol:
-        raise ValidationError(f"{name} not Hermitian: worst asymmetry {err:.3e}")
-    return err
+    return asymmetry_within(float(np.abs(m - m.conj().T).max()), tol, name)
+
+
+def asymmetry_within(asymmetry: float, tol: float, name: str) -> float:
+    """``asymmetry``, a worst entry of ``m - m^dagger``; raise unless <= ``tol``."""
+    if not asymmetry <= tol:
+        raise ValidationError(f"{name} not Hermitian: worst asymmetry {asymmetry:.3e}")
+    return asymmetry
+
+
+def hermitian_part(m: np.ndarray) -> np.ndarray:
+    """``(m + m^dagger) / 2``, bit for bit, of a matrix or each of a stack."""
+    herm = m + m.conj().swapaxes(-1, -2)
+    herm /= 2.0
+    return herm
 
 
 def require_psd(m: np.ndarray, tol: float, name: str) -> None:
     """Raise unless the smallest eigenvalue of the Hermitian part of ``m`` (of
     every matrix, for a stack) is at least ``-tol``."""
-    herm = (m + np.swapaxes(m.conj(), -1, -2)) / 2.0
-    min_eig = float(np.linalg.eigvalsh(herm).min())
+    min_eig = float(np.linalg.eigvalsh(hermitian_part(m)).min())
     if not min_eig >= -tol:
         raise ValidationError(
             f"{name} not positive semidefinite: minimum eigenvalue {min_eig:.3e}")

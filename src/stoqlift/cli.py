@@ -158,8 +158,7 @@ def _cmd_lift(args):
 # --- divisibility -----------------------------------------------------------
 
 def _cmd_divisibility(args):
-    # Without --tol each check runs at its own default tolerance.
-    tol = () if args.tol is None else (args.tol,)
+    tol = _tol(args, "tolerance").values()  # passed by position
     later_obj = load_json(args.later)
     earlier_obj = load_json(args.earlier)
     tables = {}

@@ -24,9 +24,9 @@ from ._arrays import (CK_TOLERANCE, FD_STEP, TOL_HERM, TOL_TP, frozen as _frozen
                       require_hermitian as _require_hermitian, semigroup as _semigroup,
                       same_dimension as _same_dimension, square as _square,
                       square_stack as _square_stack, strict_grid as _strict_grid)
-from .lifts import (ChoiMatrix, DensityOperator, KrausMap, LeftRightMap, SuperOperator,
-                    _diagonal_images_offdiagonal, _rank_one_stack, _reshuffle,
-                    canonical_lift, to_superoperator, unvec, vec)
+from .lifts import (DensityOperator, KrausMap, LeftRightMap, SuperOperator,
+                    _diagonal_images_offdiagonal, _rank_one_stack, canonical_lift,
+                    check_cptp, to_superoperator, unvec, vec)
 
 
 class GkslGenerator:
@@ -278,18 +278,18 @@ def ck_checklist(family: SuperOperatorFamily,
 
     It passes when ``S(s, s)`` is the identity at every grid time and
     ``S(t, s) = S(t, u) S(u, s)`` on every grid triple, both to within
-    ``tolerance``, and when every member ``S(t, s)`` is CPTP (``check_cptp``
-    at its defaults; a member whose Choi asymmetry exceeds ``TOL_HERM`` is
-    not). Each grid pair is evaluated once; the grid needs at least 3 times.
-    A member with a non-finite entry raises ``ValidationError``.
+    ``tolerance``, and when ``check_cptp`` at its defaults passes every member
+    ``S(t, s)`` (one whose Choi asymmetry exceeds ``TOL_HERM`` fails, not
+    raises); the reported asymmetry and eigenvalue are the members' kept ones.
+    Each grid pair is evaluated once; the grid needs at least 3 times. A
+    member with a non-finite entry raises ``ValidationError``.
     """
     members, triples, worst = _composition_triples(family.grid, family.superop)
-    # Any finite asymmetry is admitted here, so that it fails instead of raising.
-    chois = [ChoiMatrix(_reshuffle(m.matrix, m.n), tol_herm=np.inf) for m in members]
-    asymmetry = max(c.asymmetry for c in chois)
-    cptp = (asymmetry <= TOL_HERM and all(c.is_completely_positive() for c in chois)
-            and all(m._tp_residual() <= TOL_TP for m in members))
+    asymmetry = max(m._hermitian_within(np.inf) for m in members)  # NaN raises
+    # Kept first, the spectra decide each check_cptp below.
+    min_eigenvalue = min(float(m._choi_spectrum[0]) for m in members)
     passed = (all(r <= tolerance for r in family.identity_residuals.values())
-              and worst <= tolerance and cptp)
+              and worst <= tolerance and asymmetry <= TOL_HERM
+              and all(check_cptp(m).passed for m in members))
     return CkChecklistReport(passed, dict(family.identity_residuals), triples, worst,
-                             min(c.min_eigenvalue for c in chois), asymmetry, tolerance)
+                             min_eigenvalue, asymmetry, tolerance)

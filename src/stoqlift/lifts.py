@@ -23,6 +23,8 @@ import numpy as np
 
 from ._arrays import (EPS, KRAUS_DROP_NORM, PINV_RCOND, TOL_DIV, TOL_HERM, TOL_PROB,
                       TOL_PSD, TOL_STOCH, TOL_TP, frozen as _frozen,
+                      asymmetry_within as _asymmetry_within,
+                      hermitian_part as _hermitian_part,
                       inverse_certifies_full_rank as _inverse_certifies_full_rank,
                       numerical_rank as _numerical_rank,
                       require_hermitian as _require_hermitian,
@@ -42,11 +44,16 @@ def vec(matrix: np.ndarray) -> np.ndarray:
 def unvec(vector: np.ndarray) -> np.ndarray:
     """Inverse of :func:`vec` for square matrices."""
     v = np.asarray(vector).reshape(-1)
-    n = round(v.size ** 0.5)
-    if n * n != v.size:
-        raise DimensionMismatchError(
-            f"vector of length {v.size} is not a vectorized square matrix")
+    n = _root(v.size, "vector length")
     return v.reshape(n, n, order="F")
+
+
+def _root(size: int, what: str) -> int:
+    """N with N^2 = ``size``; another size raises ``DimensionMismatchError``."""
+    n = round(size ** 0.5)
+    if n * n != size:
+        raise DimensionMismatchError(f"{what} {size} is not a perfect square")
+    return n
 
 
 def _reshuffle(matrix: np.ndarray, n: int) -> np.ndarray:
@@ -117,9 +124,8 @@ class KrausMap:
     recorded as a checked flag, not required: short-time maps are only trace
     preserving to leading order. The map owns one ``SuperOperator``, the
     reshuffled ``V^T conj(V)`` (row b of V is the column-stacked vec of K_b),
-    formed on first use and kept, as the map is immutable; it holds the Choi
-    data of both forms, and it is marked with the Kraus rank, so that
-    ``check_cptp`` can pass its complete positivity from that structure.
+    formed on first use and kept; it holds the Choi data of both forms and
+    the Kraus rank, from which ``check_cptp`` passes complete positivity.
     ``canonical_reduction`` re-extracts at most N^2 operators from the Choi
     spectrum when a redundant set has accumulated.
     """
@@ -169,8 +175,7 @@ class KrausMap:
 
     def canonical_reduction(self, cutoff: float = PINV_RCOND) -> "KrausMap":
         """Minimal Kraus set (at most N^2 operators) from the Choi spectrum."""
-        choi = choi_from_kraus(self)
-        return kraus_from_choi(choi, cutoff=cutoff)
+        return kraus_from_choi(choi_from_kraus(self), cutoff=cutoff)
 
     def __repr__(self):
         return f"KrausMap(n={self.n}, rank={self.rank})"
@@ -220,13 +225,10 @@ class LeftRightMap:
 
 
 class SuperOperator:
-    """N^2 x N^2 matrix acting on column-stacked vectorized operators.
-
-    It keeps its Choi spectrum (the eigenvalues only) once one ``eigvalsh``
-    has found it: in ``check_cptp`` where no certificate decides, or on a
-    read of ``CptpReport.min_choi_eigenvalue``. A Kraus map's one
-    superoperator holds it for both forms. A refusal of the Choi matrix as
-    not Hermitian is not kept, so it recurs.
+    """N^2 x N^2 matrix acting on column-stacked vectorized operators, and the
+    one owner of its Choi matrix's Hermiticity and spectrum: once computed it
+    keeps the worst entry of ``C - C^dagger`` and the spectrum of the
+    Hermitian part of C (one ``eigvalsh``), never C, for every Choi question.
     """
 
     #: Kraus rank r when the matrix is a Kraus map's reshuffled ``V^T
@@ -234,14 +236,8 @@ class SuperOperator:
     _kraus_rank = 0
 
     def __init__(self, matrix):
-        m = _square(matrix, "superoperator")
-        n = round(m.shape[0] ** 0.5)
-        if n * n != m.shape[0]:
-            raise DimensionMismatchError(
-                f"superoperator side {m.shape[0]} is not a perfect square")
-        self._matrix = _frozen(m.copy())
-        self._n = n
-        self._eigenvalues = None
+        self._matrix = _frozen(_square(matrix, "superoperator").copy())
+        self._n = _root(len(self._matrix), "superoperator side")
 
     @property
     def matrix(self) -> np.ndarray:
@@ -260,24 +256,25 @@ class SuperOperator:
     def _superoperator(self) -> "SuperOperator":
         return self
 
-    def _choi(self) -> np.ndarray:
-        """The Choi matrix, a new array; one whose worst entry of ``C -
-        C^dagger`` exceeds ``TOL_HERM`` (or is NaN) raises ``ValidationError``."""
-        choi = _reshuffle(self._matrix, self._n)
-        _require_hermitian(choi, TOL_HERM, "Choi matrix")
-        return choi
+    @cached_property
+    def _choi_asymmetry(self) -> float:
+        """Worst entry of C - C^dagger (NaN if any is): S[i,j,k,l] - conj(S[j,i,l,k])."""
+        s = self._matrix.reshape((self._n,) * 4)
+        return float(np.abs(s - s.transpose(1, 0, 3, 2).conj()).max())
 
-    def _choi_spectrum(self, herm: np.ndarray | None = None) -> np.ndarray:
-        """Ascending eigenvalues of the Hermitian part of the Choi matrix,
-        from one ``eigvalsh`` on the first call, kept. ``herm`` is that part
-        when the caller has already formed it."""
-        if self._eigenvalues is None:
-            if herm is None:
-                herm = _hermitian_part(self._choi())
-            self._eigenvalues = _frozen(np.linalg.eigvalsh(herm))
-        return self._eigenvalues
+    def _hermitian_within(self, tol_herm: float) -> float:
+        """``_choi_asymmetry``, raising ``ValidationError`` above ``tol_herm``."""
+        return _asymmetry_within(self._choi_asymmetry, tol_herm, "Choi matrix")
+
+    def _hermitian_choi(self) -> np.ndarray:
+        """The Hermitian part of the Choi matrix, a new array."""
+        return _hermitian_part(_reshuffle(self._matrix, self._n))
 
     @cached_property
+    def _choi_spectrum(self) -> np.ndarray:
+        """Ascending eigenvalues of the Hermitian part of the Choi matrix."""
+        return _frozen(np.linalg.eigvalsh(self._hermitian_choi()))
+
     def _kraus_rounding_bound(self) -> float:
         """``2 (r + N^2) eps tr(C)`` for a Kraus map's superoperator, r its
         Kraus rank: no computed eigenvalue of the Hermitian part of the
@@ -286,22 +283,17 @@ class SuperOperator:
         ``|E|_2 <= r eps |W|_F^2 = r eps tr(C)`` (Higham 2002, ch. 3, with the
         complex factor of section 3.6), and ``eigvalsh`` is backward stable,
         each eigenvalue within about ``N^2 eps |C|_2`` of the exact one (LAPACK
-        Users' Guide, section 4.7); ``tr(C) >= |C|_2`` for a PSD C. The
-        Hermiticity refusal runs first; it raises, so it is not kept."""
-        trace = float(np.trace(self._choi()).real)
-        return 2 * (self._kraus_rank + self._n ** 2) * EPS * trace
+        Users' Guide, section 4.7); ``tr(C) >= |C|_2`` for a PSD C, and tr(C)
+        sums the induced kernel."""
+        return 2 * (self._kraus_rank + self._n ** 2) * EPS * float(self._induced()[0].sum())
 
     def _passes_cp(self, tol_psd: float) -> bool:
         """``_completely_positive`` of the Choi spectrum: a kept spectrum
         decides, else a certificate that applies, else one ``eigvalsh``."""
-        if self._eigenvalues is None:
-            if self._kraus_rank and tol_psd > self._kraus_rounding_bound:
-                return True
-            herm = _hermitian_part(self._choi())
-            if not self._kraus_rank and _cholesky_certifies(herm, tol_psd):
-                return True
-            self._choi_spectrum(herm)
-        return _completely_positive(self._eigenvalues, tol_psd)
+        return ("_choi_spectrum" not in vars(self) and (
+                    tol_psd > self._kraus_rounding_bound() if self._kraus_rank
+                    else _cholesky_certifies(self._hermitian_choi(), tol_psd))
+                or _completely_positive(self._choi_spectrum, tol_psd))
 
     def _tp_residual(self) -> float:
         vec_id = vec(np.eye(self._n))
@@ -317,43 +309,37 @@ class SuperOperator:
 
 
 class ChoiMatrix:
-    """Choi matrix of a map; positive semidefiniteness encodes complete
-    positivity. ``asymmetry``, the worst entry of ``C - C^dagger``, is at most
-    ``tol_herm``: a larger one, or NaN, raises ``ValidationError``. The
-    constructor keeps a copy of the matrix and diagonalises its Hermitian
-    part at once; ``ck_checklist``, which reports the smallest eigenvalue of
-    every member, uses it. ``check_cptp`` does not: it decides from a
-    certificate where one applies (see there)."""
+    """Choi matrix of a map, a view of the superoperator it reshuffles to;
+    positive semidefiniteness encodes complete positivity. ``asymmetry``, the
+    worst entry of ``C - C^dagger``, above ``tol_herm`` (or NaN) raises
+    ``ValidationError``. ``matrix`` is reshuffled per read; the spectrum,
+    computed on first read, and the certificates are the superoperator's."""
 
     def __init__(self, matrix, tol_herm: float = TOL_HERM):
         m = _square(matrix, "Choi matrix")
-        self.asymmetry = _require_hermitian(m, tol_herm, "Choi matrix")
-        self._matrix = _frozen(m.copy())
-        self.eigenvalues = _frozen(np.linalg.eigvalsh((m + m.conj().T) / 2.0))
+        s = SuperOperator(_reshuffle(m, _root(len(m), "Choi matrix side")))
+        self._superoperator, self.asymmetry = s, s._hermitian_within(tol_herm)
 
     @property
     def matrix(self) -> np.ndarray:
-        return self._matrix
+        return _frozen(_reshuffle(self._superoperator.matrix, self._superoperator.n))
+
+    @property
+    def eigenvalues(self) -> np.ndarray:
+        return self._superoperator._choi_spectrum
 
     @property
     def min_eigenvalue(self) -> float:
         return float(self.eigenvalues[0])
 
     def is_completely_positive(self, tol_psd: float = TOL_PSD) -> bool:
-        return _completely_positive(self.eigenvalues, tol_psd)
+        return self._superoperator._passes_cp(tol_psd)
 
 
 def _completely_positive(eigenvalues: np.ndarray, tol_psd: float) -> bool:
     """Scale-aware positivity of an ascending spectrum: the floor grows with it."""
     scale = max(1.0, float(np.abs(eigenvalues).max()))
     return float(eigenvalues[0]) >= -tol_psd * scale
-
-
-def _hermitian_part(m: np.ndarray) -> np.ndarray:
-    """``(m + m^dagger) / 2`` as a new array (bit for bit the same)."""
-    herm = m + m.conj().T
-    herm /= 2.0
-    return herm
 
 
 def _cholesky_certifies(herm: np.ndarray, tol_psd: float) -> bool:
@@ -370,16 +356,15 @@ def _cholesky_certifies(herm: np.ndarray, tol_psd: float) -> bool:
     ``-tol_psd``, which the rule's floor ``-tol_psd max(1, max |lambda|)``
     never exceeds. With ``tol_psd <= delta`` (NaN included), or when the
     factorisation fails, it certifies nothing and the spectrum decides.
-    ``herm`` is left unchanged.
+    ``herm`` is shifted in place.
     """
     n = len(herm)
     delta = 4 * n * n * EPS * (float(np.linalg.norm(herm)) + tol_psd)
     if not tol_psd > delta:
         return False
-    shifted = herm.copy()
-    shifted.reshape(-1)[::n + 1] += tol_psd - delta
+    herm.reshape(-1)[::n + 1] += tol_psd - delta
     try:
-        np.linalg.cholesky(shifted)
+        np.linalg.cholesky(herm)
     except np.linalg.LinAlgError:
         return False
     return True
@@ -395,19 +380,22 @@ def _supported(map_, *types):
 
 
 def choi_from_kraus(kmap: KrausMap) -> ChoiMatrix:
-    """Choi matrix ``sum_b vec(K_b) vec(K_b)^dagger``, a new copy each call."""
+    """Choi matrix ``sum_b vec(K_b) vec(K_b)^dagger``, a view of the map's one
+    superoperator, sharing its Kraus certificate and spectrum."""
     return choi_from_superoperator(kmap._superoperator)
 
 
 def choi_from_superoperator(s: SuperOperator) -> ChoiMatrix:
-    """Reshuffle a superoperator into its Choi matrix (an involution)."""
-    return ChoiMatrix(_reshuffle(s.matrix, s.n))
+    """The Choi matrix of ``s``, a view of it; refused above ``TOL_HERM``."""
+    choi = ChoiMatrix.__new__(ChoiMatrix)
+    choi._superoperator, choi.asymmetry = s, s._hermitian_within(TOL_HERM)
+    return choi
 
 
 def kraus_from_choi(choi: ChoiMatrix, cutoff: float = PINV_RCOND) -> KrausMap:
     """Kraus operators from the eigendecomposition of a PSD Choi matrix."""
-    n = round(choi.matrix.shape[0] ** 0.5)
-    eigvals, eigvecs = np.linalg.eigh((choi.matrix + choi.matrix.conj().T) / 2.0)
+    n = choi._superoperator.n
+    eigvals, eigvecs = np.linalg.eigh(_hermitian_part(choi.matrix))
     scale = max(float(eigvals.max()), 1.0)
     keep = eigvals[::-1] > cutoff * scale
     if not keep.any():
@@ -459,22 +447,20 @@ class CptpReport:
     """Trace-preservation and complete-positivity check of a map.
 
     ``min_choi_eigenvalue``, the smallest eigenvalue of the Hermitian part of
-    the Choi matrix, is computed on first read, by the one ``eigvalsh`` that
-    the checked map's superoperator keeps (shared by a Kraus map and its
-    superoperator, and with the check when it had to diagonalise). Two
-    reports are equal when these four values are.
+    the Choi matrix, is read from the spectrum the checked map's
+    superoperator keeps, computed on first read. Two reports are equal when
+    these four values are.
     """
 
     trace_preserving: bool
     tp_residual: float
     completely_positive: bool
-    # Not compared: equality is by the four values (``__eq__``), and so is the
-    # hash, which dataclass forms from the compared fields.
+    # Not compared: ``__eq__`` reads the four values, the hash the three fields.
     _superoperator: SuperOperator = field(compare=False)
 
     @property
     def min_choi_eigenvalue(self) -> float:
-        return float(self._superoperator._choi_spectrum()[0])
+        return float(self._superoperator._choi_spectrum[0])
 
     @property
     def passed(self) -> bool:
@@ -504,25 +490,22 @@ def check_cptp(map_: KrausMap | SuperOperator, tol_tp: float = TOL_TP,
     smallest Choi eigenvalue at least ``-tol_psd max(1, max |lambda|)``, but
     the spectrum is taken only where no certificate decides:
 
-    - a Kraus map and the superoperator ``to_superoperator(kmap)`` returns
-      pass with no factorisation when ``tol_psd`` exceeds the rounding bound
-      ``2 (r + N^2) eps tr(C)`` of the computed ``W W^dagger`` (r the Kraus
-      rank; ``SuperOperator._kraus_rounding_bound``);
+    - a Kraus map and its superoperator pass with no factorisation when
+      ``tol_psd`` exceeds the rounding bound ``2 (r + N^2) eps tr(C)`` of the
+      computed ``W W^dagger`` (``SuperOperator._kraus_rounding_bound``);
     - any other superoperator passes when one Cholesky factorisation of
       ``H + (tol_psd - delta) I``, H the Hermitian part of the Choi matrix,
-      succeeds, delta covering the rounding of it and of ``eigvalsh``
-      (``_cholesky_certifies``);
-    - otherwise (``tol_psd = 0`` among others) one ``eigvalsh`` decides, and
-      its spectrum is kept on the superoperator.
+      succeeds (``_cholesky_certifies``);
+    - otherwise one ``eigvalsh`` decides, and the superoperator keeps it.
 
     ``min_choi_eigenvalue`` is computed on the report's first read, so a
     caller reading only ``passed`` takes no diagonalisation, and both forms
-    of one lift share at most one. The tolerances are applied on every call;
-    a Choi matrix too asymmetric to be Hermitian (NaN included) is refused on
-    every call.
+    of one lift share at most one. The tolerances, and the refusal of a Choi
+    asymmetry above ``TOL_HERM`` (NaN included), apply on every call.
     """
     tp_residual = _supported(map_, KrausMap, SuperOperator)._tp_residual()
     superop = map_._superoperator
+    superop._hermitian_within(TOL_HERM)
     return CptpReport(tp_residual <= tol_tp, tp_residual,
                       superop._passes_cp(tol_psd), superop)
 
@@ -713,14 +696,15 @@ def q_divisibility_check(e_20: SuperOperator, e_10: SuperOperator,
     ``max(tolerance, n eps) / (n eps)`` (``_arrays.inverse_certifies_full_rank``).
     Otherwise, LU singular included, one full SVD of e_10 is cut by the
     classical check's rule (``_arrays.numerical_rank``). With none cut, the
-    CPTP check of the unique factor ``e_20 @ inv(e_10)`` (``e_20 V S^-1
-    U^dagger`` if LU found e_10 singular) decides. Otherwise the candidate
-    ``e_20 V_r S_r^-1 U_r^dagger`` of a cut map must reproduce e_20 to
-    within ``tolerance + |candidate|_2 s_(r+1)``, or the pair is
+    CPTP check of the unique factor ``e_20 @ inv(e_10)`` decides, formed as
+    ``e_20 V S^-1 U^dagger`` if LU found e_10 singular, or if that is finite
+    and the inverse's is not (e_10 of subnormal scale). Otherwise the
+    candidate ``e_20 V_r S_r^-1 U_r^dagger`` of a cut map must reproduce e_20
+    to within ``tolerance + |candidate|_2 s_(r+1)``, or the pair is
     indivisible (a rank obstruction when e_20 has the larger rank); a
-    candidate that does but is not CPTP is inconclusive. A Choi asymmetry
-    above ``max(TOL_HERM, tolerance)`` is not CPTP; a smaller one is
-    symmetrized away first.
+    candidate that does but is not CPTP is inconclusive. A witness's Choi
+    asymmetry above ``max(TOL_HERM, tolerance)`` is not CPTP; a smaller one
+    is symmetrized away first.
     """
     _same_dimension(e_20.n, e_10.n, "e_20", "e_10")
     for name, m in (("e_20", e_20.matrix), ("e_10", e_10.matrix)):
@@ -730,17 +714,25 @@ def q_divisibility_check(e_20: SuperOperator, e_10: SuperOperator,
         inverse = np.linalg.inv(e_10.matrix)
     except np.linalg.LinAlgError:  # exactly singular to LU: the SVD decides
         inverse = None
+    certified = inverse is not None and _inverse_certifies_full_rank(
+        e_10.matrix, inverse, tolerance)
     rank_10 = size = e_10.matrix.shape[0]
-    if inverse is None or not _inverse_certifies_full_rank(e_10.matrix, inverse,
-                                                           tolerance):
+    if not certified:
         u, s, vh = np.linalg.svd(e_10.matrix)
         rank_10 = _numerical_rank(s, tolerance)
     unique = rank_10 == size
-    if unique and inverse is not None:
-        candidate = e_20.matrix @ inverse
-    else:
-        scaled = e_20.matrix @ vh[:rank_10].conj().T / s[:rank_10]
-        candidate = scaled @ u[:, :rank_10].conj().T
+    candidate = e_20.matrix @ inverse if unique and inverse is not None else None
+    # An uncertified inverse may be infinite (e_10 of subnormal scale), or its
+    # factor overflow: the SVD forms the factor instead, kept if it is finite.
+    fallback = not (candidate is None or certified or np.isfinite(candidate).all())
+    if candidate is None or fallback:
+        with np.errstate(all="ignore" if fallback else None):
+            scaled = e_20.matrix @ vh[:rank_10].conj().T
+            # The fallback divides the parts: complex / real forms 1 / s, which overflows.
+            scaled = ((scaled.view(float) / np.repeat(s, 2)).view(complex) if fallback
+                      else scaled / s[:rank_10])
+            formed = scaled @ u[:, :rank_10].conj().T
+        candidate = candidate if fallback and not np.isfinite(formed).all() else formed
     if not unique:
         recon = float(np.abs(candidate @ e_10.matrix - e_20.matrix).max())
         allowed = tolerance + np.linalg.norm(scaled, 2) * s[rank_10]
@@ -752,13 +744,12 @@ def q_divisibility_check(e_20: SuperOperator, e_10: SuperOperator,
                       f"no linear factorization exists (residual {recon:.3e})")
             return QDivisibilityResult("indivisible", None, None, reason,
                                        candidate=candidate)
-    choi = _reshuffle(candidate, e_10.n)
-    asymmetry = float(np.abs(choi - choi.conj().T).max())
+    witness = SuperOperator(candidate)
     report = None
-    if asymmetry <= max(TOL_HERM, tolerance):
-        if asymmetry > TOL_HERM:
-            candidate = _reshuffle((choi + choi.conj().T) / 2.0, e_10.n)
-        witness = SuperOperator(candidate)
+    if witness._choi_asymmetry <= max(TOL_HERM, tolerance):
+        if witness._choi_asymmetry > TOL_HERM:
+            candidate = _reshuffle(witness._hermitian_choi(), e_10.n)
+            witness = SuperOperator(candidate)
         report = check_cptp(witness, tol_tp=max(TOL_TP, tolerance),
                             tol_psd=max(TOL_PSD, tolerance))
         if report.passed:

@@ -150,6 +150,17 @@ def test_subnormal_earlier_map_keeps_its_rank():
     assert result.reason == "earlier map is invertible and its unique factor is not CPTP"
 
 
+@pytest.mark.parametrize("scale", [1e-300, 1e-308, 1e-310])
+def test_tiny_map_over_itself_is_divisible(scale):
+    # The identity divides a map by itself. At 1e-310 the inverse is
+    # infinite and its factor NaN, so the SVD forms the factor instead.
+    e = SuperOperator(scale * depolarizing(2, 0.5))
+    result = q_divisibility_check(e, e)
+    assert result.verdict == "divisible"
+    assert result.reason == "unique factor is CPTP"
+    np.testing.assert_allclose(result.witness.matrix, np.eye(4), atol=1e-12)
+
+
 def test_classical_check_inverts_a_subnormal_kernel():
     # The classical check cuts by the same rule: X g over g divides through
     # the inverse at every scale down to 1e-310, and g over 1e-310 g does not.
