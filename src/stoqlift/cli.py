@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import argparse
 import hashlib
-import json
 import math
 import sys
 from pathlib import Path
@@ -38,11 +37,10 @@ from .lifts import (DensityOperator, KrausMap, SuperOperator,
                     q_divisibility_check, readout)
 from .division import theorem1_check
 from .memory import mod_square, two_step_kernel
-from .serialization import (SerializationError, complex_matrix_from_json,
-                            complex_matrix_to_json, detect_kind,
-                            generator_from_json, kernel_from_json,
-                            kraus_from_json, kraus_to_json, load_json,
-                            probability_vector_from_json,
+from .serialization import (SerializationError, _dumps, complex_matrix_from_json,
+                            detect_kind, dump_json, generator_from_json,
+                            kernel_from_json, kraus_from_json, kraus_to_json,
+                            load_json, probability_vector_from_json,
                             rate_matrix_from_json, real_matrix_from_json,
                             superoperator_from_json)
 
@@ -53,23 +51,6 @@ SYMMETRIC_RATE = np.array([[-1.0, 1.0], [1.0, -1.0]])
 EXIT_PASS = 0
 EXIT_DOMAIN_FAILURE = 1
 EXIT_USAGE = 2
-
-
-def _numpy_json(value):
-    """``json.dumps`` hook for the numpy values a report may hold."""
-    if isinstance(value, np.ndarray):
-        if np.iscomplexobj(value):
-            return complex_matrix_to_json(value)["rows"]
-        return value.tolist()
-    if isinstance(value, np.generic):
-        return value.item()
-    raise TypeError(f"{type(value).__name__} is not JSON serializable")
-
-
-def _dumps(obj) -> str:
-    """NaN or infinity raises ``ValueError`` (exit 1): neither is JSON."""
-    return json.dumps(obj, indent=2, sort_keys=True, default=_numpy_json,
-                      allow_nan=False) + "\n"
 
 
 def _fields(result, *names: str) -> dict:
@@ -359,7 +340,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed", type=int, default=42,
                         help="seed recorded in the report (default 42)")
     parser.add_argument("--tol", type=_tolerance, default=None,
-                        help="override the module default tolerances uniformly")
+                        help="replace the tolerance of the check each subcommand "
+                             "runs; input files are still read at the defaults")
     parser.add_argument("--out", type=str, default=None,
                         help="write the primary artifact (lift: Kraus JSON, "
                              "otherwise the report) to this path")
@@ -421,11 +403,9 @@ def main(argv=None) -> int:
         report = {"command": args.cmd, "inputs": inputs, "seed": args.seed,
                   "rng": "numpy.random.default_rng (PCG64), seeded from --seed",
                   "tool_version": __version__, "tables": {}, **fields}
-        payload = _dumps(report)
+        payload = _dumps(report)  # NaN or infinity raises ValueError (exit 1)
         if args.out:
-            Path(args.out).write_text(
-                _dumps(report["kraus"]) if args.cmd == "lift" else payload,
-                encoding="utf-8")
+            dump_json(report["kraus"] if args.cmd == "lift" else report, args.out)
     except (ValueError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         # A file that cannot be read, parsed or written is a usage error.

@@ -355,11 +355,12 @@ def _cholesky_certifies(herm: np.ndarray, tol_psd: float) -> bool:
     more; delta covers both. So every computed eigenvalue is at least
     ``-tol_psd``, which the rule's floor ``-tol_psd max(1, max |lambda|)``
     never exceeds. With ``tol_psd <= delta`` (NaN included), or when the
-    factorisation fails, it certifies nothing and the spectrum decides.
-    ``herm`` is shifted in place.
+    factorisation fails, it certifies nothing and the spectrum decides, as
+    when ``|herm|_F`` overflows. ``herm`` is shifted in place.
     """
     n = len(herm)
-    delta = 4 * n * n * EPS * (float(np.linalg.norm(herm)) + tol_psd)
+    with np.errstate(over="ignore"):  # an infinite norm makes delta infinite
+        delta = 4 * n * n * EPS * (float(np.linalg.norm(herm)) + tol_psd)
     if not tol_psd > delta:
         return False
     herm.reshape(-1)[::n + 1] += tol_psd - delta

@@ -6,7 +6,8 @@ finite number. A column vector is an N x 1 matrix. Complex matrices use
 ``[re, im]`` pairs for each entry. Kraus maps: ``{"ops": [complex-matrix,
 ...]}``. Generators: ``{"h": complex-matrix, "jumps": [complex-matrix,
 ...]}``. All numbers are finite IEEE doubles in decimal text: ``NaN``,
-``Infinity`` and literals that overflow a double are rejected.
+``Infinity`` and literals that overflow a double are rejected, and writing
+a non-finite number raises ``ValueError``.
 """
 
 from __future__ import annotations
@@ -41,9 +42,26 @@ def load_json(path) -> dict:
     return obj
 
 
+def _plain(value):
+    """``json.dumps`` hook: a numpy array as nested lists, a numpy scalar as
+    a Python number, each complex entry as an ``[re, im]`` pair."""
+    if not isinstance(value, (np.ndarray, np.generic)):
+        raise TypeError(f"{type(value).__name__} is not JSON serializable")
+    if np.iscomplexobj(value):
+        value = np.stack((value.real, value.imag), axis=-1)
+    return value.tolist()
+
+
+def _dumps(obj) -> str:
+    """The one JSON text of files and reports: indent 2, sorted keys, a final
+    newline. NaN or infinity raises ``ValueError``; ``load_json`` refuses both."""
+    return json.dumps(obj, indent=2, sort_keys=True, default=_plain,
+                      allow_nan=False) + "\n"
+
+
 def dump_json(obj: dict, path) -> None:
-    Path(path).write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n",
-                          encoding="utf-8")
+    """Write ``_dumps(obj)`` to ``path``; if that raises, no file is opened."""
+    Path(path).write_text(_dumps(obj), encoding="utf-8")
 
 
 def _number_rows(obj: dict, columns: int | None = None,
@@ -87,8 +105,9 @@ def real_matrix_from_json(obj: dict) -> np.ndarray:
 
 
 def real_matrix_to_json(matrix, from_time=None, to_time=None) -> dict:
+    """A real matrix (N x 1 for a vector) with the time stamps given."""
     m = np.asarray(matrix, dtype=float)
-    obj = {"n": int(m.shape[0]), "rows": [[float(x) for x in row] for row in m]}
+    obj = {"n": len(m), "rows": _plain(m)}
     if from_time is not None:
         obj["from_t"] = float(from_time)
     if to_time is not None:
@@ -102,9 +121,9 @@ def complex_matrix_from_json(obj: dict) -> np.ndarray:
 
 
 def complex_matrix_to_json(matrix) -> dict:
+    """A complex matrix, each entry an ``[re, im]`` pair."""
     m = np.asarray(matrix, dtype=complex)
-    rows = [[[float(x.real), float(x.imag)] for x in row] for row in m]
-    return {"n": int(m.shape[0]), "rows": rows}
+    return {"n": len(m), "rows": _plain(m)}
 
 
 def kernel_from_json(obj: dict) -> StochasticKernel:
@@ -121,7 +140,7 @@ def probability_vector_from_json(obj: dict) -> ProbabilityVector:
 
 
 def probability_vector_to_json(p: ProbabilityVector) -> dict:
-    return {"n": p.n, "rows": [[float(x)] for x in p.entries]}
+    return real_matrix_to_json(p.entries[:, None])
 
 
 def rate_matrix_from_json(obj: dict) -> RateMatrix:

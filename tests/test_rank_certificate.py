@@ -150,6 +150,16 @@ def test_subnormal_earlier_map_keeps_its_rank():
     assert result.reason == "earlier map is invertible and its unique factor is not CPTP"
 
 
+def test_huge_factor_declines_the_cholesky_certificate_without_a_warning():
+    # The factor of D over 1e-160 D has entries near 1e160, whose Frobenius
+    # norm overflows: the certificate declines, the spectrum decides, and
+    # no RuntimeWarning is raised (warnings are errors in this suite).
+    d = depolarizing(2, 0.5)
+    result = q_divisibility_check(SuperOperator(d), SuperOperator(1e-160 * d))
+    assert result.verdict == "indivisible"
+    assert result.reason == "earlier map is invertible and its unique factor is not CPTP"
+
+
 @pytest.mark.parametrize("scale", [1e-300, 1e-308, 1e-310])
 def test_tiny_map_over_itself_is_divisible(scale):
     # The identity divides a map by itself. At 1e-310 the inverse is

@@ -5,16 +5,19 @@ from stoqlift import GkslGenerator, ProbabilityVector, StochasticKernel
 from stoqlift.serialization import (SerializationError,
                                     complex_matrix_from_json,
                                     complex_matrix_to_json, detect_kind,
-                                    generator_from_json, generator_to_json,
+                                    dump_json, generator_from_json,
+                                    generator_to_json,
                                     kernel_from_json, kernel_to_json,
                                     kraus_from_json, kraus_to_json, load_json,
                                     probability_vector_from_json,
                                     probability_vector_to_json,
+                                    real_matrix_to_json,
                                     superoperator_from_json,
                                     superoperator_to_json)
-from stoqlift.lifts import to_superoperator
+from stoqlift.lifts import KrausMap, to_superoperator
 
-from random_ops import random_kraus_map, random_stochastic
+from random_ops import (random_kraus_map, random_probability_vector,
+                        random_stochastic)
 
 
 def test_kernel_roundtrip(rng):
@@ -206,3 +209,101 @@ def test_time_stamp_must_be_a_finite_number(key, stamp):
 def test_integer_time_stamps_are_kept():
     kernel = kernel_from_json({"n": 1, "rows": [[1.0]], "from_t": 0, "to_t": 2})
     assert (kernel.from_time, kernel.to_time) == (0, 2)
+
+
+def _through_a_file(tmp_path, obj):
+    """``load_json`` of what ``dump_json`` wrote, which must equal ``obj``."""
+    path = tmp_path / "written.json"
+    dump_json(obj, path)
+    back = load_json(path)
+    assert back == obj
+    return back
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
+
+
+def _complex(rng, n):
+    return rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+
+
+def test_matrix_writers_match_the_per_entry_reference(rng):
+    # Per-entry loops are the reference for the writers' tolist rows; repr
+    # tells -0.0 from 0.0 and a Python float from a numpy one.
+    m = _complex(rng, 3)
+    m[0] = [complex(-0.0, 5e-324), complex(1e308, -0.0), complex(-2.5e-308, 0.0)]
+    real = [[float(x) for x in row] for row in m.real]
+    pairs = [[[float(x.real), float(x.imag)] for x in row] for row in m]
+    assert repr(real_matrix_to_json(m.real)["rows"]) == repr(real)
+    assert repr(complex_matrix_to_json(m)["rows"]) == repr(pairs)
+    column = probability_vector_to_json(ProbabilityVector([0.25, 5e-324, 0.75]))
+    assert repr(column) == repr({"n": 3, "rows": [[0.25], [5e-324], [0.75]]})
+
+
+def test_kernel_with_times_roundtrips_through_a_file(tmp_path, rng):
+    kernel = StochasticKernel(random_stochastic(rng, 3).matrix,
+                              from_time=0.1, to_time=2.0 / 3.0)
+    back = kernel_from_json(_through_a_file(tmp_path, kernel_to_json(kernel)))
+    _same_bits(back.matrix, kernel.matrix)
+    assert (back.from_time, back.to_time) == (0.1, 2.0 / 3.0)
+
+
+def test_probability_vector_roundtrips_through_a_file(tmp_path, rng):
+    p = random_probability_vector(rng, 4)
+    obj = _through_a_file(tmp_path, probability_vector_to_json(p))
+    _same_bits(probability_vector_from_json(obj).entries, p.entries)
+
+
+def test_complex_matrix_roundtrips_through_a_file(tmp_path, rng):
+    m = _complex(rng, 3) * np.array([1.0, 1e-300, 1e300])
+    obj = _through_a_file(tmp_path, complex_matrix_to_json(m))
+    _same_bits(complex_matrix_from_json(obj), m)
+
+
+def test_superoperator_roundtrips_through_a_file(tmp_path, rng):
+    s = to_superoperator(random_kraus_map(rng, 2, 3))
+    obj = _through_a_file(tmp_path, superoperator_to_json(s))
+    _same_bits(superoperator_from_json(obj).matrix, s.matrix)
+
+
+def test_kraus_map_roundtrips_through_a_file(tmp_path, rng):
+    kmap = random_kraus_map(rng, 3, 2)
+    back = kraus_from_json(_through_a_file(tmp_path, kraus_to_json(kmap)))
+    _same_bits(back.operators, kmap.operators)
+
+
+def test_generator_roundtrips_through_a_file(tmp_path, rng):
+    a = _complex(rng, 3)
+    gen = GkslGenerator((a + a.conj().T) / 2, [_complex(rng, 3), _complex(rng, 3)])
+    back = generator_from_json(_through_a_file(tmp_path, generator_to_json(gen)))
+    _same_bits(back.hamiltonian, gen.hamiltonian)
+    _same_bits(back.jump_ops, gen.jump_ops)
+
+
+def test_numpy_values_are_written_as_the_matrix_writers_write_them(tmp_path, rng):
+    m = _complex(rng, 2)
+    path = tmp_path / "numpy.json"
+    dump_json({"n": 2, "rows": m}, path)
+    assert load_json(path) == complex_matrix_to_json(m)
+    dump_json({"n": np.int64(2), "rows": m.real}, path)
+    assert load_json(path) == real_matrix_to_json(m.real)
+
+
+@pytest.mark.parametrize("obj", [
+    pytest.param({"n": 1, "rows": [[float("nan")]]}, id="plain-nan"),
+    pytest.param(real_matrix_to_json(np.diag([1.0, np.inf])), id="real-inf"),
+    pytest.param(real_matrix_to_json(np.eye(1), from_time=-np.inf), id="time-stamp"),
+    pytest.param(complex_matrix_to_json(np.array([[1.0 - 1j * np.inf]])),
+                 id="complex-inf"),
+    pytest.param(kraus_to_json(KrausMap([np.eye(2), np.full((2, 2), np.nan)])),
+                 id="kraus-nan"),
+    pytest.param({"n": 1, "rows": np.array([[np.nan]])}, id="array-nan"),
+    pytest.param({"value": np.float32(np.inf)}, id="scalar-inf"),
+])
+def test_non_finite_number_is_not_written(tmp_path, obj):
+    path = tmp_path / "refused.json"
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        dump_json(obj, path)
+    assert not path.exists()
