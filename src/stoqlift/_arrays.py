@@ -1,5 +1,5 @@
 """Private array helpers shared across modules: the table of default
-tolerances and the one copy of each intake check.
+tolerances, the one copy of each intake check and the matrix exponential.
 
 Every default tolerance of the package is assigned once, in the table below;
 the modules that use one import it from here, so ``stoqlift.kernels.TOL_DIV``
@@ -9,6 +9,8 @@ compares false either way, fails it.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -49,23 +51,80 @@ def frozen(a: np.ndarray) -> np.ndarray:
 
 def semigroup(a: np.ndarray, t: float, conserved: np.ndarray | None = None,
               tol: float = TOL_STOCH) -> np.ndarray:
-    """``exp(t a)``, refusing a ``t`` that is not nonnegative and finite or
-    that makes ``t a`` overflow, a non-finite result, or one whose column sums
-    weighted by ``conserved`` (a row with ``conserved @ a = 0``) miss that row
-    by more than ``tol``, as rounding grows with ``t |a|`` (Higham 2002, ch.
-    10). The package's one scipy ``expm`` call, imported per call so the
-    package imports without it."""
+    """``exp(t a)`` by ``expm``, refusing a ``t`` that is not nonnegative and
+    finite or that makes ``|t a|_1`` overflow, a non-finite result, or one
+    whose column sums weighted by ``conserved`` (a row with ``conserved @ a =
+    0``) miss that row by more than ``tol``, as rounding grows with ``t |a|``
+    (Higham 2002, ch. 10). Every exponential of the package is taken here."""
     if not 0 <= t < np.inf:  # NaN fails too
         raise ValueError(f"time must be nonnegative and finite, got {t}")
-    if not t * float(np.abs(a).max()) < np.inf:  # so t * a cannot overflow
+    with np.errstate(over="ignore"):  # an overflowing column sum is infinite
+        norm = t * float(np.abs(a).sum(axis=0).max())  # |t a|_1, before forming t a
+    if not norm < np.inf:  # so t * a cannot overflow; NaN fails too
         raise ValueError(f"t={t} is too large for the generator: t|A| is not finite")
-    from scipy.linalg import expm
-    out = expm(t * a)
+    out = expm(t * a, norm)
     err = 0.0 if conserved is None else float(np.abs(conserved @ out - conserved).max())
     if not (err <= tol and np.isfinite(out).all()):
         raise ValueError(f"t={t} is too large for the generator: exp(tA) is not finite "
                          f"or loses what it conserves (column-sum error {err:.3e})")
     return out
+
+
+#: Higham (2005), Table 2.3: the largest ``|A|_1`` at which the degree-m
+#: diagonal Pade approximant of exp(A) is accurate to unit roundoff, and the
+#: coefficients b_0..b_m of its numerator p(A) (the denominator is p(-A)).
+_PADE = (
+    (1.495585217958292e-2, (120., 60., 12., 1.)),
+    (2.539398330063230e-1, (30240., 15120., 3360., 420., 30., 1.)),
+    (9.504178996162932e-1, (17297280., 8648640., 1995840., 277200., 25200., 1512.,
+                            56., 1.)),
+    (2.097847961257068e0, (17643225600., 8821612800., 2075673600., 302702400.,
+                           30270240., 2162160., 110880., 3960., 90., 1.)),
+    (5.371920351148152e0, (64764752532480000., 32382376266240000., 7771770303897600.,
+                           1187353796428800., 129060195264000., 10559470521600.,
+                           670442572800., 33522128640., 1323241920., 40840800.,
+                           960960., 16380., 182., 1.)),
+)
+
+
+def expm(a: np.ndarray, norm: float) -> np.ndarray:
+    """``exp(a)`` of a square float or complex ``a`` with finite ``norm =
+    |a|_1``: scaling and squaring with the Pade approximant of degree 3, 5,
+    7, 9 or 13 (Higham, SIAM J. Matrix Anal. Appl. 26 (2005) 1179, Algorithm
+    2.3). A 1x1 ``a`` gives ``np.exp(a)`` and a zero ``a`` the identity,
+    exactly. Squarings that overflow leave a non-finite result, silently."""
+    n = a.shape[0]
+    if n == 1:
+        return np.exp(a)
+    eye = np.eye(n, dtype=a.dtype)
+    if norm == 0:
+        return eye
+    for theta, b in _PADE:  # the lowest degree accurate at this norm, else 13
+        if norm <= theta:
+            break
+    s = math.ceil(math.log2(norm / theta)) if norm > theta else 0
+    if s:
+        a = a * 2.0 ** -s
+    a2 = a @ a
+    if len(b) == 14:  # degree 13, in six products (Higham 2005, (2.9)-(2.10))
+        a4 = a2 @ a2
+        a6 = a2 @ a4
+        u = a @ (a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2)
+                 + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * eye)
+        v = (a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2)
+             + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * eye)
+    else:  # over the even powers a^2, a^4, ..., summed in place
+        u, v, power = b[1] * eye + b[3] * a2, b[0] * eye + b[2] * a2, a2
+        for k in range(2, len(b) // 2):
+            power = power @ a2
+            u += b[2 * k + 1] * power
+            v += b[2 * k] * power
+        u = a @ u
+    r = np.linalg.solve(v - u, v + u)  # p(a) = v + u, p(-a) = v - u
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(s):
+            r = r @ r
+    return r
 
 
 def numerical_rank(s: np.ndarray, tolerance: float) -> int:

@@ -695,8 +695,9 @@ def q_divisibility_check(e_20: SuperOperator, e_10: SuperOperator,
     inverted by LU once, and no SVD is taken if ``|e_10|_F |inv(e_10)|_F``,
     a bound on cond_2(e_10), is at most a fixed quarter of the limit
     ``max(tolerance, n eps) / (n eps)`` (``_arrays.inverse_certifies_full_rank``).
-    Otherwise, LU singular included, one full SVD of e_10 is cut by the
-    classical check's rule (``_arrays.numerical_rank``). With none cut, the
+    Otherwise, LU singular included, the singular values of e_10 are cut by
+    the classical check's rule (``_arrays.numerical_rank``); its singular
+    vectors are computed only to form a factor from them. With none cut, the
     CPTP check of the unique factor ``e_20 @ inv(e_10)`` decides, formed as
     ``e_20 V S^-1 U^dagger`` if LU found e_10 singular, or if that is finite
     and the inverse's is not (e_10 of subnormal scale). Otherwise the
@@ -718,8 +719,12 @@ def q_divisibility_check(e_20: SuperOperator, e_10: SuperOperator,
     certified = inverse is not None and _inverse_certifies_full_rank(
         e_10.matrix, inverse, tolerance)
     rank_10 = size = e_10.matrix.shape[0]
+    u = None
     if not certified:
-        u, s, vh = np.linalg.svd(e_10.matrix)
+        if inverse is None:
+            u, s, vh = np.linalg.svd(e_10.matrix)
+        else:
+            s = np.linalg.svd(e_10.matrix, compute_uv=False)
         rank_10 = _numerical_rank(s, tolerance)
     unique = rank_10 == size
     candidate = e_20.matrix @ inverse if unique and inverse is not None else None
@@ -727,6 +732,8 @@ def q_divisibility_check(e_20: SuperOperator, e_10: SuperOperator,
     # factor overflow: the SVD forms the factor instead, kept if it is finite.
     fallback = not (candidate is None or certified or np.isfinite(candidate).all())
     if candidate is None or fallback:
+        if u is None:  # LU gave an inverse, but the rank is cut or its factor overflows
+            u, s, vh = np.linalg.svd(e_10.matrix)
         with np.errstate(all="ignore" if fallback else None):
             scaled = e_20.matrix @ vh[:rank_10].conj().T
             # The fallback divides the parts: complex / real forms 1 / s, which overflows.

@@ -116,8 +116,10 @@ def real_matrix_to_json(matrix, from_time=None, to_time=None) -> dict:
 
 
 def complex_matrix_from_json(obj: dict) -> np.ndarray:
-    raw = _number_rows(obj, pairs=True)
-    return raw[..., 0] + 1j * raw[..., 1]
+    """A matrix of ``[re, im]`` pairs, each pair's bits kept: the contiguous
+    pairs are read as complex numbers, as ``re + 1j * im`` would lose a
+    ``-0.0``."""
+    return _number_rows(obj, pairs=True).view(complex)[..., 0]
 
 
 def complex_matrix_to_json(matrix) -> dict:

@@ -82,6 +82,27 @@ def test_svd_runs_only_without_the_certificate(monkeypatch):
     assert len(inverses) == 2  # the second raised: LU finds e10 singular
 
 
+def test_uncertified_full_rank_map_takes_only_singular_values(monkeypatch):
+    # At q = 1e-6, cond_2 = 1e6 is inside the rule's limit (1.1e6 at n = 4)
+    # but |A|_F |A^-1|_F is not inside a quarter of it: the inverse is used
+    # uncertified, and the rank needs the singular values alone.
+    e10 = depolarizing(2, 1e-6)
+    assert not inverse_certifies_full_rank(e10, np.linalg.inv(e10), TOL_DIV)
+    e20 = random_channel(np.random.default_rng(2), 2, 2) @ e10
+    reference = outcome(svd_rule_q_divisibility, SuperOperator(e20), SuperOperator(e10))
+    calls, svd = [], np.linalg.svd
+
+    def counting_svd(a, *args, **kwargs):
+        calls.append(kwargs.get("compute_uv", True))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    ours = outcome(q_divisibility_check, SuperOperator(e20), SuperOperator(e10))
+    assert calls == [False]  # one SVD, values only
+    assert ours == reference
+    assert ours[0][0] == "divisible"
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_non_finite_earlier_map(bad):
     e10 = depolarizing(2, 0.5)

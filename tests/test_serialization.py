@@ -307,3 +307,16 @@ def test_non_finite_number_is_not_written(tmp_path, obj):
     with pytest.raises(ValueError, match="not JSON compliant"):
         dump_json(obj, path)
     assert not path.exists()
+
+
+def test_complex_matrix_keeps_the_sign_of_each_zero(tmp_path):
+    zeros = np.array([[complex(-0.0, 0.0), complex(0.0, -0.0)],
+                      [complex(-0.0, -0.0), complex(0.0, 0.0)]])
+    obj = complex_matrix_to_json(zeros)
+    back = complex_matrix_from_json(_through_a_file(tmp_path, obj))
+    assert np.signbit(back.real).tolist() == [[True, False], [True, False]]
+    assert np.signbit(back.imag).tolist() == [[False, True], [True, False]]
+    _same_bits(back, zeros)
+    first = (tmp_path / "written.json").read_bytes()
+    dump_json(complex_matrix_to_json(back), tmp_path / "again.json")
+    assert (tmp_path / "again.json").read_bytes() == first
