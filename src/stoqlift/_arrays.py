@@ -188,16 +188,25 @@ def same_dimension(a: int, b: int, name_a: str, name_b: str) -> None:
 def square_stack(ops, name: str) -> np.ndarray:
     """Square matrices of one dimension as one new ``(r, N, N)`` complex stack.
 
-    The first non-square shape (in input order) is named; mixed dimensions
-    raise. An empty input gives shape ``(0, 0, 0)``.
+    A nonempty square stack (an ``(r, N, N)`` array, or r N x N matrices)
+    becomes one copy. Otherwise each operator is checked in input order: the
+    first non-square shape is named, and mixed dimensions raise. An empty
+    input gives shape ``(0, 0, 0)``.
     """
+    if not isinstance(ops, (np.ndarray, list, tuple)):
+        ops = list(ops)  # an iterator is read once
+    try:
+        stack = np.array(ops, dtype=complex)
+    except (TypeError, ValueError):  # ragged or not numeric: the checks below say how
+        stack = np.empty(0)
+    if stack.ndim == 3 and stack.size and stack.shape[1] == stack.shape[2]:
+        return stack
     mats = [np.asarray(op, dtype=complex) for op in ops]
-    distinct = {m.shape: m for m in mats}  # first-seen order
-    for m in distinct.values():
+    for m in {m.shape: m for m in mats}.values():  # first-seen order
         square(m, name)
-    if len(distinct) > 1:
+    if mats:  # each square, so not all of one dimension
         raise DimensionMismatchError(f"{name}s must share one dimension")
-    return np.stack(mats) if mats else np.empty((0, 0, 0), dtype=complex)
+    return np.empty((0, 0, 0), dtype=complex)
 
 
 def require_hermitian(m: np.ndarray, tol: float, name: str) -> float:

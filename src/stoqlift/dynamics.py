@@ -13,7 +13,7 @@ by :func:`stoqlift.lifts.to_superoperator`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
@@ -248,18 +248,25 @@ class CkChecklistReport:
     check A: identity residual at coincidence, per grid time.
     check B: composition residual ``|S(t,s) - S(t,u) S(u,s)|`` per grid
     triple s < u < t; ``max_composition_residual`` is the worst.
-    check C: every member ``S(t, s)``, s < t, is CPTP; ``min_choi_eigenvalue``
-    is the smallest eigenvalue of the Hermitian parts of their Choi matrices,
-    ``max_choi_asymmetry`` the worst entry of ``C - C^dagger`` over them.
+    check C: every member ``S(t, s)``, s < t, is CPTP; ``max_choi_asymmetry``
+    is the worst entry of ``C - C^dagger`` over their Choi matrices, and
+    ``min_choi_eigenvalue`` the smallest eigenvalue of the Hermitian parts,
+    read from the spectra the members keep, computed on first read. Two
+    reports are equal when their public values, that one included, are.
     """
 
     passed: bool
     identity_residuals: dict[float, float]
     triples: tuple[CkTripleResidual, ...]
     max_composition_residual: float
-    min_choi_eigenvalue: float
     max_choi_asymmetry: float
     tolerance: float
+    # Not compared: ``__eq__`` and ``repr`` read the public values.
+    _members: tuple[SuperOperator, ...] = field(compare=False)
+
+    @property
+    def min_choi_eigenvalue(self) -> float:
+        return min(float(m._choi_spectrum[0]) for m in self._members)
 
     @property
     def max_identity_residual(self) -> float:
@@ -271,6 +278,21 @@ class CkChecklistReport:
         forward-equation check, for callers that still read it."""
         return self.max_composition_residual
 
+    def _values(self) -> tuple:
+        return (self.passed, self.identity_residuals, self.triples,
+                self.max_composition_residual, self.min_choi_eigenvalue,
+                self.max_choi_asymmetry, self.tolerance)
+
+    def __eq__(self, other):
+        if not isinstance(other, CkChecklistReport):
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __repr__(self):
+        return ("CkChecklistReport(passed={!r}, identity_residuals={!r}, triples={!r}, "
+                "max_composition_residual={!r}, min_choi_eigenvalue={!r}, "
+                "max_choi_asymmetry={!r}, tolerance={!r})".format(*self._values()))
+
 
 def ck_checklist(family: SuperOperatorFamily,
                  tolerance: float = CK_TOLERANCE) -> CkChecklistReport:
@@ -280,16 +302,20 @@ def ck_checklist(family: SuperOperatorFamily,
     ``S(t, s) = S(t, u) S(u, s)`` on every grid triple, both to within
     ``tolerance``, and when ``check_cptp`` at its defaults passes every member
     ``S(t, s)`` (one whose Choi asymmetry exceeds ``TOL_HERM`` fails, not
-    raises); the reported asymmetry and eigenvalue are the members' kept ones.
-    Each grid pair is evaluated once; the grid needs at least 3 times. A
-    member with a non-finite entry raises ``ValidationError``.
+    raises). The checks run in that order and stop at the first failure, and
+    ``check_cptp`` passes a member from its Kraus or Cholesky certificate
+    where one applies, so a caller reading only the verdict takes no
+    ``eigvalsh`` where every member is certified (unitary and GKSL families)
+    or a check before C fails (pairwise lifts fail at coincidence). The
+    report's ``min_choi_eigenvalue`` takes one ``eigvalsh`` per member that
+    keeps no spectrum, on its first read. Each grid pair is evaluated once;
+    the grid needs at least 3 times. A member with a non-finite entry raises
+    ``ValidationError``.
     """
     members, triples, worst = _composition_triples(family.grid, family.superop)
     asymmetry = max(m._hermitian_within(np.inf) for m in members)  # NaN raises
-    # Kept first, the spectra decide each check_cptp below.
-    min_eigenvalue = min(float(m._choi_spectrum[0]) for m in members)
     passed = (all(r <= tolerance for r in family.identity_residuals.values())
               and worst <= tolerance and asymmetry <= TOL_HERM
               and all(check_cptp(m).passed for m in members))
     return CkChecklistReport(passed, dict(family.identity_residuals), triples, worst,
-                             min_eigenvalue, asymmetry, tolerance)
+                             asymmetry, tolerance, tuple(members))

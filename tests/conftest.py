@@ -1,10 +1,12 @@
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import settings
 
-from stoqlift._arrays import numerical_rank
+from stoqlift._arrays import CK_TOLERANCE, numerical_rank
+from stoqlift.kernels import _composition_triples
 from stoqlift.lifts import (TOL_DIV, TOL_HERM, TOL_PSD, TOL_TP, QDivisibilityResult,
                             SuperOperator, _reshuffle, _same_dimension, check_cptp)
 
@@ -125,6 +127,41 @@ def svd_rule_q_divisibility(e_20, e_10, tolerance=TOL_DIV):
               "completion off that range is not searched")
     return QDivisibilityResult("indivisible" if unique else "inconclusive",
                                None, report, reason, candidate=candidate)
+
+
+def kept_spectra_checklist(family, tolerance=CK_TOLERANCE):
+    """``ck_checklist`` as it was before its CP test took certificates, kept
+    as the reference: every member's Choi spectrum is computed and kept
+    before ``check_cptp`` runs, so the spectral rule decides each member.
+    Returns the report's public values in field order, by name."""
+    members, triples, worst = _composition_triples(family.grid, family.superop)
+    asymmetry = max(m._hermitian_within(np.inf) for m in members)
+    min_eigenvalue = min(float(m._choi_spectrum[0]) for m in members)
+    passed = (all(r <= tolerance for r in family.identity_residuals.values())
+              and worst <= tolerance and asymmetry <= TOL_HERM
+              and all(check_cptp(m).passed for m in members))
+    return {"passed": passed, "identity_residuals": dict(family.identity_residuals),
+            "triples": triples, "max_composition_residual": worst,
+            "min_choi_eigenvalue": min_eigenvalue, "max_choi_asymmetry": asymmetry,
+            "tolerance": tolerance}
+
+
+def assert_checklist_matches_kept_spectra(report, reference):
+    """The verdict and the Choi numbers bit for bit; ``==`` and ``repr``
+    read ``min_choi_eigenvalue`` with the other public values."""
+    for name in ("passed", "min_choi_eigenvalue", "max_choi_asymmetry"):
+        assert float(getattr(report, name)).hex() == float(reference[name]).hex()
+    assert repr(report) == "CkChecklistReport({})".format(
+        ", ".join(f"{name}={value!r}" for name, value in reference.items()))
+    n = report._members[0].n
+    moved = replace(report, _members=(SuperOperator(-np.eye(n * n)),))
+    low = moved.min_choi_eigenvalue  # of -|Omega><Omega|: about -n
+    assert low == pytest.approx(-n) and low != report.min_choi_eigenvalue
+    assert moved != report
+    assert repr(moved) == repr(report).replace(
+        f"min_choi_eigenvalue={report.min_choi_eigenvalue!r}",
+        f"min_choi_eigenvalue={low!r}")
+    assert replace(report, _members=report._members[::-1]) == report
 
 
 def q_bits(r):

@@ -2,7 +2,7 @@
 asymmetry and spectrum, and ``ChoiMatrix``, ``check_cptp``, ``ck_checklist``
 and ``q_divisibility_check`` all read them. A ``ChoiMatrix`` is a view that
 diagonalises on first read, and the checklist decides each member with
-``check_cptp``."""
+``check_cptp``, diagonalising for its report's eigenvalue on first read."""
 
 import numpy as np
 import pytest
@@ -15,7 +15,8 @@ from stoqlift import (ChoiMatrix, DimensionMismatchError, GkslGenerator, KrausMa
                       superop_kernel_extract, to_superoperator)
 from stoqlift import dynamics, lifts
 
-from conftest import depolarizing
+from conftest import (assert_checklist_matches_kept_spectra, depolarizing,
+                      kept_spectra_checklist)
 from random_ops import random_kraus_map, random_stochastic, random_unitary
 
 
@@ -100,21 +101,39 @@ def _cptp_or_refused(member):
         return False
 
 
-@pytest.mark.parametrize("kind, cptp", [("composing", True), ("cp-failing", False),
-                                        ("phase", False)])
-def test_checklist_decides_members_with_check_cptp(kind, cptp, calls):
+@pytest.mark.parametrize("kind, cptp, checked_by", [
+    ("composing", True, ["cholesky"] * 6),  # each member certified by its factor
+    ("cp-failing", False, ["cholesky", "eigvalsh"]),  # the first member fails
+    ("phase", False, []),  # Choi asymmetry fails every member before check_cptp
+])
+def test_checklist_decides_members_with_check_cptp(kind, cptp, checked_by, calls):
     family = _families()[kind]
     grid = family.grid
     members = [family.superop(t, s) for k, s in enumerate(grid) for t in grid[k + 1:]]
     assert all(_cptp_or_refused(m) for m in members) == cptp
     calls.clear()
     report = ck_checklist(family)
-    # One diagonalisation per member, and no factorisation: the check reads
-    # the kept spectrum.
-    assert calls == ["eigvalsh"] * len(members)
+    # The verdict diagonalises only a member that no certificate passes.
+    assert calls == checked_by
     assert report.max_identity_residual == 0.0
     assert report.max_composition_residual <= 1e-12
     assert report.passed == cptp
+    # The eigenvalue diagonalises each member that kept no spectrum, once.
+    unkept = sum("_choi_spectrum" not in vars(m) for m in report._members)
+    assert unkept == len(members) - checked_by.count("eigvalsh")
+    calls.clear()
+    value = report.min_choi_eigenvalue
+    assert calls == ["eigvalsh"] * unkept
+    calls.clear()
+    assert report.min_choi_eigenvalue == value
+    assert not calls
+
+
+@pytest.mark.parametrize("kind", ["composing", "cp-failing", "phase"])
+def test_checklist_matches_the_rule_on_kept_spectra(kind):
+    report = ck_checklist(_families()[kind])
+    assert_checklist_matches_kept_spectra(report, kept_spectra_checklist(_families()[kind]))
+    assert ck_checklist(_families()[kind]) == report
 
 
 def test_checklist_leaves_choi_data_to_lifts():

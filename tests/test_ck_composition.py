@@ -18,6 +18,8 @@ from stoqlift import (GkslGenerator, KernelFamily, RateMatrix, SuperOperator,
                       SuperOperatorFamily, check_ck_family, ck_checklist,
                       ctmc_embedding)
 
+from conftest import assert_checklist_matches_kept_spectra, kept_spectra_checklist
+
 GRID = [0.0, 0.3, 0.7, 1.2, 2.0]
 DIMENSIONS = [2, 3, 4, 6]
 
@@ -61,6 +63,19 @@ def test_families_that_compose_by_construction_pass_at_rounding_level(kind, n):
     assert report.max_identity_residual <= 1e-12
     assert report.min_choi_eigenvalue >= -1e-12
     assert report.max_choi_asymmetry <= 1e-12
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("n", DIMENSIONS)
+@pytest.mark.parametrize("kind", ["unitary", "gksl-ctmc", "gksl-jumps",
+                                  "pairwise-rate", "pairwise-theta"])
+def test_verdict_matches_the_rule_on_kept_spectra(kind, n, seed):
+    # The certificates decide only where the spectral rule would pass, and
+    # the eigenvalue read later is the one the kept spectra gave.
+    report = ck_checklist(_family(kind, n, seed))
+    assert_checklist_matches_kept_spectra(
+        report, kept_spectra_checklist(_family(kind, n, seed)))
+    assert ck_checklist(_family(kind, n, seed)) == report
 
 
 @pytest.mark.parametrize("n", DIMENSIONS)

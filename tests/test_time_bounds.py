@@ -5,7 +5,8 @@ column sums miss one by about 1e-6 at t = 1e10 for unit rates) and is NaN
 long before a float overflows, so a ``t`` too large for the rates is a
 ``ValueError``. The same holds for every exponential of the package: a GKSL
 evolution must keep the trace and a unitary family must stay unitary
-(exp(-iX t) is off by 5e-10 at t = 5e6). A triviality demo runs forward over
+(exp(-iX t) is off by 1.21e-10 at t = 5e6, and the drift is not monotone in
+t: it is 8.4e-11 at t = 1e8). A triviality demo runs forward over
 a positive, finite span, and a scaling step must be positive with a finite
 step count.
 """
@@ -24,6 +25,7 @@ from stoqlift import (DensityOperator, GkslGenerator, KernelFamily,
                       ProbabilityVector, RateMatrix, SuperOperatorFamily,
                       ctmc_propagate, dtmc_to_ctmc_scaling, propagate,
                       theta_markov_triviality_demo)
+from stoqlift._arrays import TOL_TP, semigroup
 from stoqlift.cli import main
 
 from conftest import PAULI_X
@@ -109,6 +111,25 @@ def test_too_large_elapsed_time_raises_naming_it(name, t, s):
 @pytest.mark.parametrize("name", list(EVOLUTIONS))
 def test_moderate_elapsed_time_still_evolves(name):
     assert EVOLUTIONS[name](100.0, 0.0) is not None
+
+
+def test_unitary_member_is_refused_exactly_when_it_drifts_past_tol_tp():
+    # The refusal rule itself, over a sweep of t rather than one grid: a
+    # member of the unitary family raises iff |U^dagger U - I| of
+    # U = exp(-iX t) exceeds TOL_TP, naming t and that drift.
+    family = SuperOperatorFamily.from_hamiltonian(PAULI_X, [0, 1])
+    refused = []
+    for t in np.geomspace(1e5, 1e8, 61):
+        u = semigroup(-1j * PAULI_X.astype(complex), t)
+        drift = float(np.abs(u.conj().T @ u - np.eye(2)).max())
+        refused.append(drift > TOL_TP)
+        if refused[-1]:
+            with pytest.raises(ValueError, match=rf"t={re.escape(str(t))} is too large "
+                               rf".*\({drift:.3e}\)$"):
+                family.superop(t, 0.0)
+        else:
+            assert family.superop(t, 0.0).n == 2
+    assert any(refused) and not all(refused)
 
 
 @pytest.mark.parametrize("t_star, epsilon, named", [
