@@ -189,14 +189,14 @@ def square_stack(ops, name: str) -> np.ndarray:
     """Square matrices of one dimension as one new ``(r, N, N)`` complex stack.
 
     A nonempty square stack (an ``(r, N, N)`` array, or r N x N matrices)
-    becomes one copy. Otherwise each operator is checked in input order: the
-    first non-square shape is named, and mixed dimensions raise. An empty
-    input gives shape ``(0, 0, 0)``.
+    becomes one C-ordered copy. Otherwise each operator is checked in input
+    order: the first non-square shape is named, and mixed dimensions raise.
+    An empty input gives shape ``(0, 0, 0)``.
     """
     if not isinstance(ops, (np.ndarray, list, tuple)):
         ops = list(ops)  # an iterator is read once
     try:
-        stack = np.array(ops, dtype=complex)
+        stack = np.array(ops, dtype=complex, order="C")
     except (TypeError, ValueError):  # ragged or not numeric: the checks below say how
         stack = np.empty(0)
     if stack.ndim == 3 and stack.size and stack.shape[1] == stack.shape[2]:

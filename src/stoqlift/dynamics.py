@@ -25,8 +25,8 @@ from ._arrays import (CK_TOLERANCE, FD_STEP, TOL_HERM, TOL_TP, frozen as _frozen
                       same_dimension as _same_dimension, square as _square,
                       square_stack as _square_stack, strict_grid as _strict_grid)
 from .lifts import (DensityOperator, KrausMap, LeftRightMap, SuperOperator,
-                    _diagonal_images_offdiagonal, _rank_one_stack, canonical_lift,
-                    check_cptp, to_superoperator, unvec, vec)
+                    _diagonal_images_offdiagonal, _rank_one_stack, _reported,
+                    canonical_lift, check_cptp, to_superoperator, unvec, vec)
 
 
 class GkslGenerator:
@@ -241,6 +241,8 @@ def generator_from_family(family: SuperOperatorFamily, t: float,
     return SuperOperator((-3.0 * here + 4.0 * plus - plus2) / (2.0 * fd_step))
 
 
+@_reported("passed", "identity_residuals", "triples", "max_composition_residual",
+           "min_choi_eigenvalue", "max_choi_asymmetry", "tolerance")
 @dataclass(frozen=True)
 class CkChecklistReport:
     """Results of the composition checklist on a family.
@@ -261,7 +263,7 @@ class CkChecklistReport:
     max_composition_residual: float
     max_choi_asymmetry: float
     tolerance: float
-    # Not compared: ``__eq__`` and ``repr`` read the public values.
+    # Not compared: ``==`` and ``repr`` read the public values.
     _members: tuple[SuperOperator, ...] = field(compare=False)
 
     @property
@@ -277,21 +279,6 @@ class CkChecklistReport:
         """``max_composition_residual`` under the name of the earlier
         forward-equation check, for callers that still read it."""
         return self.max_composition_residual
-
-    def _values(self) -> tuple:
-        return (self.passed, self.identity_residuals, self.triples,
-                self.max_composition_residual, self.min_choi_eigenvalue,
-                self.max_choi_asymmetry, self.tolerance)
-
-    def __eq__(self, other):
-        if not isinstance(other, CkChecklistReport):
-            return NotImplemented
-        return self._values() == other._values()
-
-    def __repr__(self):
-        return ("CkChecklistReport(passed={!r}, identity_residuals={!r}, triples={!r}, "
-                "max_composition_residual={!r}, min_choi_eigenvalue={!r}, "
-                "max_choi_asymmetry={!r}, tolerance={!r})".format(*self._values()))
 
 
 def ck_checklist(family: SuperOperatorFamily,

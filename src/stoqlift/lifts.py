@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from operator import attrgetter
 from typing import Iterable, Sequence, Union
 
 import numpy as np
@@ -132,7 +133,9 @@ class KrausMap:
 
     def __init__(self, operators: Iterable[np.ndarray], tol_tp: float = TOL_TP):
         stack = _square_stack(operators, "Kraus operator")
-        stack = stack[~(np.linalg.norm(stack, axis=(1, 2)) < KRAUS_DROP_NORM)]
+        parts = stack.view(float)  # squared Frobenius norms; NaN compares false, kept
+        dropped = np.einsum("ijk,ijk->i", parts, parts) < KRAUS_DROP_NORM ** 2
+        stack = stack[~dropped] if dropped.any() else stack
         if not len(stack):
             raise ValidationError("Kraus map needs at least one nonzero operator")
         n = stack.shape[1]
@@ -260,7 +263,8 @@ class SuperOperator:
     def _choi_asymmetry(self) -> float:
         """Worst entry of C - C^dagger (NaN if any is): S[i,j,k,l] - conj(S[j,i,l,k])."""
         s = self._matrix.reshape((self._n,) * 4)
-        return float(np.abs(s - s.transpose(1, 0, 3, 2).conj()).max())
+        with np.errstate(invalid="ignore"):  # inf - inf is NaN, as for a NaN entry
+            return float(np.abs(s - s.transpose(1, 0, 3, 2).conj()).max())
 
     def _hermitian_within(self, tol_herm: float) -> float:
         """``_choi_asymmetry``, raising ``ValidationError`` above ``tol_herm``."""
@@ -443,6 +447,22 @@ def apply_kraus(kmap: KrausMap, rho: DensityOperator) -> DensityOperator:
     return DensityOperator((k @ rho.matrix @ k.conj().transpose(0, 2, 1)).sum(axis=0))
 
 
+def _reported(*names: str):
+    """Class decorator for a frozen dataclass report with lazy public values:
+    ``==`` and ``repr`` read ``names`` (two or more), properties included, in
+    order, and the dataclass hash stays over the compared fields."""
+    def decorate(cls):
+        values = attrgetter(*names)
+        cls.__eq__ = lambda self, other: (values(self) == values(other)
+                                          if isinstance(other, cls) else NotImplemented)
+        cls.__repr__ = lambda self: "{}({})".format(cls.__name__, ", ".join(
+            f"{name}={value!r}" for name, value in zip(names, values(self))))
+        return cls
+    return decorate
+
+
+@_reported("trace_preserving", "tp_residual", "completely_positive",
+           "min_choi_eigenvalue")
 @dataclass(frozen=True)
 class CptpReport:
     """Trace-preservation and complete-positivity check of a map.
@@ -456,7 +476,7 @@ class CptpReport:
     trace_preserving: bool
     tp_residual: float
     completely_positive: bool
-    # Not compared: ``__eq__`` reads the four values, the hash the three fields.
+    # Not compared: ``==`` reads the four values, the hash the three fields.
     _superoperator: SuperOperator = field(compare=False)
 
     @property
@@ -466,20 +486,6 @@ class CptpReport:
     @property
     def passed(self) -> bool:
         return self.trace_preserving and self.completely_positive
-
-    def _values(self) -> tuple:
-        return (self.trace_preserving, self.tp_residual, self.completely_positive,
-                self.min_choi_eigenvalue)
-
-    def __eq__(self, other):
-        if not isinstance(other, CptpReport):
-            return NotImplemented
-        return self._values() == other._values()
-
-    def __repr__(self):
-        return ("CptpReport(trace_preserving={!r}, tp_residual={!r}, "
-                "completely_positive={!r}, min_choi_eigenvalue={!r})"
-                .format(*self._values()))
 
 
 def check_cptp(map_: KrausMap | SuperOperator, tol_tp: float = TOL_TP,
@@ -691,65 +697,70 @@ def q_divisibility_check(e_20: SuperOperator, e_10: SuperOperator,
                          tolerance: float = TOL_DIV) -> QDivisibilityResult:
     """Decide whether e_20 factors through e_10 as a quantum channel.
 
-    A NaN or infinite entry in either map raises ``ValidationError``. e_10 is
-    inverted by LU once, and no SVD is taken if ``|e_10|_F |inv(e_10)|_F``,
-    a bound on cond_2(e_10), is at most a fixed quarter of the limit
-    ``max(tolerance, n eps) / (n eps)`` (``_arrays.inverse_certifies_full_rank``).
-    Otherwise, LU singular included, the singular values of e_10 are cut by
-    the classical check's rule (``_arrays.numerical_rank``); its singular
-    vectors are computed only to form a factor from them. With none cut, the
-    CPTP check of the unique factor ``e_20 @ inv(e_10)`` decides, formed as
-    ``e_20 V S^-1 U^dagger`` if LU found e_10 singular, or if that is finite
-    and the inverse's is not (e_10 of subnormal scale). Otherwise the
-    candidate ``e_20 V_r S_r^-1 U_r^dagger`` of a cut map must reproduce e_20
-    to within ``tolerance + |candidate|_2 s_(r+1)``, or the pair is
-    indivisible (a rank obstruction when e_20 has the larger rank); a
-    candidate that does but is not CPTP is inconclusive. A witness's Choi
-    asymmetry above ``max(TOL_HERM, tolerance)`` is not CPTP; a smaller one
-    is symmetrized away first.
+    A NaN or infinite entry in either map raises ``ValidationError``. Both
+    maps are first moved by one power of two, exactly, that puts e_10's
+    largest real or imaginary part in [1/2, 1), or less far where e_20 would
+    overflow: their factor is the same number, so one path serves every
+    scale, subnormal included, and ``tolerance`` applies to the moved maps.
+    The moved e_10 is inverted by LU once, and no SVD is taken if
+    ``|e_10|_F |inv(e_10)|_F``, a bound on cond_2(e_10), is at most a fixed
+    quarter of the limit ``max(tolerance, n eps) / (n eps)``
+    (``_arrays.inverse_certifies_full_rank``). Otherwise, LU singular
+    included, the singular values of e_10 are cut by the classical check's
+    rule (``_arrays.numerical_rank``); its singular vectors are computed only
+    to form a factor from them. With none cut, the CPTP check of the unique
+    factor ``e_20 @ inv(e_10)`` decides, formed as ``e_20 V S^-1 U^dagger``
+    if LU found e_10 singular; a factor beyond the float range is not
+    finite and not CPTP. Otherwise the candidate ``e_20 V_r S_r^-1
+    U_r^dagger`` of a cut map must reproduce e_20 to within ``tolerance +
+    |candidate|_2 s_(r+1)``, or the pair is indivisible (a rank obstruction
+    when e_20 has the larger rank, else a residual given in the input's
+    scale); a candidate that does but is not CPTP is inconclusive. A
+    witness's Choi asymmetry above ``max(TOL_HERM, tolerance)`` is not CPTP;
+    a smaller one is symmetrized away first.
     """
     _same_dimension(e_20.n, e_10.n, "e_20", "e_10")
-    for name, m in (("e_20", e_20.matrix), ("e_10", e_10.matrix)):
-        if not np.isfinite(m).all():
+    # The largest |re| or |im| of each map, NaN if any entry is.
+    tops = [np.abs(m.matrix.view(float)).max() for m in (e_20, e_10)]
+    for name, top in zip(("e_20", "e_10"), tops):
+        if not np.isfinite(top):
             raise ValidationError(f"{name} has a non-finite entry (NaN or infinity)")
+    # Both maps move by one power of two, exactly: e_10's largest part into
+    # [1/2, 1), unless e_20 would overflow. Their factor is the same number.
+    k = min(-np.frexp(tops[1])[1], 1024 - np.frexp(tops[0])[1])
+    a_20, a_10 = (np.ldexp(m.view(float), k).view(complex)
+                  for m in (e_20.matrix, e_10.matrix))
     try:
-        inverse = np.linalg.inv(e_10.matrix)
+        inverse = np.linalg.inv(a_10)
     except np.linalg.LinAlgError:  # exactly singular to LU: the SVD decides
         inverse = None
     certified = inverse is not None and _inverse_certifies_full_rank(
-        e_10.matrix, inverse, tolerance)
-    rank_10 = size = e_10.matrix.shape[0]
-    u = None
+        a_10, inverse, tolerance)
+    rank_10 = size = a_10.shape[0]
     if not certified:
         if inverse is None:
-            u, s, vh = np.linalg.svd(e_10.matrix)
+            u, s, vh = np.linalg.svd(a_10)
         else:
-            s = np.linalg.svd(e_10.matrix, compute_uv=False)
+            s = np.linalg.svd(a_10, compute_uv=False)
         rank_10 = _numerical_rank(s, tolerance)
     unique = rank_10 == size
-    candidate = e_20.matrix @ inverse if unique and inverse is not None else None
-    # An uncertified inverse may be infinite (e_10 of subnormal scale), or its
-    # factor overflow: the SVD forms the factor instead, kept if it is finite.
-    fallback = not (candidate is None or certified or np.isfinite(candidate).all())
-    if candidate is None or fallback:
-        if u is None:  # LU gave an inverse, but the rank is cut or its factor overflows
-            u, s, vh = np.linalg.svd(e_10.matrix)
-        with np.errstate(all="ignore" if fallback else None):
-            scaled = e_20.matrix @ vh[:rank_10].conj().T
-            # The fallback divides the parts: complex / real forms 1 / s, which overflows.
-            scaled = ((scaled.view(float) / np.repeat(s, 2)).view(complex) if fallback
-                      else scaled / s[:rank_10])
-            formed = scaled @ u[:, :rank_10].conj().T
-        candidate = candidate if fallback and not np.isfinite(formed).all() else formed
+    if unique and inverse is not None:
+        with np.errstate(over="ignore", invalid="ignore"):  # beyond the range: inf, NaN
+            candidate = a_20 @ inverse
+    else:
+        if inverse is not None:  # LU gave an inverse, but the rank is cut
+            u, s, vh = np.linalg.svd(a_10)
+        scaled = a_20 @ vh[:rank_10].conj().T / s[:rank_10]
+        candidate = scaled @ u[:, :rank_10].conj().T
     if not unique:
-        recon = float(np.abs(candidate @ e_10.matrix - e_20.matrix).max())
-        allowed = tolerance + np.linalg.norm(scaled, 2) * s[rank_10]
-        if not recon <= allowed:
-            sv_20 = np.linalg.svd(e_20.matrix, compute_uv=False)
+        recon = float(np.abs(candidate @ a_10 - a_20).max())
+        if not recon <= tolerance + np.linalg.norm(scaled, 2) * s[rank_10]:
+            sv_20 = np.linalg.svd(a_20, compute_uv=False)
             rank_20 = _numerical_rank(sv_20, tolerance)
             reason = (f"rank obstruction: rank {rank_10} cannot factor rank {rank_20}"
                       if rank_10 < rank_20 else
-                      f"no linear factorization exists (residual {recon:.3e})")
+                      f"no linear factorization exists "
+                      f"(residual {np.ldexp(recon, -k):.3e})")
             return QDivisibilityResult("indivisible", None, None, reason,
                                        candidate=candidate)
     witness = SuperOperator(candidate)

@@ -4,6 +4,8 @@ and ``q_divisibility_check`` all read them. A ``ChoiMatrix`` is a view that
 diagonalises on first read, and the checklist decides each member with
 ``check_cptp``, diagonalising for its report's eigenvalue on first read."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -172,3 +174,22 @@ def test_lift_pipeline_reshuffles_twice(rng, monkeypatch):
     result = q_divisibility_check(SuperOperator(canonical @ e10), SuperOperator(e10))
     assert result.verdict == "divisible"
     assert len(made) == 2
+
+
+def test_cptp_report_compares_and_shows_its_lazy_eigenvalue():
+    # ``==`` and ``repr`` read the four public values, the eigenvalue from
+    # the superoperator the report keeps; the hash is over the three fields.
+    n = 2
+    report = check_cptp(SuperOperator(depolarizing(n, 0.5)))
+    same = check_cptp(SuperOperator(depolarizing(n, 0.5)))
+    low = report.min_choi_eigenvalue
+    assert repr(report) == (
+        f"CptpReport(trace_preserving=True, tp_residual={report.tp_residual!r}, "
+        f"completely_positive=True, min_choi_eigenvalue={low!r})")
+    assert same == report and hash(same) == hash(report)
+    moved = replace(report, _superoperator=SuperOperator(-np.eye(n * n)))
+    assert moved.min_choi_eigenvalue == pytest.approx(-n)
+    assert moved != report and hash(moved) == hash(report)
+    assert repr(moved) == repr(report).replace(
+        f"min_choi_eigenvalue={low!r}", f"min_choi_eigenvalue={moved.min_choi_eigenvalue!r}")
+    assert report != report.passed

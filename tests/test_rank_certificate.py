@@ -6,7 +6,8 @@ SVD. These tests hold it to the reference ``svd_rule_q_divisibility`` of
 ``conftest``, which always cuts the singular values first: same verdict,
 reason, candidate and witness bits, same exception, and no new warning.
 Where the reference fails on valid input, a full-rank map that LU finds
-singular, the check answers from its SVD; a non-finite map it refuses.
+singular, the check answers from its SVD; a non-finite map it refuses. Both
+maps moved by one power of two give the same answer, subnormal ones too.
 """
 
 import json
@@ -137,13 +138,22 @@ def test_exactly_singular_earlier_map():
 
 @pytest.mark.parametrize("scale", [1e-160, 1e-310])
 def test_tiny_earlier_map_whose_inverse_overflows(scale):
-    # At 1e-160 the inverse is finite but its Frobenius norm overflows; at
-    # 1e-310 (subnormal) the inverse itself is infinite.
+    # At 1e-160 the inverse is finite but its Frobenius norm overflows. At
+    # 1e-310 (subnormal) the factor, near 1e310 I, is past the largest
+    # double: it is not finite, so not CPTP, and forming it gives no warning.
     e10 = scale * depolarizing(2, 0.5)
     with np.errstate(over="ignore"):
         assert not np.isfinite(np.linalg.norm(np.linalg.inv(e10)))
     for e20 in (depolarizing(2, 0.5), np.eye(4)):
-        assert_matches_svd_rule(e20, e10)
+        if scale > 1e-300:
+            assert_matches_svd_rule(e20, e10)
+            continue
+        result, caught = outcome(q_divisibility_check, SuperOperator(e20),
+                                 SuperOperator(e10), bits=lambda r: r)
+        assert caught == []
+        assert result.verdict == "indivisible" and result.witness is None
+        assert result.reason == "earlier map is invertible and its unique factor is not CPTP"
+        assert not np.isfinite(result.candidate).all()
 
 
 #: Normal and subnormal scales (the smallest normal double is 2.2e-308).
@@ -181,15 +191,69 @@ def test_huge_factor_declines_the_cholesky_certificate_without_a_warning():
     assert result.reason == "earlier map is invertible and its unique factor is not CPTP"
 
 
-@pytest.mark.parametrize("scale", [1e-300, 1e-308, 1e-310])
+@pytest.mark.parametrize("scale", [1e-300, 1e-308, 1e-310, 1e-312, 1e-315, 1e-318])
 def test_tiny_map_over_itself_is_divisible(scale):
-    # The identity divides a map by itself. At 1e-310 the inverse is
-    # infinite and its factor NaN, so the SVD forms the factor instead.
+    # The identity divides a map by itself. Below 1e-308 the entries are
+    # subnormal and keep fewer bits (about 18 at 1e-318), but moved by a
+    # power of two they are exact normal numbers, and so is their inverse.
     e = SuperOperator(scale * depolarizing(2, 0.5))
     result = q_divisibility_check(e, e)
     assert result.verdict == "divisible"
     assert result.reason == "unique factor is CPTP"
-    np.testing.assert_allclose(result.witness.matrix, np.eye(4), atol=1e-12)
+    np.testing.assert_allclose(result.witness.matrix, np.eye(4), atol=4 * EPS)
+
+
+def reference_pairs():
+    """The pairs above held to the reference: the depolarizing steps, an
+    exactly singular map, and a full-rank map that LU finds singular."""
+    for d in (2, 3, 4):
+        for tolerance in (TOL_DIV, 1e-6):
+            n, rng = d * d, np.random.default_rng(d)
+            for inv_q in np.geomspace(limit(n, tolerance) / (40 * n),
+                                      40 * limit(n, tolerance), 31):
+                e10 = depolarizing(d, 1.0 / inv_q)
+                for e20 in (random_channel(rng, d, 2) @ e10, np.eye(n)):
+                    yield e20, e10, tolerance
+    e10 = depolarizing(2, 0.0)
+    for e20 in (random_channel(np.random.default_rng(1), 2, 1) @ e10, np.eye(4)):
+        yield e20, e10, TOL_DIV
+    yield np.eye(4), np.arange(1.0, 17.0).reshape(4, 4), 1e6
+
+
+@pytest.mark.parametrize("k", [-900, -300, -1, 1, 300, 900])
+def test_verdicts_are_the_same_at_every_scale(k):
+    # Both maps moved by 2^k, every nonzero entry still normal: the check
+    # moves them back, so verdict, reason and candidate keep their bits.
+    def bits(r):
+        return r.verdict, r.reason, r.candidate.tobytes()
+
+    routes = set()
+    for e20, e10, tolerance in reference_pairs():
+        parts = np.abs(np.concatenate([e20, e10]).astype(complex).view(float))
+        assert np.ldexp(parts[parts > 0].min(), k) >= np.finfo(float).tiny
+        moved = (SuperOperator(2.0 ** k * e20), SuperOperator(2.0 ** k * e10))
+        expected = bits(q_divisibility_check(SuperOperator(e20), SuperOperator(e10),
+                                             tolerance))
+        assert bits(q_divisibility_check(*moved, tolerance)) == expected
+        routes.add(expected[:2])
+    assert len(routes) == 7  # every route: unique, cut, rank obstruction, LU-singular
+
+
+def test_residual_is_given_in_the_input_scale():
+    # At tolerance 0 the rounding of a factor through a singular map is a
+    # residual: the verdict is the same at every scale, the number moves.
+    e10 = depolarizing(2, 0.0)
+    e20 = random_channel(np.random.default_rng(1), 2, 1) @ e10
+    residuals = []
+    for k in (0, -900, 900):
+        result = q_divisibility_check(SuperOperator(2.0 ** k * e20),
+                                      SuperOperator(2.0 ** k * e10), 0.0)
+        assert result.verdict == "indivisible"
+        prefix, residual = result.reason[:-1].split("(residual ")
+        assert prefix == "no linear factorization exists "
+        residuals.append(float(residual) / 2.0 ** k)
+    assert 0 < residuals[0] < 1e-14
+    assert residuals == pytest.approx([residuals[0]] * 3, rel=1e-3)
 
 
 def test_classical_check_inverts_a_subnormal_kernel():
