@@ -1,5 +1,6 @@
 """Private array helpers shared across modules: the table of default
-tolerances, the one copy of each intake check and the matrix exponential.
+tolerances, the one copy of each intake check, the matrix exponential and
+the base of the four types that hold one square matrix by value.
 
 Every default tolerance of the package is assigned once, in the table below;
 the modules that use one import it from here, so ``stoqlift.kernels.TOL_DIV``
@@ -47,6 +48,23 @@ def frozen(a: np.ndarray) -> np.ndarray:
     """Mark an array read-only and hand it back (values are immutable)."""
     a.setflags(write=False)
     return a
+
+
+class MatrixValue:
+    """A value held as one read-only square array, ``_matrix``, set by the
+    subclass: the read-only ``matrix``, its side ``n`` and the ``Name(n=N)``
+    repr, each overridable."""
+
+    @property
+    def matrix(self) -> np.ndarray:
+        return self._matrix
+
+    @property
+    def n(self) -> int:
+        return self._matrix.shape[0]
+
+    def __repr__(self):
+        return f"{type(self).__name__}(n={self.n})"
 
 
 def semigroup(a: np.ndarray, t: float, conserved: np.ndarray | None = None,

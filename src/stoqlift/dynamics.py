@@ -14,16 +14,16 @@ by :func:`stoqlift.lifts.to_superoperator`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .errors import DimensionMismatchError, ValidationError
-from .kernels import CkTripleResidual, RateMatrix, _composition_triples
+from .kernels import CkTripleResidual, RateMatrix, _TwoTimeFamily, _composition_triples
 from ._arrays import (CK_TOLERANCE, FD_STEP, TOL_HERM, TOL_TP, frozen as _frozen,
                       require_hermitian as _require_hermitian, semigroup as _semigroup,
                       same_dimension as _same_dimension, square as _square,
-                      square_stack as _square_stack, strict_grid as _strict_grid)
+                      square_stack as _square_stack)
 from .lifts import (DensityOperator, KrausMap, LeftRightMap, SuperOperator,
                     _diagonal_images_offdiagonal, _rank_one_stack, _reported,
                     canonical_lift, check_cptp, to_superoperator, unvec, vec)
@@ -162,33 +162,22 @@ def diagonal_preservation_check(gen: GkslGenerator,
     return worst <= tolerance
 
 
-class SuperOperatorFamily:
+class SuperOperatorFamily(_TwoTimeFamily):
     """Two-parameter family of superoperators over a time grid.
 
-    Normalization at coincidence (``superop(s, s)`` equal to the identity) is
-    a *checked* property, recorded per grid time in ``identity_residuals``
-    and gated by the checklist, not a construction precondition: pairwise
-    lifts of a kernel family genuinely violate it, and probing exactly that
-    defect is part of this module's job.
+    ``superop_fn(t, s)`` gives the map from time ``s`` to ``t >= s``, as a
+    ``SuperOperator`` or a matrix; ``superop`` refuses ``t < s`` and NaN
+    times. The family shares its member rule and its coincidence table with
+    ``kernels.KernelFamily``. Normalization at coincidence (``superop(s, s)``
+    equal to the identity) is a *checked* property, recorded per grid time in
+    ``identity_residuals`` and gated by the checklist, not a construction
+    precondition: pairwise lifts of a kernel family genuinely violate it, and
+    probing exactly that defect is part of this module's job.
     """
 
-    def __init__(self, grid: Sequence[float],
-                 superop_fn: Callable[[float, float], object]):
-        self.grid = _strict_grid(grid)
-        self._fn = superop_fn
-        residuals = {}
-        for s in self.grid:
-            m = self.superop(float(s), float(s)).matrix
-            residuals[float(s)] = float(np.abs(m - np.eye(m.shape[0])).max())
-        self.identity_residuals = residuals
-
-    def superop(self, t: float, s: float) -> SuperOperator:
-        if t < s:
-            raise ValueError(f"superop requires t >= s, got t={t}, s={s}")
-        out = self._fn(t, s)
-        if isinstance(out, SuperOperator):
-            return out
-        return SuperOperator(np.asarray(out, dtype=complex))
+    _kind = "superop"
+    _member_type = SuperOperator
+    superop = _TwoTimeFamily._member
 
     @classmethod
     def from_generator(cls, gen: GkslGenerator | SuperOperator,
@@ -272,7 +261,7 @@ class CkChecklistReport:
 
     @property
     def max_identity_residual(self) -> float:
-        return max(self.identity_residuals.values())
+        return float(np.max([*self.identity_residuals.values()]))  # NaN if any is
 
     @property
     def max_forward_residual(self) -> float:

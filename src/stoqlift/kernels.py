@@ -16,7 +16,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from ._arrays import (TOL_DIV, TOL_PROB, TOL_STOCH, frozen as _frozen,
+from ._arrays import (TOL_DIV, TOL_PROB, TOL_STOCH, MatrixValue as _MatrixValue,
+                      frozen as _frozen,
                       numerical_rank as _numerical_rank,
                       same_dimension as _same_dimension, semigroup as _semigroup,
                       square as _square, strict_grid as _strict_grid)
@@ -109,7 +110,7 @@ class ProbabilityVector:
         return f"ProbabilityVector({self._entries.tolist()})"
 
 
-class StochasticKernel:
+class StochasticKernel(_MatrixValue):
     """Column-stochastic transition matrix, optionally time-stamped.
 
     When both time stamps are given and equal, the matrix must be the
@@ -143,14 +144,6 @@ class StochasticKernel:
         kernel.from_time = kernel.to_time = None
         return kernel
 
-    @property
-    def matrix(self) -> np.ndarray:
-        return self._matrix
-
-    @property
-    def n(self) -> int:
-        return self._matrix.shape[0]
-
     @classmethod
     def identity(cls, n: int, from_time: float | None = None,
                  to_time: float | None = None) -> "StochasticKernel":
@@ -163,7 +156,7 @@ class StochasticKernel:
         return f"StochasticKernel({self._matrix.tolist()}{times})"
 
 
-class RateMatrix:
+class RateMatrix(_MatrixValue):
     """Generator of a continuous-time Markov chain.
 
     Off-diagonal entries are nonnegative transition rates (units 1/time) and
@@ -181,59 +174,8 @@ class RateMatrix:
                 f"columns must sum to zero, worst deviation {col_err:.3e}")
         self._matrix = _frozen(m.copy())
 
-    @property
-    def matrix(self) -> np.ndarray:
-        return self._matrix
-
-    @property
-    def n(self) -> int:
-        return self._matrix.shape[0]
-
     def __repr__(self):
         return f"RateMatrix({self._matrix.tolist()})"
-
-
-class KernelFamily:
-    """Two-parameter family of transition kernels over a time grid.
-
-    ``kernel_fn(t, s)`` must produce the transition matrix from time ``s`` to
-    time ``t >= s``; the family is checked to return the identity at equal
-    times for every grid point.
-    """
-
-    def __init__(self, grid: Sequence[float],
-                 kernel_fn: Callable[[float, float], object],
-                 tol_identity: float = TOL_STOCH):
-        self.grid = _strict_grid(grid)
-        self._fn = kernel_fn
-        for s in self.grid:
-            k = self.kernel(float(s), float(s))
-            if np.abs(k.matrix - np.eye(k.n)).max() > tol_identity:
-                raise ValidationError(
-                    f"kernel({s}, {s}) is not the identity")
-
-    def kernel(self, t: float, s: float) -> StochasticKernel:
-        if t < s:
-            raise ValueError(f"kernel requires t >= s, got t={t}, s={s}")
-        out = self._fn(t, s)
-        if isinstance(out, StochasticKernel):
-            return out
-        return StochasticKernel(np.asarray(out, dtype=float),
-                                from_time=s, to_time=t)
-
-    @classmethod
-    def from_rate_matrix(cls, rate: RateMatrix | np.ndarray,
-                         grid: Sequence[float]) -> "KernelFamily":
-        """Semigroup family ``exp((t - s) R)`` of a constant rate matrix."""
-        r = rate if isinstance(rate, RateMatrix) else RateMatrix(rate)
-        ones = np.ones(r.n)
-        return cls(grid, lambda t, s: _semigroup(r.matrix, t - s, ones))
-
-    @classmethod
-    def from_theta(cls, theta_fn: Callable[[float, float], np.ndarray],
-                   grid: Sequence[float]) -> "KernelFamily":
-        """Family of squared moduli ``|theta(t, s)|**2`` of a complex matrix."""
-        return cls(grid, lambda t, s: np.abs(np.asarray(theta_fn(t, s))) ** 2)
 
 
 def compose(later: StochasticKernel, earlier: StochasticKernel) -> StochasticKernel:
@@ -291,6 +233,80 @@ def _composition_triples(grid: np.ndarray, member: Callable[[float, float], obje
                                   float(np.abs(m[i, k] - m[j, k] @ m[i, j]).max()))
                  for i, j, k in itertools.combinations(range(len(times)), 3))
     return list(members.values()), rows, float(np.max([r.residual for r in rows]))
+
+
+class _TwoTimeFamily:
+    """A member ``M(t, s)`` for every pair of times ``t >= s`` and a strictly
+    increasing grid of times: the one member rule and coincidence table of
+    ``KernelFamily`` and ``dynamics.SuperOperatorFamily``.
+
+    The public member method is named after the family's ``_kind`` and calls
+    the supplied ``fn(t, s)``, refusing a pair with ``t < s`` or a NaN time.
+    A result of ``_member_type`` is returned as it is; anything else is
+    coerced by ``_coerce(out, t, s)``, by default ``_member_type(out)``.
+    ``identity_residuals`` maps each grid time s to ``|M(s, s) - I|_max``,
+    each coincidence member evaluated once, at construction.
+    """
+
+    def __init__(self, grid: Sequence[float], fn: Callable[[float, float], object]):
+        self.grid = _strict_grid(grid)
+        self._fn = fn
+        member = getattr(self, self._kind)  # so a wrapper of it sees these calls
+        self.identity_residuals = {}
+        for s in map(float, self.grid):
+            m = member(s, s).matrix
+            self.identity_residuals[s] = float(np.abs(m - np.eye(len(m))).max())
+
+    def _member(self, t: float, s: float):
+        if not t >= s:  # NaN fails too
+            raise ValueError(f"{self._kind} requires t >= s, got t={t}, s={s}")
+        out = self._fn(t, s)
+        return out if isinstance(out, self._member_type) else self._coerce(out, t, s)
+
+    def _coerce(self, out, t: float, s: float):
+        return self._member_type(out)
+
+
+class KernelFamily(_TwoTimeFamily):
+    """Two-parameter family of transition kernels over a time grid.
+
+    ``kernel_fn(t, s)`` must produce the transition matrix from time ``s`` to
+    time ``t >= s``, as a ``StochasticKernel`` or a matrix (stamped with s
+    and t). ``kernel`` refuses ``t < s`` and NaN times. The family shares its
+    member rule and its coincidence table, ``identity_residuals``, with
+    ``dynamics.SuperOperatorFamily``; unlike that family it is refused
+    unless every residual in that table is at most ``tol_identity``.
+    """
+
+    _kind = "kernel"
+    _member_type = StochasticKernel
+
+    def __init__(self, grid: Sequence[float],
+                 kernel_fn: Callable[[float, float], object],
+                 tol_identity: float = TOL_STOCH):
+        super().__init__(grid, kernel_fn)
+        for s, residual in self.identity_residuals.items():
+            if not residual <= tol_identity:
+                raise ValidationError(f"kernel({s}, {s}) is not the identity")
+
+    kernel = _TwoTimeFamily._member
+
+    def _coerce(self, out, t: float, s: float) -> StochasticKernel:
+        return StochasticKernel(np.asarray(out, dtype=float), from_time=s, to_time=t)
+
+    @classmethod
+    def from_rate_matrix(cls, rate: RateMatrix | np.ndarray,
+                         grid: Sequence[float]) -> "KernelFamily":
+        """Semigroup family ``exp((t - s) R)`` of a constant rate matrix."""
+        r = rate if isinstance(rate, RateMatrix) else RateMatrix(rate)
+        ones = np.ones(r.n)
+        return cls(grid, lambda t, s: _semigroup(r.matrix, t - s, ones))
+
+    @classmethod
+    def from_theta(cls, theta_fn: Callable[[float, float], np.ndarray],
+                   grid: Sequence[float]) -> "KernelFamily":
+        """Family of squared moduli ``|theta(t, s)|**2`` of a complex matrix."""
+        return cls(grid, lambda t, s: np.abs(np.asarray(theta_fn(t, s))) ** 2)
 
 
 def check_ck_family(family: KernelFamily, tolerance: float = TOL_STOCH) -> CkFamilyReport:

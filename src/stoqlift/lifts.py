@@ -23,7 +23,8 @@ from typing import Iterable, Sequence, Union
 import numpy as np
 
 from ._arrays import (EPS, KRAUS_DROP_NORM, PINV_RCOND, TOL_DIV, TOL_HERM, TOL_PROB,
-                      TOL_PSD, TOL_STOCH, TOL_TP, frozen as _frozen,
+                      TOL_PSD, TOL_STOCH, TOL_TP, MatrixValue as _MatrixValue,
+                      frozen as _frozen,
                       asymmetry_within as _asymmetry_within,
                       hermitian_part as _hermitian_part,
                       inverse_certifies_full_rank as _inverse_certifies_full_rank,
@@ -84,7 +85,7 @@ def dephasing_projector(n: int) -> np.ndarray:
     return d @ d.T
 
 
-class DensityOperator:
+class DensityOperator(_MatrixValue):
     """Hermitian, unit-trace, positive-semidefinite N x N complex matrix."""
 
     def __init__(self, matrix, tol_herm: float = TOL_HERM, tol_psd: float = TOL_PSD):
@@ -96,23 +97,12 @@ class DensityOperator:
         _require_psd(m, tol_psd, "density operator")
         self._matrix = _frozen(m.copy())
 
-    @property
-    def matrix(self) -> np.ndarray:
-        return self._matrix
-
-    @property
-    def n(self) -> int:
-        return self._matrix.shape[0]
-
     @classmethod
     def basis_projector(cls, index: int, n: int) -> "DensityOperator":
         """Rank-one projector onto the ``index``-th configuration basis vector."""
         m = np.zeros((n, n), dtype=complex)
         m[index, index] = 1.0
         return cls(m)
-
-    def __repr__(self):
-        return f"DensityOperator(n={self.n})"
 
 
 class KrausMap:
@@ -227,7 +217,7 @@ class LeftRightMap:
         return f"LeftRightMap(n={self.n}, terms={len(self._left)})"
 
 
-class SuperOperator:
+class SuperOperator(_MatrixValue):
     """N^2 x N^2 matrix acting on column-stacked vectorized operators, and the
     one owner of its Choi matrix's Hermiticity and spectrum: once computed it
     keeps the worst entry of ``C - C^dagger`` and the spectrum of the
@@ -241,10 +231,6 @@ class SuperOperator:
     def __init__(self, matrix):
         self._matrix = _frozen(_square(matrix, "superoperator").copy())
         self._n = _root(len(self._matrix), "superoperator side")
-
-    @property
-    def matrix(self) -> np.ndarray:
-        return self._matrix
 
     @property
     def n(self) -> int:
@@ -307,9 +293,6 @@ class SuperOperator:
         """Index lookup ``S[j(N+1), i(N+1)]``: diagonal in, diagonal out."""
         d = np.arange(self._n) * (self._n + 1)
         return np.real(self._matrix[np.ix_(d, d)]), {}
-
-    def __repr__(self):
-        return f"SuperOperator(n={self.n})"
 
 
 class ChoiMatrix:

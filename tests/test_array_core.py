@@ -25,7 +25,7 @@ from stoqlift import (DensityOperator, DimensionMismatchError, GkslGenerator,
                       q_divisibility_check, readout, short_time_kraus,
                       theorem1_check, three_time_freedom, to_superoperator,
                       two_step_kernel, unvec, vec)
-from stoqlift._arrays import KRAUS_DROP_NORM
+from stoqlift._arrays import KRAUS_DROP_NORM, MatrixValue
 
 from random_ops import (random_density, random_kraus_map,
                         random_probability_vector, random_stochastic)
@@ -218,6 +218,7 @@ def test_check_ck_family_evaluates_each_grid_pair_once(size):
     base = KernelFamily.from_rate_matrix(RateMatrix([[-1.0, 2.0], [1.0, -2.0]]), grid)
     calls = []
     family = KernelFamily(grid, lambda t, s: calls.append((t, s)) or base.kernel(t, s))
+    assert calls == [(t, t) for t in grid]  # the coincidence table, at construction
     calls.clear()
     report = check_ck_family(family)
     assert len(calls) == len(set(calls)) == math.comb(size, 2)
@@ -227,6 +228,21 @@ def test_check_ck_family_evaluates_each_grid_pair_once(size):
         chained = base.kernel(t, u).matrix @ base.kernel(u, s).matrix
         expected.append((s, u, t, float(np.abs(base.kernel(t, s).matrix - chained).max())))
     assert [(r.s, r.u, r.t, r.residual) for r in report.triples] == expected
+
+
+# --- one matrix-value core -------------------------------------------------------
+
+@pytest.mark.parametrize("value, n, text", [
+    (DensityOperator(np.eye(3) / 3), 3, "DensityOperator(n=3)"),
+    (StochasticKernel(np.eye(2), 0.0, 1.0), 2,
+     "StochasticKernel([[1.0, 0.0], [0.0, 1.0]], from_time=0.0, to_time=1.0)"),
+    (RateMatrix([[-1.0, 2.0], [1.0, -2.0]]), 2, "RateMatrix([[-1.0, 2.0], [1.0, -2.0]])"),
+    (SuperOperator(np.eye(9)), 3, "SuperOperator(n=3)"),
+])
+def test_matrix_values_share_one_read_only_matrix(value, n, text):
+    assert type(value).matrix is MatrixValue.matrix
+    assert not value.matrix.flags.writeable and value.matrix is value.matrix
+    assert value.n == n and repr(value) == text
 
 
 # --- one operand-dimension check ------------------------------------------------

@@ -301,11 +301,21 @@ class TestFamilies:
                            match="composition check needs a grid with at least 3 times"):
             ck_checklist(family)
 
-    def test_superop_runs_forward_only(self):
+    @pytest.mark.parametrize("t, s", [(0.0, 1.0), (np.nan, 0.0), (0.0, np.nan)])
+    def test_superop_runs_forward_only(self, t, s):
         family = SuperOperatorFamily([0.0, 1.0],
                                      lambda t, s: np.eye(4, dtype=complex))
-        with pytest.raises(ValueError, match="t >= s"):
-            family.superop(0.0, 1.0)
+        with pytest.raises(ValueError, match="superop requires t >= s"):
+            family.superop(t, s)
+
+    @pytest.mark.parametrize("bad", [0.0, 1.0, 2.0])
+    def test_max_identity_residual_is_nan_if_any_residual_is(self, bad):
+        nan_map = np.full((4, 4), np.nan)
+        family = SuperOperatorFamily(
+            [0.0, 1.0, 2.0], lambda t, s: nan_map if t == s == bad else np.eye(4))
+        report = ck_checklist(family)
+        assert not report.passed
+        assert np.isnan(report.max_identity_residual)
 
     def test_kernel_family_lift_must_be_canonical(self):
         kfam = KernelFamily([0.0, 1.0], lambda t, s: np.eye(2))
@@ -425,7 +435,39 @@ def test_checklist_evaluates_each_superoperator_once():
     calls = []
     family = SuperOperatorFamily(
         grid, lambda t, s: calls.append((t, s)) or base.superop(t, s))
+    assert calls == [(t, t) for t in grid]  # the coincidence table, at construction
     calls.clear()
     ck_checklist(family)
     # One evaluation per grid pair s < t, none repeated.
     assert len(calls) == len(set(calls)) == math.comb(n_times, 2)
+
+
+@pytest.mark.parametrize("kind", ["kernel", "superop"])
+def test_both_family_types_share_one_member_rule_and_coincidence_table(kind, monkeypatch):
+    grid = [0.0, 0.3, 0.7, 1.2]
+    rate = random_rate_matrix(np.random.default_rng(3), 3)
+    base = (KernelFamily.from_rate_matrix(rate, grid) if kind == "kernel" else
+            SuperOperatorFamily.from_generator(ctmc_embedding(rate), grid))
+    # exp(0 R) and exp(0 L) are the identity exactly, so the table is zero.
+    assert base.identity_residuals == {t: 0.0 for t in grid}
+    assert base.grid.tolist() == grid and not base.grid.flags.writeable
+    member = getattr(base, kind)
+    calls = []
+    family = type(base)(grid, lambda t, s: calls.append((t, s)) or member(t, s).matrix)
+    # Each coincidence member once, at construction, in grid order.
+    assert calls == [(t, t) for t in grid]
+    assert family.identity_residuals == base.identity_residuals
+    # A plain matrix is coerced to the member type, with the same entries.
+    got, want = getattr(family, kind)(1.2, 0.3), member(1.2, 0.3)
+    assert type(got) is type(want) and np.array_equal(got.matrix, want.matrix)
+    calls.clear()
+    with pytest.raises(ValueError, match=f"^{kind} requires t >= s"):
+        getattr(family, kind)(np.nan, np.nan)
+    assert calls == []  # refused before the member function runs
+    # The table is read through the public method, so a wrapper of it (as
+    # perfbench's evaluation counter is) sees each coincidence call.
+    original, seen = getattr(type(base), kind), []
+    monkeypatch.setattr(type(base), kind,
+                        lambda self, t, s: seen.append((t, s)) or original(self, t, s))
+    type(base)(grid, lambda t, s: member(t, s))
+    assert seen == [(t, t) for t in grid]

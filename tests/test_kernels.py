@@ -148,10 +148,11 @@ class TestCkFamily:
                            match=r"kernel\(0\.0, 0\.0\) is not the identity"):
             KernelFamily([0.0, 1.0], lambda t, s: StochasticKernel(FLIP))
 
-    def test_kernel_runs_forward_only(self):
+    @pytest.mark.parametrize("t, s", [(0.0, 1.0), (np.nan, 0.0), (0.0, np.nan)])
+    def test_kernel_runs_forward_only(self, t, s):
         family = KernelFamily([0.0, 1.0], lambda t, s: np.eye(2))
-        with pytest.raises(ValueError, match="t >= s"):
-            family.kernel(0.0, 1.0)
+        with pytest.raises(ValueError, match="kernel requires t >= s"):
+            family.kernel(t, s)
 
 
 class TestCDivisibility:
