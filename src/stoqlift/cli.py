@@ -9,7 +9,9 @@ byte-identical output (file digests replace timestamps).
 
 Each handler returns its report fields, whether it passed and its summary
 line; ``main`` alone adds the header, serializes the report, writes ``--out``
-(for ``lift`` the Kraus JSON) before stdout, and picks the exit code.
+(for ``lift`` the Kraus JSON) before stdout, and picks the exit code. A
+handler imports ``lifts``, ``dynamics``, ``division`` or ``memory`` when it
+runs, so a process loads only the modules of its subcommand.
 """
 
 from __future__ import annotations
@@ -19,30 +21,26 @@ import hashlib
 import math
 import sys
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import __version__
 from ._arrays import DEMO_CLOSE_GAP, DEMO_DISTINCT_GAP, DEMO_SAME_GAP, semigroup
-from .dynamics import (SuperOperatorFamily, ck_checklist, ctmc_embedding,
-                       diagonal_preservation_check, propagate)
 from .errors import ValidationError
 from .kernels import (KernelFamily, ProbabilityVector, RateMatrix,
                       c_divisibility_check, ctmc_propagate,
                       dtmc_to_ctmc_scaling, theta_markov_triviality_demo,
                       validate_kernel)
-from .lifts import (DensityOperator, KrausMap, SuperOperator,
-                    barandes_column_lift, canonical_lift, check_cptp,
-                    compatibility_check, embed_diagonal, induced_kernel,
-                    q_divisibility_check, readout)
-from .division import theorem1_check
-from .memory import mod_square, two_step_kernel
 from .serialization import (SerializationError, _dumps, complex_matrix_from_json,
                             detect_kind, dump_json, generator_from_json,
                             kernel_from_json, kraus_from_json, kraus_to_json,
                             load_json, probability_vector_from_json,
                             rate_matrix_from_json, real_matrix_from_json,
                             superoperator_from_json)
+
+if TYPE_CHECKING:
+    from .dynamics import SuperOperatorFamily
 
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]])
 HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
@@ -79,6 +77,7 @@ def _cmd_validate(args):
                 f"column-sum error {ker.max_column_sum_error:.3e})")
     if kind not in ("kraus", "superoperator", "complex-matrix", "density"):
         raise SerializationError(f"no validator for file kind {kind!r}")
+    from .lifts import DensityOperator, SuperOperator, check_cptp
     matrix = None if kind == "kraus" else complex_matrix_from_json(obj)
     # A complex matrix with non-square side can only be a state; an explicit
     # "kind": "density" overrides the superoperator reading.
@@ -105,6 +104,8 @@ def _cmd_validate(args):
 # --- lift -------------------------------------------------------------------
 
 def _cmd_lift(args):
+    from .lifts import (KrausMap, barandes_column_lift, canonical_lift,
+                        compatibility_check, induced_kernel)
     gamma = kernel_from_json(load_json(args.kernel))
     verdicts = {}
     if args.method == "canonical":
@@ -153,6 +154,7 @@ def _cmd_divisibility(args):
             tables["witness"] = result.witness.matrix
         verdict = "divisible" if result.divisible else "indivisible"
     elif args.mode == "quantum":
+        from .lifts import q_divisibility_check
         result = q_divisibility_check(superoperator_from_json(later_obj),
                                       superoperator_from_json(earlier_obj), *tol)
         verdicts = _fields(result, "verdict", "reason")
@@ -163,6 +165,7 @@ def _cmd_divisibility(args):
             tables["witness"] = result.witness.matrix
         verdict = result.verdict
     else:  # theorem1
+        from .division import theorem1_check
         verdict_obj = theorem1_check(superoperator_from_json(earlier_obj),
                                      superoperator_from_json(later_obj), *tol)
         verdicts = _fields(verdict_obj, "theorem_applies", "q_divisible",
@@ -218,6 +221,7 @@ def _demo_scaling(args):
 
 
 def _demo_phase_memory(args):
+    from .memory import mod_square, two_step_kernel
     if args.scenario:
         obj = load_json(args.scenario)
         for key in ("u_x", "u_y", "v"):
@@ -245,6 +249,8 @@ def _demo_phase_memory(args):
 
 
 def _demo_ctmc_embedding(args):
+    from .dynamics import ctmc_embedding, diagonal_preservation_check, propagate
+    from .lifts import embed_diagonal, readout
     rate = _rate(args)
     p0 = (probability_vector_from_json(load_json(args.p0))
           if args.p0 else ProbabilityVector.basis(0, rate.n))
@@ -262,6 +268,7 @@ def _demo_ctmc_embedding(args):
 
 
 def _build_family(kind: str, obj: dict | None, grid) -> SuperOperatorFamily:
+    from .dynamics import SuperOperatorFamily
     if kind == "unitary":
         h = complex_matrix_from_json(obj["h"]) if obj else PAULI_X
         return SuperOperatorFamily.from_hamiltonian(h, grid)
@@ -281,6 +288,7 @@ def _build_family(kind: str, obj: dict | None, grid) -> SuperOperatorFamily:
 
 
 def _demo_ck_checklist(args):
+    from .dynamics import ck_checklist
     obj = load_json(args.family) if args.family else None
     family = _build_family(args.kind, obj, args.grid)
     result = ck_checklist(family, **_tol(args, "tolerance"))

@@ -8,6 +8,9 @@ finite number. A column vector is an N x 1 matrix. Complex matrices use
 ...]}``. All numbers are finite IEEE doubles in decimal text: ``NaN``,
 ``Infinity`` and literals that overflow a double are rejected, and writing
 a non-finite number raises ``ValueError``.
+
+Only ``kernels`` is imported with this module; a converter of maps or
+generators imports ``lifts`` or ``dynamics`` when it is called.
 """
 
 from __future__ import annotations
@@ -15,12 +18,15 @@ from __future__ import annotations
 import json
 import sys
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .dynamics import GkslGenerator
 from .kernels import ProbabilityVector, RateMatrix, StochasticKernel
-from .lifts import KrausMap, SuperOperator, to_superoperator
+
+if TYPE_CHECKING:
+    from .dynamics import GkslGenerator
+    from .lifts import KrausMap, SuperOperator
 
 
 class SerializationError(ValueError):
@@ -82,13 +88,13 @@ def _number_rows(obj: dict, columns: int | None = None,
         raise SerializationError(
             f'"rows" must list exactly n={n} rows, got {len(rows) if isinstance(rows, list) else type(rows).__name__}')
     columns = n if columns is None else columns
-    layout = f"an {n} x {columns} matrix" + (" of [re, im] pairs" if pairs else "")
+    layout = f"{n} x {columns} " + ("[re, im] pairs" if pairs else "numbers")
     try:
         m = np.array(rows, dtype=float)
     except (TypeError, ValueError) as exc:
-        raise SerializationError(f"rows do not form {layout}: {exc}") from exc
+        raise SerializationError(f"rows are not {layout}: {exc}") from exc
     if m.shape != ((n, columns, 2) if pairs else (n, columns)):
-        raise SerializationError(f"rows do not form {layout}, got shape {m.shape}")
+        raise SerializationError(f"rows are not {layout}, got shape {m.shape}")
     if not np.isfinite(m).all():
         raise SerializationError("rows hold a non-finite number (NaN or infinity)")
     return m
@@ -150,6 +156,7 @@ def rate_matrix_from_json(obj: dict) -> RateMatrix:
 
 
 def kraus_from_json(obj: dict) -> KrausMap:
+    from .lifts import KrausMap
     if "ops" not in obj or not isinstance(obj["ops"], list) or not obj["ops"]:
         raise SerializationError('Kraus object needs a nonempty "ops" list')
     return KrausMap([complex_matrix_from_json(op) for op in obj["ops"]])
@@ -161,6 +168,7 @@ def kraus_to_json(kmap: KrausMap) -> dict:
 
 def superoperator_from_json(obj: dict) -> SuperOperator:
     """Accepts either a complex matrix of side N^2 or a Kraus object."""
+    from .lifts import SuperOperator, to_superoperator
     if isinstance(obj, dict) and "ops" in obj:
         return to_superoperator(kraus_from_json(obj))
     return SuperOperator(complex_matrix_from_json(obj))
@@ -171,6 +179,7 @@ def superoperator_to_json(s: SuperOperator) -> dict:
 
 
 def generator_from_json(obj: dict) -> GkslGenerator:
+    from .dynamics import GkslGenerator
     if "h" not in obj:
         raise SerializationError('generator object needs an "h" key')
     if not isinstance(obj.get("jumps", []), list):

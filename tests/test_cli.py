@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import stoqlift
-from stoqlift import cli
+from stoqlift import cli, division, dynamics, lifts
 from stoqlift.cli import main
 from stoqlift.serialization import (complex_matrix_to_json, dump_json,
                                     kernel_to_json, kraus_from_json)
@@ -298,19 +298,20 @@ class TestReportContract:
         run(capsys, "--tol", 1e-6, *argv)
         assert passed_tolerances == [(), (1e-6,)]
 
-    @pytest.mark.parametrize("mode, target", [
-        ("quantum", "q_divisibility_check"), ("theorem1", "theorem1_check"),
+    @pytest.mark.parametrize("mode, owner, target", [
+        ("quantum", lifts, "q_divisibility_check"),
+        ("theorem1", division, "theorem1_check"),
     ], ids=["quantum", "theorem1"])
     def test_tol_override_reaches_each_divisibility_mode(self, capsys, monkeypatch,
-                                                         mode, target):
+                                                         mode, owner, target):
         passed = []
-        check = getattr(cli, target)
+        check = getattr(owner, target)
 
         def recording_check(*args, **kwargs):
             passed.append((args[2:], kwargs))
             return check(*args, **kwargs)
 
-        monkeypatch.setattr(cli, target, recording_check)
+        monkeypatch.setattr(owner, target, recording_check)
         argv = ("divisibility", "--mode", mode,
                 DATA / "hadamard_conjugation.json", DATA / "identity_channel.json")
         assert run(capsys, *argv)[0] == 0
@@ -344,26 +345,26 @@ class TestReportContract:
         assert report["inputs"] == {
             option: hashlib.sha256(path.read_bytes()).hexdigest()}
 
-    @pytest.mark.parametrize("target, argv, keywords", [
-        ("validate_kernel", ["validate", "flip"], ["tol_entry", "tol_colsum"]),
-        ("DensityOperator", ["validate", "rho"], ["tol_herm", "tol_psd"]),
-        ("check_cptp", ["validate", "kraus"], ["tol_tp", "tol_psd"]),
-        ("compatibility_check", ["lift", "flip"], ["tol"]),
-        ("ck_checklist", ["demo", "ck-checklist"], ["tolerance"]),
+    @pytest.mark.parametrize("owner, target, argv, keywords", [
+        (cli, "validate_kernel", ["validate", "flip"], ["tol_entry", "tol_colsum"]),
+        (lifts, "DensityOperator", ["validate", "rho"], ["tol_herm", "tol_psd"]),
+        (lifts, "check_cptp", ["validate", "kraus"], ["tol_tp", "tol_psd"]),
+        (lifts, "compatibility_check", ["lift", "flip"], ["tol"]),
+        (dynamics, "ck_checklist", ["demo", "ck-checklist"], ["tolerance"]),
     ], ids=["kernel", "density", "map", "lift", "ck-checklist"])
-    def test_tol_override_reaches_each_check(self, capsys, files, tmp_path,
-                                             monkeypatch, target, argv, keywords):
+    def test_tol_override_reaches_each_check(self, capsys, files, tmp_path, monkeypatch,
+                                             owner, target, argv, keywords):
         paths = dict(files, rho=tmp_path / "rho.json", kraus=tmp_path / "kraus.json")
         dump_json(complex_matrix_to_json(np.diag([0.5, 0.5])), paths["rho"])
         dump_json({"ops": [complex_matrix_to_json(np.eye(2))]}, paths["kraus"])
         calls = []
-        check = getattr(cli, target)
+        check = getattr(owner, target)
 
         def recording_check(*args, **kwargs):
             calls.append((len(args), kwargs))
             return check(*args, **kwargs)
 
-        monkeypatch.setattr(cli, target, recording_check)
+        monkeypatch.setattr(owner, target, recording_check)
         argv = [paths.get(a, a) for a in argv]
         assert run(capsys, *argv)[0] == 0
         assert run(capsys, "--tol", 1e-6, *argv)[0] == 0
@@ -376,9 +377,9 @@ def test_import_leaves_scipy_optimize_unloaded():
     # scipy.optimize costs about 19 MB of RSS and 0.3 s in every CLI process.
     src = str(Path(stoqlift.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
-    out = subprocess.run(
+    out = subprocess.run(  # the star import loads every stoqlift module
         [sys.executable, "-c",
-         "import sys, stoqlift, stoqlift.cli; "
+         "import sys, stoqlift.cli; from stoqlift import *; "
          "print('scipy.optimize' in sys.modules)"],
         env=env, capture_output=True, text=True, check=True).stdout
     assert out.strip() == "False"
@@ -389,9 +390,9 @@ def test_import_leaves_scipy_linalg_unloaded():
     # numpy. Importing scipy.linalg would add 150-250 ms to each start.
     src = str(Path(stoqlift.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
-    out = subprocess.run(
+    out = subprocess.run(  # the star import loads every stoqlift module
         [sys.executable, "-c",
-         "import sys, stoqlift, stoqlift.cli; "
+         "import sys, stoqlift.cli; from stoqlift import *; "
          "print('scipy.linalg' in sys.modules)"],
         env=env, capture_output=True, text=True, check=True).stdout
     assert out.strip() == "False"

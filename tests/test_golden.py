@@ -2,20 +2,28 @@
 committed capture in ``tests/golden/`` byte for byte.
 
 A change to a report's bytes is a change to the report contract; when one is
-intended, regenerate the capture and say so in the change log.
+intended, regenerate the capture and say so in the change log. Each
+invocation also runs as a fresh ``python -m stoqlift.cli`` process, where no
+earlier test has imported a module for the handler.
 """
 
 import contextlib
 import io
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import stoqlift
 from stoqlift.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
 DATA = ROOT / "demos" / "data"
 GOLDEN = Path(__file__).resolve().parent / "golden"
+ENV = dict(os.environ, PYTHONPATH=str(Path(stoqlift.__file__).resolve().parents[1]),
+           PYTHONDONTWRITEBYTECODE="1")
 
 #: (capture name, argv with ``@name`` standing for ``demos/data/name.json``, exit code)
 INVOCATIONS = [
@@ -46,18 +54,33 @@ INVOCATIONS = [
 ]
 
 
+def cli_args(argv):
+    """``argv`` with each ``@name`` replaced by the path of ``demos/data/name.json``."""
+    return [str(DATA / f"{a[1:]}.json") if a.startswith("@") else a for a in argv]
+
+
 def run_cli(argv):
     """Exit code and stdout of one in-process CLI invocation."""
-    args = [str(DATA / f"{a[1:]}.json") if a.startswith("@") else a for a in argv]
     out = io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
-        code = main(args)
+        code = main(cli_args(argv))
     return code, out.getvalue()
 
 
-@pytest.mark.parametrize("name, argv, code", INVOCATIONS,
-                         ids=[name for name, _, _ in INVOCATIONS])
+each_invocation = pytest.mark.parametrize("name, argv, code", INVOCATIONS,
+                                          ids=[name for name, _, _ in INVOCATIONS])
+
+
+@each_invocation
 def test_stdout_matches_golden_capture(name, argv, code):
     got_code, stdout = run_cli(argv)
     assert got_code == code
     assert stdout.encode("utf-8") == (GOLDEN / f"{name}.json").read_bytes()
+
+
+@each_invocation
+def test_fresh_process_matches_golden_capture(name, argv, code):
+    run = subprocess.run([sys.executable, "-m", "stoqlift.cli", *cli_args(argv)],
+                         env=ENV, capture_output=True)
+    assert run.returncode == code
+    assert run.stdout == (GOLDEN / f"{name}.json").read_bytes()

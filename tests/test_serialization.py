@@ -98,9 +98,15 @@ def test_malformed_real_matrix(bad):
         kernel_from_json(bad)
 
 
-def test_malformed_complex_matrix():
-    with pytest.raises(SerializationError):
-        complex_matrix_from_json({"n": 2, "rows": [[1.0, 0.0], [0.0, 1.0]]})
+@pytest.mark.parametrize("n, message", [
+    (2, "rows are not 2 x 2 [re, im] pairs, got shape (2, 2)"),
+    (8, "rows are not 8 x 8 [re, im] pairs, got shape (8, 8)"),
+], ids=["n2", "n8"])
+def test_malformed_complex_matrix(n, message):
+    # A real matrix where [re, im] pairs belong: a kernel file read as a map.
+    with pytest.raises(SerializationError) as exc:
+        complex_matrix_from_json({"n": n, "rows": np.eye(n).tolist()})
+    assert str(exc.value) == message
 
 
 def test_division_scenario_roundtrip():
