@@ -101,7 +101,9 @@ class ProbabilityVector:
 
     @classmethod
     def basis(cls, index: int, n: int) -> "ProbabilityVector":
-        """Point mass on configuration ``index``."""
+        """Point mass on configuration ``index``, one of ``0 .. n - 1``."""
+        if not 0 <= index < n:
+            raise ValueError(f"basis index {index} out of range for dimension {n}")
         e = np.zeros(n)
         e[index] = 1.0
         return cls(e)
@@ -275,7 +277,8 @@ class KernelFamily(_TwoTimeFamily):
     and t). ``kernel`` refuses ``t < s`` and NaN times. The family shares its
     member rule and its coincidence table, ``identity_residuals``, with
     ``dynamics.SuperOperatorFamily``; unlike that family it is refused
-    unless every residual in that table is at most ``tol_identity``.
+    unless every residual in that table is at most ``tol_identity``, for
+    either type of member.
     """
 
     _kind = "kernel"
@@ -292,7 +295,10 @@ class KernelFamily(_TwoTimeFamily):
     kernel = _TwoTimeFamily._member
 
     def _coerce(self, out, t: float, s: float) -> StochasticKernel:
-        return StochasticKernel(np.asarray(out, dtype=float), from_time=s, to_time=t)
+        # Stamped after validation, so at t == s tol_identity decides alone.
+        kernel = StochasticKernel(np.asarray(out, dtype=float))
+        kernel.from_time, kernel.to_time = s, t
+        return kernel
 
     @classmethod
     def from_rate_matrix(cls, rate: RateMatrix | np.ndarray,

@@ -99,7 +99,10 @@ class DensityOperator(_MatrixValue):
 
     @classmethod
     def basis_projector(cls, index: int, n: int) -> "DensityOperator":
-        """Rank-one projector onto the ``index``-th configuration basis vector."""
+        """Rank-one projector onto the ``index``-th configuration basis vector,
+        ``index`` one of ``0 .. n - 1``."""
+        if not 0 <= index < n:
+            raise ValueError(f"basis index {index} out of range for dimension {n}")
         m = np.zeros((n, n), dtype=complex)
         m[index, index] = 1.0
         return cls(m)
@@ -689,9 +692,9 @@ def q_divisibility_check(e_20: SuperOperator, e_10: SuperOperator,
     ``|e_10|_F |inv(e_10)|_F``, a bound on cond_2(e_10), is at most a fixed
     quarter of the limit ``max(tolerance, n eps) / (n eps)``
     (``_arrays.inverse_certifies_full_rank``). Otherwise, LU singular
-    included, the singular values of e_10 are cut by the classical check's
-    rule (``_arrays.numerical_rank``); its singular vectors are computed only
-    to form a factor from them. With none cut, the CPTP check of the unique
+    included, one full SVD of e_10 is taken, so at most one SVD in all, and
+    its singular values are cut by the classical check's rule
+    (``_arrays.numerical_rank``). With none cut, the CPTP check of the unique
     factor ``e_20 @ inv(e_10)`` decides, formed as ``e_20 V S^-1 U^dagger``
     if LU found e_10 singular; a factor beyond the float range is not
     finite and not CPTP. Otherwise the candidate ``e_20 V_r S_r^-1
@@ -717,22 +720,15 @@ def q_divisibility_check(e_20: SuperOperator, e_10: SuperOperator,
         inverse = np.linalg.inv(a_10)
     except np.linalg.LinAlgError:  # exactly singular to LU: the SVD decides
         inverse = None
-    certified = inverse is not None and _inverse_certifies_full_rank(
-        a_10, inverse, tolerance)
     rank_10 = size = a_10.shape[0]
-    if not certified:
-        if inverse is None:
-            u, s, vh = np.linalg.svd(a_10)
-        else:
-            s = np.linalg.svd(a_10, compute_uv=False)
+    if inverse is None or not _inverse_certifies_full_rank(a_10, inverse, tolerance):
+        u, s, vh = np.linalg.svd(a_10)
         rank_10 = _numerical_rank(s, tolerance)
     unique = rank_10 == size
     if unique and inverse is not None:
         with np.errstate(over="ignore", invalid="ignore"):  # beyond the range: inf, NaN
             candidate = a_20 @ inverse
     else:
-        if inverse is not None:  # LU gave an inverse, but the rank is cut
-            u, s, vh = np.linalg.svd(a_10)
         scaled = a_20 @ vh[:rank_10].conj().T / s[:rank_10]
         candidate = scaled @ u[:, :rank_10].conj().T
     if not unique:

@@ -574,7 +574,7 @@ class TestUnusableContents:
         assert err == f"error: {message}\n"
 
 
-@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize("value", ["nan", "inf", "abc"])
 @pytest.mark.parametrize("option", ["--t", "--t-star", "--t-span", "--epsilons",
                                     "--diag-h", "--grid"])
 def test_non_finite_number_option_is_usage_error(capsys, option, value):
@@ -582,7 +582,7 @@ def test_non_finite_number_option_is_usage_error(capsys, option, value):
         main(["demo", "scaling", option, value])
     captured = capsys.readouterr()
     assert exc.value.code == 2
-    assert f"argument {option}: must be a finite number" in captured.err
+    assert f"argument {option}: must be a finite number, got '{value}'" in captured.err
     assert captured.out == ""
 
 

@@ -44,9 +44,13 @@ class TestPartialTrace:
         reduced = partial_trace(joint, 2, 3, "sys")
         assert np.trace(reduced) == pytest.approx(np.trace(joint))
 
-    def test_shape_check(self):
-        with pytest.raises(DimensionMismatchError):
-            partial_trace(np.eye(5), 2, 3)
+    @pytest.mark.parametrize("m, keep, error, message", [
+        (np.eye(5), "sys", DimensionMismatchError, r"^expected shape \(6, 6\), got \(5, 5\)$"),
+        (np.eye(6), "both", ValueError, "^keep must be 'sys' or 'env', got 'both'$"),
+    ], ids=["shape", "keep"])
+    def test_refusals(self, m, keep, error, message):
+        with pytest.raises(error, match=message):
+            partial_trace(m, 2, 3, keep)
 
 
 class TestTensorSuperoperator:
@@ -181,11 +185,18 @@ class TestEnvironmentScenario:
                 ProbabilityVector([1.0, 0.0]),
                 SuperOperator(1.2 * np.eye(16)), IDENTITY_2, IDENTITY_2)
 
-    def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatchError):
+    @pytest.mark.parametrize("p_env, post_env, message", [
+        ([1.0, 0.0, 0.0], IDENTITY_2,
+         "joint dimension 4 is not a multiple of the environment dimension 3"),
+        ([1.0, 0.0], SuperOperator.identity(3),
+         r"post maps must act on the system and environment factors "
+         r"\(got 2 and 3, expected 2 and 2\)"),
+    ], ids=["environment", "post-maps"])
+    def test_dimension_mismatch(self, p_env, post_env, message):
+        with pytest.raises(DimensionMismatchError, match=f"^{message}$"):
             environment_division_scenario(
-                ProbabilityVector([1.0, 0.0, 0.0]),
-                SuperOperator.identity(4), IDENTITY_2, IDENTITY_2)
+                ProbabilityVector(p_env),
+                SuperOperator.identity(4), IDENTITY_2, post_env)
 
     def test_nan_interaction_is_stopped_by_its_cptp_check(self):
         # The reduced and joint traces sum the same joint diagonal entries, so

@@ -50,6 +50,11 @@ class TestGenerator:
         with pytest.raises(ValidationError):
             GkslGenerator([[0.0, 1.0], [0.0, 0.0]])
 
+    def test_jumps_of_another_dimension_rejected(self):
+        with pytest.raises(DimensionMismatchError,
+                           match="^jump operators must match the Hamiltonian dimension$"):
+            GkslGenerator(np.eye(2), [np.eye(3)])
+
     def test_trace_annihilation_on_matrix_units(self, rng):
         jump = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
         h = rng.standard_normal((3, 3))

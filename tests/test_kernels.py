@@ -67,6 +67,12 @@ class TestProbabilityVector:
         assert p.entries[1] == 0.0
         assert ProbabilityVector.basis(1, 3).entries.tolist() == [0.0, 1.0, 0.0]
 
+    @pytest.mark.parametrize("index, n", [(-1, 3), (3, 3), (0, 0)])
+    def test_basis_index_out_of_range(self, index, n):
+        with pytest.raises(ValueError,
+                           match=rf"^basis index {index} out of range for dimension {n}$"):
+            ProbabilityVector.basis(index, n)
+
     def test_hard_negativity_rejected(self):
         with pytest.raises(ValidationError):
             ProbabilityVector([1.5, -0.5])
@@ -74,6 +80,10 @@ class TestProbabilityVector:
     def test_sum_violation_rejected(self):
         with pytest.raises(ValidationError):
             ProbabilityVector([0.6, 0.6])
+
+    def test_empty_rejected(self):
+        with pytest.raises(DimensionMismatchError, match="^empty probability vector$"):
+            ProbabilityVector([])
 
 
 class TestCompose:
@@ -139,14 +149,35 @@ class TestCkFamily:
         with pytest.raises(ValueError):
             check_ck_family(family, 1e-10)
 
+    @pytest.mark.parametrize("grid", [[], [[0.0, 1.0]]], ids=["empty", "2-d"])
+    def test_grid_must_be_a_nonempty_1d_sequence(self, grid):
+        with pytest.raises(DimensionMismatchError,
+                           match="^grid must be a nonempty 1-d sequence$"):
+            KernelFamily(grid, lambda t, s: np.eye(2))
+
     def test_family_requires_identity_at_coincidence(self):
         with pytest.raises(ValidationError):
             KernelFamily([0.0, 1.0], lambda t, s: MIX)
 
-    def test_family_of_kernel_objects_names_the_failing_time(self):
+    @pytest.mark.parametrize("member", [np.array, StochasticKernel],
+                             ids=["matrix", "kernel"])
+    def test_family_of_kernel_objects_names_the_failing_time(self, member):
         with pytest.raises(ValidationError,
                            match=r"kernel\(0\.0, 0\.0\) is not the identity"):
-            KernelFamily([0.0, 1.0], lambda t, s: StochasticKernel(FLIP))
+            KernelFamily([0.0, 1.0], lambda t, s: member(FLIP))
+
+    @pytest.mark.parametrize("member", [np.array, StochasticKernel],
+                             ids=["matrix", "kernel"])
+    def test_tol_identity_decides_for_either_member(self, member):
+        near = np.array([[1 - 1e-6, 1e-6], [1e-6, 1 - 1e-6]])
+        family = KernelFamily([0.0, 1.0], lambda t, s: member(near), tol_identity=1e-3)
+        assert family.identity_residuals == pytest.approx({0.0: 1e-6, 1.0: 1e-6})
+        out = family.kernel(1.0, 1.0)
+        np.testing.assert_array_equal(out.matrix, near)
+        stamps = (1.0, 1.0) if member is np.array else (None, None)
+        assert (out.from_time, out.to_time) == stamps
+        with pytest.raises(ValidationError, match=r"kernel\(0\.0, 0\.0\) is not the identity"):
+            KernelFamily([0.0, 1.0], lambda t, s: member(near), tol_identity=1e-7)
 
     @pytest.mark.parametrize("t, s", [(0.0, 1.0), (np.nan, 0.0), (0.0, np.nan)])
     def test_kernel_runs_forward_only(self, t, s):
@@ -367,6 +398,11 @@ class TestThetaTriviality:
         with pytest.raises(ValidationError):
             theta_markov_triviality_demo(
                 lambda h: np.eye(2) + h * np.eye(2), 1.0, [10])
+
+    @pytest.mark.parametrize("n", [0, -3])
+    def test_nonpositive_subdivision_count_rejected(self, n):
+        with pytest.raises(ValueError, match="^subdivision counts must be positive$"):
+            theta_markov_triviality_demo(lambda h: np.eye(2), 1.0, [10, n])
 
 
 def _row_alone_feasible(g20, g10, i):

@@ -199,6 +199,14 @@ class TestLeftRightMap:
             assert not got.flags.writeable
         assert len(lr.left_ops) == len(lr.right_ops) == 2
 
+    @pytest.mark.parametrize("left, right, error, message", [
+        ([np.eye(2)], [], DimensionMismatchError, "left/right operator counts differ: 1 vs 0"),
+        ([], [], ValidationError, "left-right map needs at least one term"),
+    ], ids=["unequal", "empty"])
+    def test_refusals(self, left, right, error, message):
+        with pytest.raises(error, match=f"^{message}$"):
+            LeftRightMap(left, right)
+
 
 class TestCptp:
     def test_identity_kraus(self):
@@ -208,6 +216,10 @@ class TestCptp:
 
     def test_unitary_conjugation(self):
         assert check_cptp(KrausMap([HADAMARD])).passed
+
+    def test_bare_matrix_is_not_a_map(self):
+        with pytest.raises(TypeError, match="^unsupported map type ndarray$"):
+            check_cptp(np.eye(4))
 
     def test_scaled_identity_fails_tp(self):
         report = check_cptp(KrausMap([1.1 * np.eye(2)]))
@@ -411,10 +423,14 @@ class TestCompatibility:
                                      probes=[ProbabilityVector([0.2, 0.8])])
         assert report.passed
 
-    def test_empty_probe_list_is_rejected(self):
+    @pytest.mark.parametrize("probes, message", [
+        ([], "compatibility check needs at least one probe"),
+        ("random", "unknown probe specification 'random'"),
+    ], ids=["empty", "unknown"])
+    def test_empty_or_unknown_probes_are_rejected(self, probes, message):
         gamma = StochasticKernel(MIX)
-        with pytest.raises(ValueError, match="at least one probe"):
-            compatibility_check(canonical_lift(gamma), gamma, probes=[])
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            compatibility_check(canonical_lift(gamma), gamma, probes=probes)
 
     def test_wrong_dimension_probe_names_both_sizes(self):
         gamma = StochasticKernel(MIX)
@@ -472,6 +488,12 @@ class TestSuperOperator:
         before = sum(k @ x @ k.conj().T for k in kmap.operators)
         after = sum(k @ x @ k.conj().T for k in recovered.operators)
         np.testing.assert_allclose(before, after, atol=1e-12)
+
+    def test_zero_choi_has_no_kraus_operators(self):
+        choi = choi_from_superoperator(SuperOperator(np.zeros((4, 4))))
+        with pytest.raises(ValidationError,
+                           match="^Choi matrix has no positive spectral weight$"):
+            kraus_from_choi(choi)
 
 
 class TestKernelExtract:
@@ -596,6 +618,12 @@ class TestDensityOperator:
     def test_rejects_negative_eigenvalue(self):
         with pytest.raises(ValidationError):
             DensityOperator(np.diag([1.5, -0.5]))
+
+    @pytest.mark.parametrize("index, n", [(-1, 2), (2, 2), (0, 0)])
+    def test_basis_projector_index_out_of_range(self, index, n):
+        with pytest.raises(ValueError,
+                           match=rf"^basis index {index} out of range for dimension {n}$"):
+            DensityOperator.basis_projector(index, n)
 
 
 # --- Reference loops for the array paths --------------------------------------

@@ -163,6 +163,8 @@ class TestPovm:
             PovmEffects([np.diag([0.5, 0.5])])  # does not sum to identity
         with pytest.raises(ValidationError):
             PovmEffects([np.diag([1.5, 1.0]), np.diag([-0.5, 0.0])])
+        with pytest.raises(ValidationError, match="^a POVM needs at least one effect$"):
+            PovmEffects([])
 
     def test_non_positive_effect_is_named_by_index(self):
         with pytest.raises(ValidationError, match="effect 1 not positive"):

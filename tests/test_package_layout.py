@@ -4,12 +4,15 @@ shipped package holds nothing else.
 Each run is a fresh process that calls the CLI's ``main`` and then lists the
 ``stoqlift.*`` entries of ``sys.modules``. The five subcommands below load
 every module under ``src/stoqlift`` between them, so a test-only helper (such
-as ``tests/random_ops.py``) cannot creep back in.
+as ``tests/random_ops.py``) cannot creep back in. The console script that
+``pyproject.toml`` declares resolves to the CLI.
 """
 
+import importlib
 import os
 import subprocess
 import sys
+import tomllib
 from pathlib import Path
 
 import pytest
@@ -91,3 +94,15 @@ def test_package_reads_each_name_from_its_module(monkeypatch):
         patch.setattr(lifts, "check_cptp", len)
         assert stoqlift.check_cptp is len
     assert stoqlift.check_cptp is original
+
+
+@pytest.mark.parametrize("name, code", [("flip_kernel.json", 0), ("missing.json", 2)])
+def test_console_script_target_runs_the_cli(name, code, monkeypatch, capsys):
+    pyproject = tomllib.loads((PACKAGE.parents[1] / "pyproject.toml").read_text())
+    module, _, attribute = pyproject["project"]["scripts"]["stoqlift"].partition(":")
+    target = getattr(importlib.import_module(module), attribute)
+    monkeypatch.setattr(sys, "argv", ["stoqlift", "validate", str(DATA / name)])
+    with pytest.raises(SystemExit) as exc:
+        target()
+    assert exc.value.code == code
+    assert bool(capsys.readouterr().out) == (code == 0)  # a report only on success

@@ -57,7 +57,24 @@ def test_depolarizing_steps_across_both_limits(d, tolerance):
     assert routes == {(True, True), (False, True), (False, False)}
 
 
-def test_svd_runs_only_without_the_certificate(monkeypatch):
+#: Earlier maps, one per route: certified by LU's inverse, full rank but
+#: not certified, rank cut though LU gives an inverse, and singular to LU.
+ROUTES = {"certified": 0.5, "uncertified": 1e-6, "cut": 1e-12, "lu-singular": 0.0}
+
+
+@pytest.mark.parametrize("route", ROUTES)
+def test_at_most_one_svd_of_the_earlier_map(route, monkeypatch):
+    e10 = depolarizing(2, ROUTES[route])
+    if route == "lu-singular":
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.inv(e10)
+    else:
+        certified = inverse_certifies_full_rank(e10, np.linalg.inv(e10), TOL_DIV)
+        rank = numerical_rank(np.linalg.svd(e10, compute_uv=False), TOL_DIV)
+        assert (certified, rank) == {"certified": (True, 4), "uncertified": (False, 4),
+                                     "cut": (False, 1)}[route]
+    e20 = random_channel(np.random.default_rng(3), 2, 2) @ e10
+    reference = outcome(svd_rule_q_divisibility, SuperOperator(e20), SuperOperator(e10))
     calls, inverses = [], []
     svd, inv = np.linalg.svd, np.linalg.inv
 
@@ -71,22 +88,17 @@ def test_svd_runs_only_without_the_certificate(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "svd", counting_svd)
     monkeypatch.setattr(np.linalg, "inv", counting_inv)
-    rng = np.random.default_rng(0)
-    e10 = depolarizing(2, 0.5)
-    e20 = random_channel(rng, 2, 2) @ e10
-    result = q_divisibility_check(SuperOperator(e20), SuperOperator(e10))
-    assert result.verdict == "divisible" and calls == [] and len(inverses) == 1
-    e10 = depolarizing(2, 0.0)
-    result = q_divisibility_check(SuperOperator(depolarizing(2, 0.0)), SuperOperator(e10))
-    assert result.verdict == "divisible"
-    assert calls == [True]  # one SVD, with vectors
-    assert len(inverses) == 2  # the second raised: LU finds e10 singular
+    ours = outcome(q_divisibility_check, SuperOperator(e20), SuperOperator(e10))
+    # No rank obstruction on these routes, so every SVD taken is of e_10.
+    assert calls == ([] if route == "certified" else [True])  # with vectors
+    assert len(inverses) == 1  # one LU, which raised if LU finds e_10 singular
+    assert ours == reference
 
 
-def test_uncertified_full_rank_map_takes_only_singular_values(monkeypatch):
+def test_uncertified_full_rank_map_takes_one_svd(monkeypatch):
     # At q = 1e-6, cond_2 = 1e6 is inside the rule's limit (1.1e6 at n = 4)
     # but |A|_F |A^-1|_F is not inside a quarter of it: the inverse is used
-    # uncertified, and the rank needs the singular values alone.
+    # uncertified, and the rank is read from one full SVD.
     e10 = depolarizing(2, 1e-6)
     assert not inverse_certifies_full_rank(e10, np.linalg.inv(e10), TOL_DIV)
     e20 = random_channel(np.random.default_rng(2), 2, 2) @ e10
@@ -99,7 +111,7 @@ def test_uncertified_full_rank_map_takes_only_singular_values(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "svd", counting_svd)
     ours = outcome(q_divisibility_check, SuperOperator(e20), SuperOperator(e10))
-    assert calls == [False]  # one SVD, values only
+    assert calls == [True]  # one SVD, with vectors
     assert ours == reference
     assert ours[0][0] == "divisible"
 

@@ -82,8 +82,19 @@ def test_detect_kind():
     assert detect_kind({"n": 2, "rows": [[1.0, 0.0], [0.0, 1.0]]}) == "kernel"
     assert detect_kind({"n": 1, "rows": [[[1.0, 0.0]]]}) == "complex-matrix"
     assert detect_kind({"kind": "density", "n": 1, "rows": []}) == "density"
-    with pytest.raises(SerializationError):
-        detect_kind({"something": 1})
+    for bad in ({"something": 1}, {}, {"rows": []}):
+        with pytest.raises(SerializationError,
+                           match="^cannot infer file kind from structure$"):
+            detect_kind(bad)
+
+
+@pytest.mark.parametrize("reader, obj, message", [
+    (kraus_from_json, {"ops": []}, 'Kraus object needs a nonempty "ops" list'),
+    (generator_from_json, {"jumps": []}, 'generator object needs an "h" key'),
+], ids=["no-ops", "no-h"])
+def test_map_object_without_its_key(reader, obj, message):
+    with pytest.raises(SerializationError, match=f"^{message}$"):
+        reader(obj)
 
 
 @pytest.mark.parametrize("bad", [
@@ -136,6 +147,10 @@ def test_division_scenario_roundtrip():
     missing = {k: v for k, v in obj.items() if k != "interaction"}
     with pytest.raises(SerializationError):
         division_scenario_from_json(missing)
+    wide = dict(obj, post_env={"ops": [complex_matrix_to_json(np.eye(3))]})
+    with pytest.raises(SerializationError,
+                       match="^post maps must act on the declared factor dimensions$"):
+        division_scenario_from_json(wide)
 
 
 def test_load_json_errors(tmp_path):
@@ -312,6 +327,13 @@ def test_non_finite_number_is_not_written(tmp_path, obj):
     path = tmp_path / "refused.json"
     with pytest.raises(ValueError, match="not JSON compliant"):
         dump_json(obj, path)
+    assert not path.exists()
+
+
+def test_non_numpy_object_is_not_written(tmp_path):
+    path = tmp_path / "refused.json"
+    with pytest.raises(TypeError, match="^object is not JSON serializable$"):
+        dump_json({"value": object()}, path)
     assert not path.exists()
 
 
