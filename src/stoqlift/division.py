@@ -56,9 +56,10 @@ def tensor_superoperator(s_sys: SuperOperator, s_env: SuperOperator) -> SuperOpe
     ns, ne = s_sys.n, s_env.n
     t_sys = s_sys.matrix.reshape(ns, ns, ns, ns)
     t_env = s_env.matrix.reshape(ne, ne, ne, ne)
-    joint = np.einsum("lkji,dcba->ldkcjbia", t_sys, t_env)
     m = ns * ne
-    return SuperOperator(joint.reshape(m * m, m * m))
+    joint = np.empty((m * m, m * m), dtype=complex)
+    np.einsum("lkji,dcba->ldkcjbia", t_sys, t_env, out=joint.reshape((ns, ne) * 4))
+    return SuperOperator._adopt(joint)
 
 
 @dataclass(frozen=True)

@@ -116,7 +116,9 @@ class StochasticKernel(_MatrixValue):
     """Column-stochastic transition matrix, optionally time-stamped.
 
     When both time stamps are given and equal, the matrix must be the
-    identity (no evolution over zero elapsed time).
+    identity (no evolution over zero elapsed time) to within ``TOL_STOCH``,
+    or ``tol_colsum`` if smaller: a wider column-sum tolerance does not widen
+    what counts as no evolution.
     """
 
     def __init__(self, matrix, from_time: float | None = None,
@@ -131,7 +133,8 @@ class StochasticKernel(_MatrixValue):
                 report=report)
         m = np.asarray(matrix, dtype=float)
         if from_time is not None and to_time is not None and from_time == to_time:
-            if np.abs(m - np.eye(m.shape[0])).max() > tol_colsum:
+            residual = np.abs(m - np.eye(m.shape[0])).max()
+            if not residual <= min(tol_colsum, TOL_STOCH):
                 raise ValidationError(
                     "kernel between equal times must be the identity")
         self._matrix = _frozen(np.maximum(m, 0.0))

@@ -58,9 +58,13 @@ def _root(size: int, what: str) -> int:
     return n
 
 
-def _reshuffle(matrix: np.ndarray, n: int) -> np.ndarray:
-    """Liouville matrix <-> Choi matrix index reshuffle (an involution)."""
-    return matrix.reshape(n, n, n, n).transpose(3, 1, 2, 0).reshape(n * n, n * n)
+def _reshuffle(matrix: np.ndarray, n: int,
+               axes: tuple[int, ...] = (3, 1, 2, 0)) -> np.ndarray:
+    """Liouville matrix <-> Choi matrix index reshuffle (an involution), or
+    another permutation ``axes`` of the four indices, as a new base array."""
+    out = np.empty((n * n, n * n), dtype=matrix.dtype)
+    out.reshape(n, n, n, n)[...] = matrix.reshape(n, n, n, n).transpose(axes)
+    return out
 
 
 def _diagonal_images_offdiagonal(matrix: np.ndarray, n: int) -> float:
@@ -125,7 +129,17 @@ class KrausMap:
     """
 
     def __init__(self, operators: Iterable[np.ndarray], tol_tp: float = TOL_TP):
-        stack = _square_stack(operators, "Kraus operator")
+        self._hold(_square_stack(operators, "Kraus operator"), tol_tp)
+
+    @classmethod
+    def _adopt(cls, stack: np.ndarray) -> "KrausMap":
+        """The map of ``stack``, a new C-ordered ``(r, N, N)`` complex array
+        that nothing else refers to, held without the copy of ``__init__``."""
+        kmap = cls.__new__(cls)
+        kmap._hold(stack, TOL_TP)
+        return kmap
+
+    def _hold(self, stack: np.ndarray, tol_tp: float) -> None:
         parts = stack.view(float)  # squared Frobenius norms; NaN compares false, kept
         dropped = np.einsum("ijk,ijk->i", parts, parts) < KRAUS_DROP_NORM ** 2
         stack = stack[~dropped] if dropped.any() else stack
@@ -154,20 +168,24 @@ class KrausMap:
 
     @cached_property
     def _superoperator(self) -> "SuperOperator":
-        v = self._stack.transpose(0, 2, 1).reshape(self.rank, -1)
-        superop = SuperOperator(_reshuffle(v.T @ v.conj(), self.n))
+        # Row b of W, a view, is K_b read row by row: V with each vec index
+        # (j, i) read as (i, j), which the one reshuffle swaps back.
+        w = self._stack.reshape(self.rank, -1)
+        superop = SuperOperator._adopt(_reshuffle(w.T @ w.conj(), self.n, (2, 0, 3, 1)))
         superop._kraus_rank = self.rank
         return superop
 
     def _tp_residual(self) -> float:
         return self.completeness_residual
 
+    @cached_property
     def _induced(self) -> tuple[np.ndarray, dict]:
         """Squared-moduli dictionary, checked against the left-right reading
-        ``sum_b K_b o conj(K_b)`` of the same action (equal up to rounding)."""
+        ``sum_b K_b o conj(K_b)`` of the same action (equal up to rounding);
+        formed on first use and kept."""
         kernel = (np.abs(self._stack) ** 2).sum(axis=0)
         action = (self._stack * self._stack.conj()).real.sum(axis=0)
-        return kernel, {"dictionary_residual": float(np.abs(kernel - action).max())}
+        return _frozen(kernel), {"dictionary_residual": float(np.abs(kernel - action).max())}
 
     def canonical_reduction(self, cutoff: float = PINV_RCOND) -> "KrausMap":
         """Minimal Kraus set (at most N^2 operators) from the Choi spectrum."""
@@ -205,8 +223,9 @@ class LeftRightMap:
         """A new one from the Choi matrix ``sum_b vec(A_b) vec(B_b^T)^T``."""
         r = len(self._left)
         choi = self._left.transpose(0, 2, 1).reshape(r, -1).T @ self._right.reshape(r, -1)
-        return SuperOperator(_reshuffle(choi, self.n))
+        return SuperOperator._adopt(_reshuffle(choi, self.n))
 
+    @property
     def _induced(self) -> tuple[np.ndarray, dict]:
         """Diagonal action ``sum_b A_b o B_b^T``, with the trace condition."""
         left, right = self._left, self._right
@@ -235,6 +254,16 @@ class SuperOperator(_MatrixValue):
         self._matrix = _frozen(_square(matrix, "superoperator").copy())
         self._n = _root(len(self._matrix), "superoperator side")
 
+    @classmethod
+    def _adopt(cls, matrix: np.ndarray) -> "SuperOperator":
+        """The superoperator of ``matrix``, a new base ``(N^2, N^2)`` complex
+        array that nothing else refers to, held without the copy of
+        ``__init__``: the library's own results are built this way."""
+        s = cls.__new__(cls)
+        s._matrix = _frozen(matrix)
+        s._n = _root(len(matrix), "superoperator side")
+        return s
+
     @property
     def n(self) -> int:
         """Dimension of the underlying operator space (the N in N^2 x N^2)."""
@@ -242,7 +271,7 @@ class SuperOperator(_MatrixValue):
 
     @classmethod
     def identity(cls, n: int) -> "SuperOperator":
-        return cls(np.eye(n * n, dtype=complex))
+        return cls._adopt(np.eye(n * n, dtype=complex))
 
     @property
     def _superoperator(self) -> "SuperOperator":
@@ -278,7 +307,7 @@ class SuperOperator(_MatrixValue):
         each eigenvalue within about ``N^2 eps |C|_2`` of the exact one (LAPACK
         Users' Guide, section 4.7); ``tr(C) >= |C|_2`` for a PSD C, and tr(C)
         sums the induced kernel."""
-        return 2 * (self._kraus_rank + self._n ** 2) * EPS * float(self._induced()[0].sum())
+        return 2 * (self._kraus_rank + self._n ** 2) * EPS * float(self._induced[0].sum())
 
     def _passes_cp(self, tol_psd: float) -> bool:
         """``_completely_positive`` of the Choi spectrum: a kept spectrum
@@ -292,6 +321,7 @@ class SuperOperator(_MatrixValue):
         vec_id = vec(np.eye(self._n))
         return float(np.abs(vec_id @ self._matrix - vec_id).max())
 
+    @property
     def _induced(self) -> tuple[np.ndarray, dict]:
         """Index lookup ``S[j(N+1), i(N+1)]``: diagonal in, diagonal out."""
         d = np.arange(self._n) * (self._n + 1)
@@ -307,7 +337,7 @@ class ChoiMatrix:
 
     def __init__(self, matrix, tol_herm: float = TOL_HERM):
         m = _square(matrix, "Choi matrix")
-        s = SuperOperator(_reshuffle(m, _root(len(m), "Choi matrix side")))
+        s = SuperOperator._adopt(_reshuffle(m, _root(len(m), "Choi matrix side")))
         self._superoperator, self.asymmetry = s, s._hermitian_within(tol_herm)
 
     @property
@@ -409,13 +439,14 @@ def readout(rho: DensityOperator, require_diagonal: bool = False,
             tol: float = TOL_HERM) -> ProbabilityVector:
     """Diagonal entries of a density operator as a probability vector.
 
-    With ``require_diagonal`` the off-diagonal mass must not exceed ``tol``;
-    otherwise the operator is dephased first.
+    With ``require_diagonal`` the off-diagonal mass must not exceed ``tol``
+    (so a NaN ``tol`` passes no operator); otherwise the operator is dephased
+    first.
     """
     m = rho.matrix
     off = m - np.diag(np.diag(m))
     off_mass = float(np.abs(off).max())
-    if require_diagonal and off_mass > tol:
+    if require_diagonal and not off_mass <= tol:
         raise ValidationError(
             f"operator is not diagonal: off-diagonal mass {off_mass:.3e}")
     return ProbabilityVector(np.real(np.diag(m)), tol=TOL_HERM, tol_sum=TOL_HERM)
@@ -524,7 +555,7 @@ class InducedKernelReport:
 
 def induced_kernel(map_: MapLike) -> InducedKernelReport:
     """Diagonal action of a map on the basis projectors, read in closed form."""
-    kernel, checks = _supported(map_, KrausMap, LeftRightMap, SuperOperator)._induced()
+    kernel, checks = _supported(map_, KrausMap, LeftRightMap, SuperOperator)._induced
     return InducedKernelReport(_frozen(kernel), validate_kernel(kernel), **checks)
 
 
@@ -538,7 +569,7 @@ def dictionary_kernel(kmap: KrausMap, tol_tp: float = TOL_TP) -> StochasticKerne
         raise ValidationError(
             "map is not trace preserving: completeness residual "
             f"{kmap.completeness_residual:.3e} exceeds {tol_tp:.1e}")
-    return StochasticKernel(kmap._induced()[0],
+    return StochasticKernel(kmap._induced[0],
                             tol_colsum=max(TOL_STOCH, kmap.completeness_residual * 2))
 
 
@@ -557,7 +588,7 @@ def canonical_lift(gamma: StochasticKernel) -> KrausMap:
     kernel identically. Zero-weight operators are dropped.
     """
     m = gamma.matrix
-    return KrausMap(_rank_one_stack(m, np.sqrt(m) >= KRAUS_DROP_NORM))
+    return KrausMap._adopt(_rank_one_stack(m, np.sqrt(m) >= KRAUS_DROP_NORM))
 
 
 @dataclass(frozen=True)
@@ -604,7 +635,7 @@ def barandes_column_lift(theta) -> KrausMap:
     ops = np.zeros((n, n, n), dtype=complex)
     beta = np.arange(n)
     ops[beta, :, beta] = th.T
-    return KrausMap(ops)
+    return KrausMap._adopt(ops)
 
 
 @dataclass(frozen=True)
@@ -638,7 +669,7 @@ def compatibility_check(map_: MapLike, gamma: StochasticKernel,
         for p in probe_list:
             _same_dimension(p.n, n, "probe", "kernel")
         columns = np.column_stack([p.entries for p in probe_list])
-    residuals = np.abs(map_._induced()[0] @ columns - gamma.matrix @ columns).max(axis=0)
+    residuals = np.abs(map_._induced[0] @ columns - gamma.matrix @ columns).max(axis=0)
     worst = float(residuals.max())
     return CompatibilityReport(worst <= tol, worst, tuple(map(float, residuals)))
 
@@ -656,7 +687,7 @@ def to_superoperator(map_: KrausMap | LeftRightMap) -> SuperOperator:
 
 def superop_kernel_extract(s: SuperOperator) -> np.ndarray:
     """Induced kernel of a superoperator: inject, evolve, dephase, read out."""
-    return s._induced()[0]
+    return s._induced[0]
 
 
 @dataclass(frozen=True)
@@ -666,10 +697,12 @@ class QDivisibilityResult:
     ``verdict`` is ``"divisible"``, ``"indivisible"`` or ``"inconclusive"``.
     The candidate factor (when one exists linearly) and its CPTP report are
     recorded; the report is None when the candidate's Choi matrix is too
-    asymmetric to be Hermitian. Inconclusive means: the candidate matches
-    on the range of the earlier map but is not CPTP there, and a CPTP
-    completion off that range, a semidefinite feasibility search, is out of
-    scope here.
+    asymmetric to be Hermitian. A candidate that reached the CPTP check is
+    the read-only array of the superoperator checked, symmetrized if it was
+    (the witness, when divisible), not a copy of it. Inconclusive means: the
+    candidate matches on the range of the earlier map but is not CPTP there,
+    and a CPTP completion off that range, a semidefinite feasibility search,
+    is out of scope here.
     """
 
     verdict: str
@@ -707,7 +740,7 @@ def q_divisibility_check(e_20: SuperOperator, e_10: SuperOperator,
     """
     _same_dimension(e_20.n, e_10.n, "e_20", "e_10")
     # The largest |re| or |im| of each map, NaN if any entry is.
-    tops = [np.abs(m.matrix.view(float)).max() for m in (e_20, e_10)]
+    tops = [max(v.max(), -v.min()) for v in (m.matrix.view(float) for m in (e_20, e_10))]
     for name, top in zip(("e_20", "e_10"), tops):
         if not np.isfinite(top):
             raise ValidationError(f"{name} has a non-finite entry (NaN or infinity)")
@@ -720,12 +753,13 @@ def q_divisibility_check(e_20: SuperOperator, e_10: SuperOperator,
         inverse = np.linalg.inv(a_10)
     except np.linalg.LinAlgError:  # exactly singular to LU: the SVD decides
         inverse = None
+    inverted = inverse is not None
     rank_10 = size = a_10.shape[0]
-    if inverse is None or not _inverse_certifies_full_rank(a_10, inverse, tolerance):
+    if not inverted or not _inverse_certifies_full_rank(a_10, inverse, tolerance):
         u, s, vh = np.linalg.svd(a_10)
         rank_10 = _numerical_rank(s, tolerance)
     unique = rank_10 == size
-    if unique and inverse is not None:
+    if unique and inverted:
         with np.errstate(over="ignore", invalid="ignore"):  # beyond the range: inf, NaN
             candidate = a_20 @ inverse
     else:
@@ -742,26 +776,26 @@ def q_divisibility_check(e_20: SuperOperator, e_10: SuperOperator,
                       f"(residual {np.ldexp(recon, -k):.3e})")
             return QDivisibilityResult("indivisible", None, None, reason,
                                        candidate=candidate)
-    witness = SuperOperator(candidate)
+    del a_20, a_10, inverse  # N^2 x N^2 each, and read no more
+    witness = SuperOperator._adopt(candidate)
     report = None
     if witness._choi_asymmetry <= max(TOL_HERM, tolerance):
         if witness._choi_asymmetry > TOL_HERM:
-            candidate = _reshuffle(witness._hermitian_choi(), e_10.n)
-            witness = SuperOperator(candidate)
+            witness = SuperOperator._adopt(_reshuffle(witness._hermitian_choi(), e_10.n))
         report = check_cptp(witness, tol_tp=max(TOL_TP, tolerance),
                             tol_psd=max(TOL_PSD, tolerance))
         if report.passed:
             reason = ("unique factor is CPTP" if unique
                       else "pseudo-inverse factor is CPTP")
             return QDivisibilityResult("divisible", witness, report, reason,
-                                       candidate=candidate)
+                                       candidate=witness.matrix)
     if not unique:
         reason = ("factor on the range of the earlier map is not CPTP; a CPTP "
                   "completion off that range is not searched")
-    elif inverse is not None:
+    elif inverted:
         reason = "earlier map is invertible and its unique factor is not CPTP"
     else:
         reason = ("earlier map is singular to LU but full rank at this "
                   "tolerance, and its factor is not CPTP")
     return QDivisibilityResult("indivisible" if unique else "inconclusive",
-                               None, report, reason, candidate=candidate)
+                               None, report, reason, candidate=witness.matrix)

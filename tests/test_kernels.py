@@ -60,6 +60,17 @@ class TestValidation:
             StochasticKernel(MIX, from_time=1.0, to_time=1.0)
         StochasticKernel(np.eye(2), from_time=1.0, to_time=1.0)
 
+    @pytest.mark.parametrize("tol_colsum", [1.0, np.inf])
+    def test_wide_column_sum_tolerance_does_not_widen_the_identity_test(self, tol_colsum):
+        with pytest.raises(ValidationError, match="must be the identity"):
+            StochasticKernel(MIX, from_time=1.0, to_time=1.0, tol_colsum=tol_colsum)
+
+    def test_equal_time_identity_is_tested_at_the_smaller_tolerance(self):
+        near = np.array([[1.0 - 5e-11, 0.0], [5e-11, 1.0]])
+        StochasticKernel(near, from_time=1.0, to_time=1.0, tol_colsum=1.0)
+        with pytest.raises(ValidationError, match="must be the identity"):
+            StochasticKernel(near, from_time=1.0, to_time=1.0, tol_colsum=1e-11)
+
 
 class TestProbabilityVector:
     def test_basis_and_clamping(self):

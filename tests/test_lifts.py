@@ -95,6 +95,13 @@ class TestEmbedDephaseReadout:
         np.testing.assert_allclose(readout(DensityOperator(PLUS)).entries,
                                    [0.5, 0.5])
 
+    def test_readout_nan_tolerance_rejects_coherences(self):
+        with pytest.raises(ValidationError, match="not diagonal"):
+            readout(DensityOperator(PLUS), require_diagonal=True, tol=np.nan)
+        diagonal = DensityOperator(np.diag([0.25, 0.75]).astype(complex))
+        with pytest.raises(ValidationError, match="not diagonal"):
+            readout(diagonal, require_diagonal=True, tol=np.nan)
+
 
 class TestApplyKraus:
     def test_identity_map(self, rng):

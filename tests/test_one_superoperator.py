@@ -7,11 +7,14 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from stoqlift import (ChoiMatrix, SuperOperator, SuperOperatorFamily,
-                      ValidationError, check_cptp, ck_checklist, to_superoperator)
+from stoqlift import (ChoiMatrix, KrausMap, SuperOperator, SuperOperatorFamily,
+                      ValidationError, canonical_lift, check_cptp, ck_checklist,
+                      compatibility_check, dictionary_kernel, induced_kernel,
+                      q_divisibility_check, to_superoperator)
 from stoqlift.lifts import TOL_PSD
 
-from random_ops import random_kraus_map
+from conftest import depolarizing
+from random_ops import random_kraus_map, random_stochastic, random_unitary
 
 
 def _retained_arrays(*roots):
@@ -69,6 +72,76 @@ def test_first_read_of_a_bare_superoperator_keeps_no_second_choi_copy(rng):
             tracemalloc.stop()
         assert value > -1e-12
         assert peak < 3.5 * size
+
+
+def _peak_units(f, n):
+    """tracemalloc's peak while ``f()`` runs, in N^4 complex arrays, and its value."""
+    tracemalloc.start()
+    try:
+        value = f()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak / (16 * n ** 4), value
+
+
+def _divisible_full_rank_pair(rng, n):
+    """A canonical lift after a well-conditioned earlier map, as in the lift
+    benchmark: a unitary channel mixed with full depolarization."""
+    gamma = random_stochastic(rng, n)
+    e_10 = (0.5 * to_superoperator(KrausMap([random_unitary(rng, n)])).matrix
+            + 0.5 * depolarizing(n, 0.0))
+    e_20 = to_superoperator(canonical_lift(gamma)).matrix @ e_10
+    return SuperOperator(e_20), SuperOperator(e_10)
+
+
+def test_divisibility_check_holds_at_most_five_n4_arrays_at_once(rng):
+    # The witness adopts the candidate, and the moved maps and the inverse
+    # are dropped before it is checked: the peak is the candidate and the
+    # four arrays of forming the Hermitian part of its Choi matrix.
+    n = 8
+    e_20, e_10 = _divisible_full_rank_pair(rng, n)
+    units, result = _peak_units(lambda: q_divisibility_check(e_20, e_10), n)
+    assert result.verdict == "divisible"
+    assert units < 5.5
+
+
+def test_lift_and_conversion_hold_at_most_three_n4_arrays_at_once(rng):
+    # The adopted stack of N^2 operators, conj(W) and W^T conj(W), then the
+    # product and its reshuffle, which the superoperator adopts.
+    n = 8
+    kernel = random_stochastic(rng, n)
+    units, _ = _peak_units(lambda: to_superoperator(canonical_lift(kernel)), n)
+    assert canonical_lift(kernel).rank == n * n
+    assert units < 3.5
+
+
+def test_divisible_result_keeps_one_n4_array(rng):
+    # The candidate is the witness's array, not a copy of it.
+    n = 4
+    result = q_divisibility_check(*_divisible_full_rank_pair(rng, n))
+    assert result.verdict == "divisible"
+    big = [a for a in _retained_arrays(result) if a.size == n ** 4]
+    assert len(big) == 1
+    assert np.shares_memory(result.candidate, result.witness.matrix)
+    assert not result.candidate.flags.writeable
+
+
+def test_kraus_maps_induced_kernel_is_formed_once(rng, monkeypatch):
+    formed = []
+    prop = KrausMap.__dict__["_induced"]
+
+    def counted(kmap, _form=prop.func):
+        formed.append(kmap)
+        return _form(kmap)
+
+    monkeypatch.setattr(prop, "func", counted)
+    kernel = random_stochastic(rng, 4)
+    kmap = canonical_lift(kernel)
+    assert compatibility_check(kmap, kernel).passed
+    report = induced_kernel(kmap)
+    np.testing.assert_array_equal(dictionary_kernel(kmap).matrix, report.kernel)
+    assert formed == [kmap]
 
 
 def test_asymmetry_is_the_worst_entry_of_c_minus_c_dagger(rng):
