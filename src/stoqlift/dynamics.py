@@ -25,8 +25,8 @@ from ._arrays import (CK_TOLERANCE, FD_STEP, TOL_HERM, TOL_TP, frozen as _frozen
                       same_dimension as _same_dimension, square as _square,
                       square_stack as _square_stack)
 from .lifts import (DensityOperator, KrausMap, LeftRightMap, SuperOperator,
-                    _diagonal_images_offdiagonal, _rank_one_stack, _reported,
-                    canonical_lift, check_cptp, to_superoperator, unvec, vec)
+                    _canonical_superoperator, _diagonal_images_offdiagonal,
+                    _rank_one_stack, _reported, check_cptp, to_superoperator, unvec, vec)
 
 
 class GkslGenerator:
@@ -208,14 +208,15 @@ class SuperOperatorFamily(_TwoTimeFamily):
                            ) -> "SuperOperatorFamily":
         """Pairwise lift of a kernel family, one lift per (t, s) independently.
 
-        Nothing makes such a family compose; feeding it to the checklist is
-        how one finds out.
+        Each member is the superoperator of ``canonical_lift`` of the kernel,
+        scattered from its block with no Kraus stack, since a member never
+        reads one. Nothing makes such a family compose; feeding it to the
+        checklist is how one finds out.
         """
         if lift != "canonical":
             raise ValueError(f"unsupported lift choice {lift!r}")
         g = family.grid if grid is None else grid
-        return cls(g, lambda t, s: to_superoperator(
-            canonical_lift(family.kernel(t, s))))
+        return cls(g, lambda t, s: _canonical_superoperator(family.kernel(t, s).matrix)[1])
 
 
 def generator_from_family(family: SuperOperatorFamily, t: float,

@@ -122,8 +122,10 @@ class KrausMap:
     recorded as a checked flag, not required: short-time maps are only trace
     preserving to leading order. The map owns one ``SuperOperator``, the
     reshuffled ``V^T conj(V)`` (row b of V is the column-stacked vec of K_b),
-    formed on first use and kept; it holds the Choi data of both forms and
-    the Kraus rank, from which ``check_cptp`` passes complete positivity.
+    formed on first use and kept, like the induced kernel; ``canonical_lift``
+    sets both from its kernel block instead. The superoperator holds the
+    Choi data of both forms and the Kraus rank, from which ``check_cptp``
+    passes complete positivity.
     ``canonical_reduction`` re-extracts at most N^2 operators from the Choi
     spectrum when a redundant set has accumulated.
     """
@@ -247,7 +249,8 @@ class SuperOperator(_MatrixValue):
     """
 
     #: Kraus rank r when the matrix is a Kraus map's reshuffled ``V^T
-    #: conj(V)``, set by ``KrausMap._superoperator``; 0 for any other.
+    #: conj(V)``, set by ``KrausMap._superoperator`` or, for the canonical
+    #: lift, ``_canonical_superoperator``; 0 for any other.
     _kraus_rank = 0
 
     def __init__(self, matrix):
@@ -581,14 +584,39 @@ def _rank_one_stack(m: np.ndarray, keep: np.ndarray) -> np.ndarray:
     return ops
 
 
+def _canonical_superoperator(m: np.ndarray) -> tuple[np.ndarray, SuperOperator]:
+    """The canonical lift of the kernel matrix m as its block ``fl(sqrt(m))^2``,
+    exact zeros where ``sqrt(m) < KRAUS_DROP_NORM``, and its superoperator:
+    the block scattered onto the positions ``(j(N+1), i(N+1))``, bit for bit
+    the product ``W^T conj(W)`` of the one-nonzero stack. Its Choi matrix is
+    real diagonal, so its Choi asymmetry is 0."""
+    root = np.sqrt(m)
+    # C-ordered whatever m's order, as the stack's sum is: validate_kernel's
+    # column sums round by memory order.
+    block = _frozen(np.multiply(root, root, out=np.zeros(m.shape),
+                                where=root >= KRAUS_DROP_NORM))
+    matrix = np.zeros((m.size, m.size), dtype=complex)
+    matrix[::len(m) + 1, ::len(m) + 1] = block
+    superop = SuperOperator._adopt(matrix)
+    superop._kraus_rank = int(np.count_nonzero(block))
+    superop._choi_asymmetry = 0.0
+    return block, superop
+
+
 def canonical_lift(gamma: StochasticKernel) -> KrausMap:
     """Rank-one lift of a kernel: one operator ``sqrt(gamma[j,i]) |j><i|`` per entry.
 
-    Always a quantum channel; its squared-moduli dictionary returns the input
-    kernel identically. Zero-weight operators are dropped.
+    Always a quantum channel. Operators of norm below ``KRAUS_DROP_NORM``
+    are dropped, so its squared-moduli dictionary returns entry (j, i) as
+    ``fl(sqrt(gamma[j,i]))^2``, within an ulp of it, and an entry below
+    ``KRAUS_DROP_NORM^2`` as 0. The stack and its completeness residual are
+    formed here; the superoperator, its Choi asymmetry and the induced kernel
+    are set from the block (``_canonical_superoperator``).
     """
-    m = gamma.matrix
-    return KrausMap._adopt(_rank_one_stack(m, np.sqrt(m) >= KRAUS_DROP_NORM))
+    block, superop = _canonical_superoperator(gamma.matrix)
+    kmap = KrausMap._adopt(_rank_one_stack(gamma.matrix, block > 0))
+    kmap._superoperator, kmap._induced = superop, (block, {"dictionary_residual": 0.0})
+    return kmap
 
 
 @dataclass(frozen=True)

@@ -137,10 +137,11 @@ def test_kraus_maps_induced_kernel_is_formed_once(rng, monkeypatch):
 
     monkeypatch.setattr(prop, "func", counted)
     kernel = random_stochastic(rng, 4)
-    kmap = canonical_lift(kernel)
-    assert compatibility_check(kmap, kernel).passed
-    report = induced_kernel(kmap)
-    np.testing.assert_array_equal(dictionary_kernel(kmap).matrix, report.kernel)
+    canonical = canonical_lift(kernel)  # set from its block, never from its stack
+    for kmap in (canonical, KrausMap(canonical.operators)):
+        assert compatibility_check(kmap, kernel).passed
+        report = induced_kernel(kmap)
+        np.testing.assert_array_equal(dictionary_kernel(kmap).matrix, report.kernel)
     assert formed == [kmap]
 
 
