@@ -17,7 +17,6 @@ runs, so a process loads only the modules of its subcommand.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import math
 import sys
 from pathlib import Path
@@ -402,11 +401,18 @@ INPUT_OPTIONS = ("file", "kernel", "theta", "later", "earlier", "hamiltonian",
                  "rate", "p0", "scenario", "family")
 
 
+def _digest(path) -> str:
+    """SHA-256 of a file's bytes; ``hashlib`` is loaded only by a run that
+    names an input file."""
+    import hashlib
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         fields, passed, summary = args.func(args)
-        inputs = {name: hashlib.sha256(Path(path).read_bytes()).hexdigest()
+        inputs = {name: _digest(path)
                   for name in INPUT_OPTIONS if (path := getattr(args, name, None))}
         report = {"command": args.cmd, "inputs": inputs, "seed": args.seed,
                   "rng": "numpy.random.default_rng (PCG64), seeded from --seed",

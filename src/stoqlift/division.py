@@ -70,7 +70,9 @@ class DivisionVerdict:
     divisibility and diagonality of the first leg on diagonal inputs), in
     which case the classical witness is extracted from the quantum one and
     the kernel factorization is verified; otherwise the classical question is
-    answered independently.
+    answered independently. ``q_divisible`` is set when the quantum verdict
+    is ``divisible``: an ``inconclusive`` one reads False, as ``indivisible``
+    does, and ``q_result.verdict`` tells the three apart.
     """
 
     q_divisible: bool

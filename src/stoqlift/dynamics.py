@@ -280,9 +280,9 @@ def ck_checklist(family: SuperOperatorFamily,
     ``tolerance``, and when ``check_cptp`` at its defaults passes every member
     ``S(t, s)`` (one whose Choi asymmetry exceeds ``TOL_HERM`` fails, not
     raises). The checks run in that order and stop at the first failure, and
-    ``check_cptp`` passes a member from its Kraus or Cholesky certificate
-    where one applies, so a caller reading only the verdict takes no
-    ``eigvalsh`` where every member is certified (unitary and GKSL families)
+    ``check_cptp`` passes a member from its Kraus, Gershgorin or Cholesky
+    certificate where one applies, so a caller reading only the verdict takes
+    no ``eigvalsh`` where every member is certified (unitary and GKSL families)
     or a check before C fails (pairwise lifts fail at coincidence). The
     report's ``min_choi_eigenvalue`` takes one ``eigvalsh`` per member that
     keeps no spectrum, on its first read. Each grid pair is evaluated once;

@@ -1,6 +1,7 @@
 """``check_cptp`` decides complete positivity from a certificate, without
 diagonalising: a Kraus map and the superoperator converted from it pass
-from the Kraus structure, any other superoperator from one Cholesky
+from the Kraus structure, any other superoperator from Gershgorin's discs
+(a near-diagonal Choi matrix at N >= ``_DISC_MIN_N``) or one Cholesky
 factorisation. The Choi spectrum is taken on the first read of
 ``min_choi_eigenvalue`` (or where no certificate decides), once per Choi
 matrix across both forms."""
@@ -56,11 +57,11 @@ def test_first_read_on_either_form_takes_one_shared_eigvalsh(rng, calls):
         calls.clear()
 
 
-def test_lift_pipeline_takes_no_eigvalsh_and_one_cholesky(rng, calls):
-    # The lift-dense sequence at N = 4: both checks of one lift pass from the
-    # Kraus structure, and the divisibility witness, a bare superoperator,
-    # from one Cholesky factorisation.
-    n = 4
+def test_lift_pipeline_takes_no_eigvalsh_and_no_cholesky(rng, calls):
+    # The lift-dense sequence at N = 8: both checks of one lift pass from the
+    # Kraus structure, and the divisibility witness, a bare superoperator
+    # whose Choi matrix is diagonal up to rounding, from Gershgorin's discs.
+    n = 8
     gamma = random_stochastic(rng, n).matrix
     u = random_unitary(rng, n)
     e10 = (0.5 * to_superoperator(KrausMap([u])).matrix
@@ -83,7 +84,7 @@ def test_lift_pipeline_takes_no_eigvalsh_and_one_cholesky(rng, calls):
     result = q_divisibility_check(SuperOperator(e20), SuperOperator(e10))
     assert result.verdict == "divisible"
     np.testing.assert_allclose(result.witness.matrix, canonical, atol=1e-8)
-    assert calls == ["cholesky"]
+    assert not calls
 
 
 def test_superoperator_from_the_matrix_gets_its_own_certificate_and_spectrum(

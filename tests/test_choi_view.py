@@ -143,18 +143,18 @@ def test_checklist_leaves_choi_data_to_lifts():
     assert not hasattr(dynamics, "_reshuffle")
 
 
-def test_lift_pipeline_reshuffles_once(rng, monkeypatch):
-    # The lift-dense sequence at N = 4: only the Hermitian part of the
-    # divisibility witness for its Cholesky factor. The canonical lift's
-    # superoperator is scattered from its block, and the Choi asymmetries
-    # are read off the superoperators in place.
+def test_lift_pipeline_never_reshuffles(rng, monkeypatch):
+    # The lift-dense sequence at N = 8: the canonical lift's superoperator
+    # is scattered from its block, the Choi asymmetries are read off the
+    # superoperators in place, and Gershgorin's discs certify the
+    # divisibility witness from its superoperator, with no Hermitian part.
     made = []
 
     def counted(*args, _f=lifts._reshuffle):
         made.append(1)
         return _f(*args)
 
-    n = 4
+    n = 8
     gamma = random_stochastic(rng, n).matrix
     u = random_unitary(rng, n)
     e10 = 0.5 * to_superoperator(KrausMap([u])).matrix + 0.5 * depolarizing(n, 0.0)
@@ -174,7 +174,7 @@ def test_lift_pipeline_reshuffles_once(rng, monkeypatch):
     superop_kernel_extract(s)
     result = q_divisibility_check(SuperOperator(canonical @ e10), SuperOperator(e10))
     assert result.verdict == "divisible"
-    assert len(made) == 1
+    assert not made
 
 
 def test_cptp_report_compares_and_shows_its_lazy_eigenvalue():

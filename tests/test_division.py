@@ -3,8 +3,8 @@ import pytest
 from scipy.linalg import expm
 
 from stoqlift import (DimensionMismatchError, KrausMap, ProbabilityVector,
-                      RateMatrix, SuperOperator, ValidationError,
-                      ctmc_embedding, dephasing_projector,
+                      RateMatrix, StochasticKernel, SuperOperator, ValidationError,
+                      canonical_lift, ctmc_embedding, dephasing_projector,
                       environment_division_scenario, gksl_superoperator,
                       partial_trace, tensor_superoperator, theorem1_check,
                       to_superoperator, unvec, vec)
@@ -107,6 +107,25 @@ class TestTheorem1:
         bad = SuperOperator(1.3 * np.eye(4))
         with pytest.raises(ValidationError):
             theorem1_check(bad, IDENTITY_2)
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_inconclusive_quantum_verdict_reads_not_divisible(self, n, rng):
+        # Canonical lifts of a kernel of rank n - 1 (a repeated column) and
+        # of X after it: divisible by construction, but the quantum check
+        # does not search off the earlier map's range. q_divisible reports
+        # only a "divisible" verdict; q_result tells the other two apart.
+        g10 = rng.random((n, n))
+        g10 /= g10.sum(axis=0)
+        g10[:, -1] = g10[:, 0]
+        x = rng.random((n, n))
+        x /= x.sum(axis=0)
+        e_10, e_20 = (to_superoperator(canonical_lift(StochasticKernel(g)))
+                      for g in (g10, x @ g10))
+        verdict = theorem1_check(e_10, e_20)
+        assert verdict.q_result.verdict == "inconclusive"
+        assert verdict.q_divisible is False
+        assert verdict.c_divisible is True
+        assert not verdict.theorem_applies
 
     @pytest.mark.parametrize("seed", range(25))
     def test_diagonal_first_leg_with_random_continuation(self, seed):

@@ -61,6 +61,13 @@ def test_subcommands_load_every_shipped_module():
     assert set().union(*(modules for _, modules in RUNS.values())) == shipped
 
 
+@pytest.mark.parametrize("argv, hashes", [(["demo", "theta-triviality"], False),
+                                          (RUNS["validate-kernel"][0], True)])
+def test_only_a_run_that_reads_a_file_loads_hashlib(argv, hashes):
+    # The process exits nonzero, and ``loaded`` raises, if the assert fails.
+    loaded(f"{RUN_CLI}\nassert ('hashlib' in sys.modules) is {hashes}", *argv)
+
+
 def test_package_import_loads_only_errors():
     assert loaded("import stoqlift") == {"errors"}
 
