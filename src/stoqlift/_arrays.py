@@ -145,6 +145,14 @@ def expm(a: np.ndarray, norm: float) -> np.ndarray:
     return r
 
 
+def require_tolerance(tolerance: float) -> None:
+    """Raise ``ValueError`` unless ``tolerance`` is a finite nonnegative
+    number, the rule ``--tol`` applies."""
+    if not 0 <= tolerance < np.inf:  # NaN fails too
+        raise ValueError(
+            f"tolerance must be a finite nonnegative number, got {tolerance}")
+
+
 def numerical_rank(s: np.ndarray, tolerance: float) -> int:
     """How many leading singular values (sorted descending) an inverse can use.
 

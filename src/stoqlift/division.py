@@ -20,7 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._arrays import (RECORD_FORM_TOL, TOL_DIV, TOL_PROB, TOL_PSD, TOL_STOCH,
-                      TOL_TP, require_psd as _require_psd)
+                      TOL_TP, require_psd as _require_psd,
+                      require_tolerance as _require_tolerance)
 from .errors import DimensionMismatchError, ValidationError
 from .kernels import (CDivisibilityResult, ProbabilityVector, StochasticKernel,
                       c_divisibility_check)
@@ -104,7 +105,8 @@ def theorem1_check(e_10: SuperOperator, e_20: SuperOperator,
 
     ``e_10`` lifts the kernel from the root time to the intermediate time,
     ``e_20`` from the root time to the final time. Both must be quantum
-    channels.
+    channels. A ``tolerance`` that is not a finite nonnegative number
+    raises ``ValueError`` (from ``q_divisibility_check``).
     """
     for name, e in (("e_10", e_10), ("e_20", e_20)):
         _require_cptp(name, e, max(TOL_TP, tolerance), max(TOL_PSD, tolerance))
@@ -170,8 +172,10 @@ def environment_division_scenario(p_env: ProbabilityVector,
     fixed environment state ``p_env``; ``record_interaction`` evolves the
     joint up to the division time, after which system and environment evolve
     independently under ``post_system`` and ``post_env``. A failed record
-    form is reported, not raised.
+    form is reported, not raised; a ``tolerance`` that is not a finite
+    nonnegative number raises ``ValueError``.
     """
+    _require_tolerance(tolerance)
     n_env = p_env.n
     m = record_interaction.n
     if m % n_env:

@@ -19,6 +19,7 @@ import numpy as np
 from ._arrays import (TOL_DIV, TOL_PROB, TOL_STOCH, MatrixValue as _MatrixValue,
                       frozen as _frozen,
                       numerical_rank as _numerical_rank,
+                      require_tolerance as _require_tolerance,
                       same_dimension as _same_dimension, semigroup as _semigroup,
                       square as _square, strict_grid as _strict_grid)
 from .errors import DimensionMismatchError, ValidationError
@@ -448,8 +449,10 @@ def c_divisibility_check(gamma_20: StochasticKernel, gamma_10: StochasticKernel,
     ``"feasibility"``). The least-squares Y with corrected column sums is
     tried first; one free direction (singular gamma_10 of nullity one
     included) is then decided by one interval per row, several by a norm
-    certificate and, failing that, a linear program.
+    certificate and, failing that, a linear program. A ``tolerance`` that
+    is not a finite nonnegative number raises ``ValueError``.
     """
+    _require_tolerance(tolerance)
     _same_dimension(gamma_20.n, gamma_10.n, "gamma_20", "gamma_10")
     n = gamma_10.n
     u, s, vt = np.linalg.svd(gamma_10.matrix)

@@ -31,6 +31,7 @@ from ._arrays import (EPS, KRAUS_DROP_NORM, PINV_RCOND, TOL_DIV, TOL_HERM, TOL_P
                       numerical_rank as _numerical_rank,
                       require_hermitian as _require_hermitian,
                       require_psd as _require_psd,
+                      require_tolerance as _require_tolerance,
                       same_dimension as _same_dimension, square as _square,
                       square_stack as _square_stack)
 from .errors import DimensionMismatchError, ValidationError
@@ -73,6 +74,23 @@ def _diagonal_images_offdiagonal(matrix: np.ndarray, n: int) -> float:
     diagonal = np.arange(n) * (n + 1)
     images = matrix[:, diagonal]
     return float(np.abs(np.delete(images, diagonal, axis=0)).max(initial=0.0))
+
+
+def _choi_asymmetry_of_rows(matrix: np.ndarray, n: int,
+                            rows: np.ndarray | None = None) -> float:
+    """Worst ``|S[i,j,k,l] - conj(S[j,i,l,k])|``, an entry of C - C^dagger
+    for the superoperator ``matrix`` (N^2 x N^2, N = ``n``), over the rows
+    ``(i, j)`` in ``rows`` (all when None), NaN if any entry is. Row (i, j)
+    is compared with its partner row (j, i). A zero row's terms repeat, in
+    modulus, those of its partner row, so rows that hold every nonzero row
+    of S give the worst entry over all rows."""
+    s = matrix.reshape(n, n, n, n)
+    partner = s.transpose(1, 0, 3, 2)
+    if rows is not None:
+        i, j = np.divmod(rows, n)
+        s, partner = s[i, j], partner[i, j]
+    with np.errstate(invalid="ignore"):  # inf - inf is NaN, as for a NaN entry
+        return float(np.abs(s - partner.conj()).max(initial=0.0))
 
 
 def diagonal_injection(n: int) -> np.ndarray:
@@ -246,6 +264,11 @@ class SuperOperator(_MatrixValue):
     one owner of its Choi matrix's Hermiticity and spectrum: once computed it
     keeps the worst entry of ``C - C^dagger`` and the spectrum of the
     Hermitian part of C (one ``eigvalsh``), never C, for every Choi question.
+    Two library constructors preset that worst entry instead of reading all
+    rows: ``_canonical_superoperator`` sets it to 0, its Choi matrix being
+    real diagonal, and ``q_divisibility_check`` reads a factor formed from
+    the nonzero rows of e_20 on those rows and their partner rows only
+    (``_choi_asymmetry_of_rows``).
     """
 
     #: Kraus rank r when the matrix is a Kraus map's reshuffled ``V^T
@@ -282,10 +305,8 @@ class SuperOperator(_MatrixValue):
 
     @cached_property
     def _choi_asymmetry(self) -> float:
-        """Worst entry of C - C^dagger (NaN if any is): S[i,j,k,l] - conj(S[j,i,l,k])."""
-        s = self._matrix.reshape((self._n,) * 4)
-        with np.errstate(invalid="ignore"):  # inf - inf is NaN, as for a NaN entry
-            return float(np.abs(s - s.transpose(1, 0, 3, 2).conj()).max())
+        """Worst entry of C - C^dagger (NaN if any is), over all rows."""
+        return _choi_asymmetry_of_rows(self._matrix, self._n)
 
     def _hermitian_within(self, tol_herm: float) -> float:
         """``_choi_asymmetry``, raising ``ValidationError`` above ``tol_herm``."""
@@ -797,9 +818,9 @@ def q_divisibility_check(e_20: SuperOperator, e_10: SuperOperator,
     maps are first moved by one power of two, exactly, that puts e_10's
     largest real or imaginary part in [1/2, 1), or less far where e_20 would
     overflow: their factor is the same number, so one path serves every
-    scale, subnormal included, and ``tolerance`` applies to the moved maps;
-    e_20 is moved after e_10 is inverted, into the memory the inverse's
-    workspace freed. The moved e_10 is inverted by LU once, and no SVD is
+    scale, subnormal included, and ``tolerance`` applies to the moved maps.
+    A ``tolerance`` that is not a finite nonnegative number raises
+    ``ValueError``. The moved e_10 is inverted by LU once, and no SVD is
     taken if ``|e_10|_F |inv(e_10)|_F``, a bound on cond_2(e_10), is at
     most a fixed quarter of the limit ``max(tolerance, n eps) / (n eps)``
     (``_arrays.inverse_certifies_full_rank``). Otherwise, LU singular
@@ -808,14 +829,20 @@ def q_divisibility_check(e_20: SuperOperator, e_10: SuperOperator,
     (``_arrays.numerical_rank``). With none cut, the CPTP check of the unique
     factor ``e_20 @ inv(e_10)`` decides, formed as ``e_20 V S^-1 U^dagger``
     if LU found e_10 singular; a factor beyond the float range is not
-    finite and not CPTP. Otherwise the candidate ``e_20 V_r S_r^-1
-    U_r^dagger`` of a cut map must reproduce e_20 to within ``tolerance +
-    |candidate|_2 s_(r+1)``, or the pair is indivisible (a rank obstruction
-    when e_20 has the larger rank, else a residual given in the input's
-    scale); a candidate that does but is not CPTP is inconclusive. A
-    witness's Choi asymmetry above ``max(TOL_HERM, tolerance)`` is not CPTP;
-    a smaller one is symmetrized away first.
+    finite and not CPTP. When the inverse certified full rank, so it is
+    finite, only the rows of e_20 that are not zero are moved and
+    multiplied, unless they are all rows or one, into a factor that is +0
+    on every other row: a canonical lift after e_10 has N nonzero rows of
+    N^2. The witness's Choi asymmetry is then read from those rows and
+    their partner rows only (``_choi_asymmetry_of_rows``). With directions
+    cut, the candidate ``e_20 V_r S_r^-1 U_r^dagger`` must reproduce e_20 to
+    within ``tolerance + |candidate|_2 s_(r+1)``, or the pair is indivisible
+    (a rank obstruction when e_20 has the larger rank, else a residual given
+    in the input's scale); a candidate that does but is not CPTP is
+    inconclusive. A witness's Choi asymmetry above ``max(TOL_HERM,
+    tolerance)`` is not CPTP; a smaller one is symmetrized away first.
     """
+    _require_tolerance(tolerance)
     _same_dimension(e_20.n, e_10.n, "e_20", "e_10")
     # The largest |re| or |im| of each map, NaN if any entry is.
     tops = [max(v.max(), -v.min()) for v in (m.matrix.view(float) for m in (e_20, e_10))]
@@ -830,14 +857,21 @@ def q_divisibility_check(e_20: SuperOperator, e_10: SuperOperator,
         inverse = np.linalg.inv(a_10)
     except np.linalg.LinAlgError:  # exactly singular to LU: the SVD decides
         inverse = None
-    # Moved after the inverse, e_20 takes the memory of its freed workspace.
-    a_20 = np.ldexp(e_20.matrix.view(float), k).view(complex)
     inverted = inverse is not None
+    certified = inverted and _inverse_certifies_full_rank(a_10, inverse, tolerance)
     rank_10 = size = a_10.shape[0]
-    if not inverted or not _inverse_certifies_full_rank(a_10, inverse, tolerance):
+    if not certified:
         u, s, vh = np.linalg.svd(a_10)
         rank_10 = _numerical_rank(s, tolerance)
     unique = rank_10 == size
+    # A certified inverse is finite, so a zero row of e_20 has a zero row of
+    # the factor for image: only the other rows are moved and multiplied,
+    # unless that is all rows or one, a matrix-vector product rounded
+    # otherwise than its row of the full product.
+    rows = np.flatnonzero(e_20.matrix.any(axis=1)) if certified else None
+    sparse = certified and rows.size not in (1, size)
+    a_20 = np.ldexp((e_20.matrix[rows] if sparse else e_20.matrix).view(float),
+                    k).view(complex)
     if unique and inverted:
         with np.errstate(over="ignore", invalid="ignore"):  # beyond the range: inf, NaN
             candidate = a_20 @ inverse
@@ -855,8 +889,14 @@ def q_divisibility_check(e_20: SuperOperator, e_10: SuperOperator,
                       f"(residual {np.ldexp(recon, -k):.3e})")
             return QDivisibilityResult("indivisible", None, None, reason,
                                        candidate=candidate)
-    del a_20, a_10, inverse  # N^2 x N^2 each, and read no more
+    if sparse:  # the formed rows, scattered into the inverse's memory, zeroed
+        inverse.fill(0)
+        inverse[rows] = candidate
+        candidate = inverse
+    del a_20, a_10, inverse  # read no more
     witness = SuperOperator._adopt(candidate)
+    if sparse:  # the zero rows' terms repeat their partner rows'
+        witness._choi_asymmetry = _choi_asymmetry_of_rows(candidate, e_10.n, rows)
     report = None
     if witness._choi_asymmetry <= max(TOL_HERM, tolerance):
         if witness._choi_asymmetry > TOL_HERM:

@@ -1,5 +1,7 @@
 """The tolerance table in ``stoqlift._arrays`` is the one place a default
-tolerance is written down; the modules re-export its entries."""
+tolerance is written down; the modules re-export its entries. A tolerance
+passed to a divisibility check must be a finite nonnegative number, as
+``--tol`` must."""
 
 import ast
 import importlib
@@ -8,9 +10,12 @@ import re
 import tokenize
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from stoqlift import _arrays
+from stoqlift import (ProbabilityVector, StochasticKernel, SuperOperator, _arrays,
+                      c_divisibility_check, environment_division_scenario,
+                      q_divisibility_check, theorem1_check)
 
 SRC = Path(_arrays.__file__).resolve().parent
 
@@ -61,3 +66,53 @@ def test_float_constants_are_assigned_only_in_the_table():
 def test_module_names_are_the_table_entries(module, name):
     value = getattr(importlib.import_module(f"stoqlift.{module}"), name)
     assert value is getattr(_arrays, name)
+
+
+I2 = StochasticKernel(np.eye(2))
+I4 = SuperOperator.identity(2)
+REFUSED = "tolerance must be a finite nonnegative number"
+
+
+def test_negative_classical_tolerance_is_refused():
+    # It read "not divisible" for the identity over itself.
+    with pytest.raises(ValueError, match=REFUSED):
+        c_divisibility_check(I2, I2, -1e-12)
+
+
+def test_nan_quantum_tolerance_is_refused():
+    # It read "indivisible": "no linear factorization exists (residual 1.000e+00)".
+    with pytest.raises(ValueError, match=REFUSED):
+        q_divisibility_check(I4, I4, np.nan)
+
+
+def test_infinite_quantum_tolerance_is_refused():
+    # It read "divisible", with the zero map as witness.
+    with pytest.raises(ValueError, match=REFUSED):
+        q_divisibility_check(I4, I4, np.inf)
+
+
+def test_negative_theorem1_tolerance_is_refused():
+    # It read q_divisible=True beside c_divisible=False.
+    with pytest.raises(ValueError, match=REFUSED):
+        theorem1_check(I4, I4, -1.0)
+
+
+@pytest.mark.parametrize("tolerance", [-1e-300, -np.inf, np.inf, np.nan])
+def test_every_check_refuses_a_tolerance_that_is_not_finite_and_nonnegative(tolerance):
+    for check, args in ((c_divisibility_check, (I2, I2)),
+                        (q_divisibility_check, (I4, I4)),
+                        (theorem1_check, (I4, I4)),
+                        (environment_division_scenario,
+                         (ProbabilityVector([1.0, 0.0]), SuperOperator.identity(4),
+                          I4, I4))):
+        with pytest.raises(ValueError, match=REFUSED):
+            check(*args, tolerance)
+
+
+def test_zero_tolerance_is_kept():
+    assert c_divisibility_check(I2, I2, 0.0).divisible
+    assert q_divisibility_check(I4, I4, 0.0).verdict == "divisible"
+    assert theorem1_check(I4, I4, 0.0).theorem_applies
+    report = environment_division_scenario(ProbabilityVector([1.0, 0.0]),
+                                           SuperOperator.identity(4), I4, I4, 0.0)
+    assert report.record_form and report.c_divisible
