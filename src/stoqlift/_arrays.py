@@ -53,7 +53,17 @@ def frozen(a: np.ndarray) -> np.ndarray:
 class MatrixValue:
     """A value held as one read-only square array, ``_matrix``, set by the
     subclass: the read-only ``matrix``, its side ``n`` and the ``Name(n=N)``
-    repr, each overridable."""
+    repr, each overridable. ``_adopt`` is the library's one way to build
+    such a value from an array it has just made."""
+
+    @classmethod
+    def _adopt(cls, matrix: np.ndarray, **known):
+        """The value of ``matrix``, a new array that nothing else refers to,
+        held without the copy and checks of ``__init__``; ``known`` sets the
+        attributes the builder already knows (cached ones included)."""
+        value = cls.__new__(cls)
+        vars(value).update(known, _matrix=frozen(matrix))
+        return value
 
     @property
     def matrix(self) -> np.ndarray:
@@ -145,12 +155,14 @@ def expm(a: np.ndarray, norm: float) -> np.ndarray:
     return r
 
 
-def require_tolerance(tolerance: float) -> None:
-    """Raise ``ValueError`` unless ``tolerance`` is a finite nonnegative
-    number, the rule ``--tol`` applies."""
-    if not 0 <= tolerance < np.inf:  # NaN fails too
-        raise ValueError(
-            f"tolerance must be a finite nonnegative number, got {tolerance}")
+def require_tolerance(*tolerances: float) -> None:
+    """Raise ``ValueError`` unless each tolerance is a finite nonnegative
+    number, the rule ``--tol`` applies and every public check applies to
+    the tolerances it is given."""
+    for tolerance in tolerances:
+        if not 0 <= tolerance < np.inf:  # NaN fails too
+            raise ValueError(
+                f"tolerance must be a finite nonnegative number, got {tolerance}")
 
 
 def numerical_rank(s: np.ndarray, tolerance: float) -> int:

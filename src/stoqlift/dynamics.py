@@ -21,7 +21,8 @@ import numpy as np
 from .errors import DimensionMismatchError, ValidationError
 from .kernels import CkTripleResidual, RateMatrix, _TwoTimeFamily, _composition_triples
 from ._arrays import (CK_TOLERANCE, FD_STEP, TOL_HERM, TOL_TP, frozen as _frozen,
-                      require_hermitian as _require_hermitian, semigroup as _semigroup,
+                      require_hermitian as _require_hermitian,
+                      require_tolerance as _require_tolerance, semigroup as _semigroup,
                       same_dimension as _same_dimension, square as _square,
                       square_stack as _square_stack)
 from .lifts import (DensityOperator, KrausMap, LeftRightMap, SuperOperator,
@@ -158,6 +159,7 @@ def diagonal_preservation_check(gen: GkslGenerator,
 
     The basis projectors decide the property by linearity.
     """
+    _require_tolerance(tolerance)
     worst = _diagonal_images_offdiagonal(gen.superoperator.matrix, gen.n)
     return worst <= tolerance
 
@@ -287,8 +289,10 @@ def ck_checklist(family: SuperOperatorFamily,
     report's ``min_choi_eigenvalue`` takes one ``eigvalsh`` per member that
     keeps no spectrum, on its first read. Each grid pair is evaluated once;
     the grid needs at least 3 times. A member with a non-finite entry raises
-    ``ValidationError``.
+    ``ValidationError``, a ``tolerance`` that is not a finite nonnegative
+    number ``ValueError``.
     """
+    _require_tolerance(tolerance)
     members, triples, worst = _composition_triples(family.grid, family.superop)
     asymmetry = max(m._hermitian_within(np.inf) for m in members)  # NaN raises
     passed = (all(r <= tolerance for r in family.identity_residuals.values())

@@ -122,6 +122,8 @@ class StochasticKernel(_MatrixValue):
     what counts as no evolution.
     """
 
+    from_time = to_time = None  #: Untimed unless ``__init__`` is given times.
+
     def __init__(self, matrix, from_time: float | None = None,
                  to_time: float | None = None,
                  tol_entry: float = TOL_PROB, tol_colsum: float = TOL_STOCH):
@@ -141,14 +143,6 @@ class StochasticKernel(_MatrixValue):
         self._matrix = _frozen(np.maximum(m, 0.0))
         self.from_time = from_time
         self.to_time = to_time
-
-    @classmethod
-    def _passed(cls, matrix: np.ndarray) -> "StochasticKernel":
-        """An untimed kernel from a matrix ``validate_kernel`` has passed."""
-        kernel = cls.__new__(cls)
-        kernel._matrix = _frozen(np.maximum(matrix, 0.0))
-        kernel.from_time = kernel.to_time = None
-        return kernel
 
     @classmethod
     def identity(cls, n: int, from_time: float | None = None,
@@ -322,6 +316,7 @@ class KernelFamily(_TwoTimeFamily):
 def check_ck_family(family: KernelFamily, tolerance: float = TOL_STOCH) -> CkFamilyReport:
     """Test the composition law kernel(t,s) = kernel(t,u) @ kernel(u,s) on
     every ordered triple of grid times, each grid pair's kernel evaluated once."""
+    _require_tolerance(tolerance)
     _, rows, worst = _composition_triples(family.grid, family.kernel)
     return CkFamilyReport(worst <= tolerance, worst, rows)
 
@@ -352,7 +347,7 @@ class CDivisibilityResult:
 
 def _validated(candidate, route, tol, **fields) -> CDivisibilityResult:
     report = validate_kernel(candidate, tol_entry=tol, tol_colsum=tol)
-    witness = StochasticKernel._passed(candidate) if report.passed else None
+    witness = StochasticKernel._adopt(np.maximum(candidate, 0.0)) if report.passed else None
     return CDivisibilityResult(report.passed, witness, route,
                                candidate_validation=report, **fields)
 
@@ -501,11 +496,6 @@ class ShortTimeReport:
     leakage_masses: tuple[float, ...]
 
 
-def _offdiagonal_l1(matrix: np.ndarray) -> float:
-    off = matrix[~np.eye(matrix.shape[0], dtype=bool)]
-    return float(np.abs(off).sum())
-
-
 def short_time_derivatives(family: KernelFamily, t: float,
                            steps: Sequence[float]) -> ShortTimeReport:
     """Estimate the first two step-derivatives of ``kernel(t + h, t)`` at h = 0.
@@ -530,7 +520,8 @@ def short_time_derivatives(family: KernelFamily, t: float,
         + (h2 / (h1 * gap)) * g1 - (h1 / (h2 * gap)) * g2
     d2 = 2.0 * (eye / (h1 * h2) - g1 / (h1 * gap) + g2 / (h2 * gap))
 
-    masses = [_offdiagonal_l1(values[h]) for h in hs]
+    off = ~np.eye(n, dtype=bool)
+    masses = [float(np.abs(values[h][off]).sum()) for h in hs]
     floored = np.maximum(masses, np.finfo(float).tiny)
     slope = float(np.polyfit(np.log(hs), np.log(floored), 1)[0])
     return ShortTimeReport(_frozen(d1), _frozen(d2), h1, slope,

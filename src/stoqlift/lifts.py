@@ -141,22 +141,26 @@ class KrausMap:
     preserving to leading order. The map owns one ``SuperOperator``, the
     reshuffled ``V^T conj(V)`` (row b of V is the column-stacked vec of K_b),
     formed on first use and kept, like the induced kernel; ``canonical_lift``
-    sets both from its kernel block instead. The superoperator holds the
-    Choi data of both forms and the Kraus rank, from which ``check_cptp``
-    passes complete positivity.
+    presets both from its kernel block through ``_adopt``, the no-copy
+    constructor of library-built stacks. The superoperator holds the Choi
+    data of both forms and the Kraus rank, which ``_superoperator`` presets
+    and from which ``check_cptp`` passes complete positivity.
     ``canonical_reduction`` re-extracts at most N^2 operators from the Choi
     spectrum when a redundant set has accumulated.
     """
 
     def __init__(self, operators: Iterable[np.ndarray], tol_tp: float = TOL_TP):
+        _require_tolerance(tol_tp)
         self._hold(_square_stack(operators, "Kraus operator"), tol_tp)
 
     @classmethod
-    def _adopt(cls, stack: np.ndarray) -> "KrausMap":
+    def _adopt(cls, stack: np.ndarray, **known) -> "KrausMap":
         """The map of ``stack``, a new C-ordered ``(r, N, N)`` complex array
-        that nothing else refers to, held without the copy of ``__init__``."""
+        that nothing else refers to, held without the copy of ``__init__``;
+        ``known`` sets the attributes the builder already knows."""
         kmap = cls.__new__(cls)
         kmap._hold(stack, TOL_TP)
+        vars(kmap).update(known)
         return kmap
 
     def _hold(self, stack: np.ndarray, tol_tp: float) -> None:
@@ -191,9 +195,8 @@ class KrausMap:
         # Row b of W, a view, is K_b read row by row: V with each vec index
         # (j, i) read as (i, j), which the one reshuffle swaps back.
         w = self._stack.reshape(self.rank, -1)
-        superop = SuperOperator._adopt(_reshuffle(w.T @ w.conj(), self.n, (2, 0, 3, 1)))
-        superop._kraus_rank = self.rank
-        return superop
+        return SuperOperator._adopt(_reshuffle(w.T @ w.conj(), self.n, (2, 0, 3, 1)),
+                                    _kraus_rank=self.rank)
 
     def _tp_residual(self) -> float:
         return self.completeness_residual
@@ -264,15 +267,17 @@ class SuperOperator(_MatrixValue):
     one owner of its Choi matrix's Hermiticity and spectrum: once computed it
     keeps the worst entry of ``C - C^dagger`` and the spectrum of the
     Hermitian part of C (one ``eigvalsh``), never C, for every Choi question.
-    Two library constructors preset that worst entry instead of reading all
-    rows: ``_canonical_superoperator`` sets it to 0, its Choi matrix being
-    real diagonal, and ``q_divisibility_check`` reads a factor formed from
-    the nonzero rows of e_20 on those rows and their partner rows only
-    (``_choi_asymmetry_of_rows``).
+    The library builds its own through ``_adopt`` (``_arrays.MatrixValue``),
+    which holds the array uncopied and presets what the builder knows:
+    ``KrausMap._superoperator`` and ``_canonical_superoperator`` the Kraus
+    rank; ``_canonical_superoperator`` the worst entry, 0, its Choi matrix
+    being real diagonal; and ``q_divisibility_check`` the worst entry of its
+    factor, read from the rows it formed and their partner rows only
+    (``_choi_asymmetry_of_rows``). Nothing is set after construction.
     """
 
     #: Kraus rank r when the matrix is a Kraus map's reshuffled ``V^T
-    #: conj(V)``, set by ``KrausMap._superoperator`` or, for the canonical
+    #: conj(V)``, preset by ``KrausMap._superoperator`` or, for the canonical
     #: lift, ``_canonical_superoperator``; 0 for any other.
     _kraus_rank = 0
 
@@ -280,15 +285,9 @@ class SuperOperator(_MatrixValue):
         self._matrix = _frozen(_square(matrix, "superoperator").copy())
         self._n = _root(len(self._matrix), "superoperator side")
 
-    @classmethod
-    def _adopt(cls, matrix: np.ndarray) -> "SuperOperator":
-        """The superoperator of ``matrix``, a new base ``(N^2, N^2)`` complex
-        array that nothing else refers to, held without the copy of
-        ``__init__``: the library's own results are built this way."""
-        s = cls.__new__(cls)
-        s._matrix = _frozen(matrix)
-        s._n = _root(len(matrix), "superoperator side")
-        return s
+    @cached_property
+    def _n(self) -> int:
+        return _root(len(self._matrix), "superoperator side")
 
     @property
     def n(self) -> int:
@@ -381,6 +380,7 @@ class ChoiMatrix:
         return float(self.eigenvalues[0])
 
     def is_completely_positive(self, tol_psd: float = TOL_PSD) -> bool:
+        _require_tolerance(tol_psd)
         return self._superoperator._passes_cp(tol_psd)
 
 
@@ -598,8 +598,10 @@ def check_cptp(map_: KrausMap | SuperOperator, tol_tp: float = TOL_TP,
     ``min_choi_eigenvalue`` is computed on the report's first read, so a
     caller reading only ``passed`` takes no diagonalisation, and both forms
     of one lift share at most one. The tolerances, and the refusal of a Choi
-    asymmetry above ``TOL_HERM`` (NaN included), apply on every call.
+    asymmetry above ``TOL_HERM`` (NaN included), apply on every call. A
+    tolerance that is not a finite nonnegative number raises ``ValueError``.
     """
+    _require_tolerance(tol_tp, tol_psd)
     tp_residual = _supported(map_, KrausMap, SuperOperator)._tp_residual()
     superop = map_._superoperator
     superop._hermitian_within(TOL_HERM)
@@ -638,6 +640,7 @@ def dictionary_kernel(kmap: KrausMap, tol_tp: float = TOL_TP) -> StochasticKerne
     Trace preservation of the map makes the result column-stochastic, so a
     non-trace-preserving map is rejected with its completeness residual.
     """
+    _require_tolerance(tol_tp)
     if not kmap.completeness_residual <= tol_tp:
         raise ValidationError(
             "map is not trace preserving: completeness residual "
@@ -667,10 +670,8 @@ def _canonical_superoperator(m: np.ndarray) -> tuple[np.ndarray, SuperOperator]:
                                 where=root >= KRAUS_DROP_NORM))
     matrix = np.zeros((m.size, m.size), dtype=complex)
     matrix[::len(m) + 1, ::len(m) + 1] = block
-    superop = SuperOperator._adopt(matrix)
-    superop._kraus_rank = int(np.count_nonzero(block))
-    superop._choi_asymmetry = 0.0
-    return block, superop
+    return block, SuperOperator._adopt(matrix, _kraus_rank=int(np.count_nonzero(block)),
+                                       _choi_asymmetry=0.0)
 
 
 def canonical_lift(gamma: StochasticKernel) -> KrausMap:
@@ -680,13 +681,13 @@ def canonical_lift(gamma: StochasticKernel) -> KrausMap:
     are dropped, so its squared-moduli dictionary returns entry (j, i) as
     ``fl(sqrt(gamma[j,i]))^2``, within an ulp of it, and an entry below
     ``KRAUS_DROP_NORM^2`` as 0. The stack and its completeness residual are
-    formed here; the superoperator, its Choi asymmetry and the induced kernel
-    are set from the block (``_canonical_superoperator``).
+    formed here; the superoperator, with its Kraus rank and Choi asymmetry
+    (``_canonical_superoperator``), and the induced kernel are preset from
+    the block when the map is built (``KrausMap._adopt``).
     """
     block, superop = _canonical_superoperator(gamma.matrix)
-    kmap = KrausMap._adopt(_rank_one_stack(gamma.matrix, block > 0))
-    kmap._superoperator, kmap._induced = superop, (block, {"dictionary_residual": 0.0})
-    return kmap
+    return KrausMap._adopt(_rank_one_stack(gamma.matrix, block > 0), _superoperator=superop,
+                           _induced=(block, {"dictionary_residual": 0.0}))
 
 
 @dataclass(frozen=True)
@@ -707,6 +708,7 @@ class ThetaConjugationReport:
 
 def theta_conjugation_lift(theta, tol_tp: float = TOL_TP) -> ThetaConjugationReport:
     """Lift a complex matrix by conjugation and report the induced kernel."""
+    _require_tolerance(tol_tp)
     th = _square(theta, "theta")
     tp_residual = float(np.abs(th.conj().T @ th - np.eye(th.shape[0])).max())
     kernel = np.abs(th) ** 2
@@ -754,6 +756,7 @@ def compatibility_check(map_: MapLike, gamma: StochasticKernel,
     that is ``max | K @ p - gamma @ p |`` with K the induced kernel; by
     linearity the N basis point masses (``probes="basis"``) decide it.
     """
+    _require_tolerance(tol)
     n = _supported(map_, KrausMap, LeftRightMap, SuperOperator).n
     _same_dimension(n, gamma.n, "map", "kernel")
     if isinstance(probes, str):
@@ -831,10 +834,12 @@ def q_divisibility_check(e_20: SuperOperator, e_10: SuperOperator,
     if LU found e_10 singular; a factor beyond the float range is not
     finite and not CPTP. When the inverse certified full rank, so it is
     finite, only the rows of e_20 that are not zero are moved and
-    multiplied, unless they are all rows or one, into a factor that is +0
-    on every other row: a canonical lift after e_10 has N nonzero rows of
-    N^2. The witness's Choi asymmetry is then read from those rows and
-    their partner rows only (``_choi_asymmetry_of_rows``). With directions
+    multiplied, unless they are all rows, into a factor that is +0 on every
+    other row: a canonical lift after e_10 has N nonzero rows of N^2. Those
+    rows carry the full product's bits, except a lone row, which numpy
+    forms as a matrix-vector product, rounded otherwise. The witness is
+    built with its Choi asymmetry preset from those rows and their partner
+    rows only (``_choi_asymmetry_of_rows``). With directions
     cut, the candidate ``e_20 V_r S_r^-1 U_r^dagger`` must reproduce e_20 to
     within ``tolerance + |candidate|_2 s_(r+1)``, or the pair is indivisible
     (a rank obstruction when e_20 has the larger rank, else a residual given
@@ -866,10 +871,9 @@ def q_divisibility_check(e_20: SuperOperator, e_10: SuperOperator,
     unique = rank_10 == size
     # A certified inverse is finite, so a zero row of e_20 has a zero row of
     # the factor for image: only the other rows are moved and multiplied,
-    # unless that is all rows or one, a matrix-vector product rounded
-    # otherwise than its row of the full product.
+    # unless that is all rows.
     rows = np.flatnonzero(e_20.matrix.any(axis=1)) if certified else None
-    sparse = certified and rows.size not in (1, size)
+    sparse = certified and rows.size < size
     a_20 = np.ldexp((e_20.matrix[rows] if sparse else e_20.matrix).view(float),
                     k).view(complex)
     if unique and inverted:
@@ -894,9 +898,9 @@ def q_divisibility_check(e_20: SuperOperator, e_10: SuperOperator,
         inverse[rows] = candidate
         candidate = inverse
     del a_20, a_10, inverse  # read no more
-    witness = SuperOperator._adopt(candidate)
-    if sparse:  # the zero rows' terms repeat their partner rows'
-        witness._choi_asymmetry = _choi_asymmetry_of_rows(candidate, e_10.n, rows)
+    # The zero rows' terms repeat their partner rows', so the formed rows decide.
+    witness = SuperOperator._adopt(candidate, _choi_asymmetry=_choi_asymmetry_of_rows(
+        candidate, e_10.n, rows if sparse else None))
     report = None
     if witness._choi_asymmetry <= max(TOL_HERM, tolerance):
         if witness._choi_asymmetry > TOL_HERM:

@@ -22,6 +22,7 @@ from ._arrays import (TOL_COMPOSE, TOL_HERM, TOL_INTERIOR, TOL_PSD, TOL_TP,
                       TOL_UNITARY, frozen as _frozen,
                       require_hermitian as _require_hermitian,
                       require_psd as _require_psd,
+                      require_tolerance as _require_tolerance,
                       same_dimension as _same_dimension, square as _square,
                       square_stack as _square_stack)
 from .lifts import KrausMap, dictionary_kernel
@@ -76,6 +77,7 @@ def _require_unitary(u, name: str = "matrix") -> np.ndarray:
 
 def one_step_indistinguishable(u_x, u_y, tolerance: float = TOL_UNITARY) -> bool:
     """Do two unitaries generate the same one-step kernel?"""
+    _require_tolerance(tolerance)
     mx = _require_unitary(u_x, "u_x")
     my = _require_unitary(u_y, "u_y")
     _same_dimension(len(mx), len(my), "u_x", "u_y")
@@ -101,14 +103,14 @@ def two_step_difference(v, u_x, u_y, x0: int) -> np.ndarray:
     entries always sum to zero (both kernels are column-stochastic), so a
     nonzero result redistributes probability rather than creating it.
     """
+    n = len(_square(u_x, "u_x"))
+    if not 0 <= x0 < n:
+        raise ValueError(f"basis index {x0} out of range for dimension {n}")
     if not one_step_indistinguishable(u_x, u_y):
         raise ValidationError(
             "u_x and u_y are not one-step indistinguishable; the comparison "
             "is only meaningful for realizations sharing a one-step kernel")
-    diff = two_step_kernel(v, u_x) - two_step_kernel(v, u_y)
-    if not 0 <= x0 < diff.shape[0]:
-        raise ValueError(f"basis index {x0} out of range for dimension {diff.shape[0]}")
-    return diff[:, x0]
+    return (two_step_kernel(v, u_x) - two_step_kernel(v, u_y))[:, x0]
 
 
 def povm_from_channel(lambda_ops: KrausMap, tol_tp: float = TOL_TP) -> PovmEffects:
@@ -118,6 +120,7 @@ def povm_from_channel(lambda_ops: KrausMap, tol_tp: float = TOL_TP) -> PovmEffec
     projective readout into the POVM ``E_j = sum_b L_b^dagger P_j L_b``,
     whose entry ``[i, k]`` is ``sum_b conj(L_b[j, i]) L_b[j, k]``.
     """
+    _require_tolerance(tol_tp)
     if not lambda_ops.completeness_residual <= tol_tp:
         raise ValidationError(
             "channel is not trace preserving (residual "
@@ -230,7 +233,11 @@ def three_time_freedom(gamma_10: StochasticKernel, gamma_20: StochasticKernel,
       ``gamma_20[x2, x0] = sum_x1 p[x2, x1, x0] gamma_10[x1, x0] >= t``, so no
       solution has a larger minimum entry than the sample, whose minimum is
       ``min gamma_20``.
+
+    An ``interior_tol`` that is not a finite nonnegative number raises
+    ``ValueError``.
     """
+    _require_tolerance(interior_tol)
     _same_dimension(gamma_10.n, gamma_20.n, "gamma_10", "gamma_20")
     n = gamma_10.n
     g20 = gamma_20.matrix

@@ -8,14 +8,18 @@ results must be bit-identical; where the sums run in another order they
 agree to a tolerance fixed from the dtype and the sizes before comparing.
 """
 
+import ast
+import importlib
 import itertools
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from stoqlift import (DensityOperator, DimensionMismatchError, GkslGenerator,
-                      KernelFamily, KrausMap, ProbabilityVector, RateMatrix,
+                      KernelFamily, KrausMap, LeftRightMap, PovmEffects,
+                      ProbabilityVector, RateMatrix,
                       StochasticKernel, SuperOperator, apply_kraus,
                       c_divisibility_check, canonical_lift, check_ck_family,
                       compatibility_check, compose, dictionary_kernel,
@@ -243,6 +247,55 @@ def test_matrix_values_share_one_read_only_matrix(value, n, text):
     assert type(value).matrix is MatrixValue.matrix
     assert not value.matrix.flags.writeable and value.matrix is value.matrix
     assert value.n == n and repr(value) == text
+
+
+@pytest.mark.parametrize("cls, n", [(SuperOperator, 2), (StochasticKernel, 4),
+                                    (DensityOperator, 4), (RateMatrix, 4)])
+def test_adopt_holds_the_new_array_and_presets_what_is_known(cls, n):
+    # One constructor for every matrix value: no copy, no checks, the
+    # builder's facts set as they are, cached ones included.
+    a = np.eye(4, dtype=complex)
+    value = cls._adopt(a, _known=1.5)
+    assert value.matrix is a and not a.flags.writeable
+    assert value.n == n and value._known == 1.5
+    if cls is SuperOperator:
+        assert cls._adopt(np.eye(4), _choi_asymmetry=0.25)._choi_asymmetry == 0.25
+        assert value._choi_asymmetry == 0.0 and value._kraus_rank == 0
+
+
+def test_no_library_function_writes_a_built_values_private_attributes():
+    # Only ``self`` is assigned private attributes, outside ``_adopt``
+    # (which sets them through ``vars``); the exceptions are the report
+    # decorator's dunders and the ``ChoiMatrix`` view of a superoperator.
+    root = Path(importlib.import_module("stoqlift").__file__).parent
+    writes = []
+    for path in sorted(root.glob("*.py")):
+        for func in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(func, ast.FunctionDef):
+                continue
+            for node in ast.walk(func):
+                targets = (node.targets if isinstance(node, ast.Assign)
+                           else [node.target] if isinstance(node, ast.AugAssign) else [])
+                for target in targets:
+                    for t in (target.elts if isinstance(target, ast.Tuple) else [target]):
+                        if (isinstance(t, ast.Attribute) and t.attr.startswith("_")
+                                and not t.attr.startswith("__")
+                                and not (isinstance(t.value, ast.Name)
+                                         and t.value.id == "self")):
+                            writes.append((path.name, func.name, t.attr))
+    assert writes == [("lifts.py", "choi_from_superoperator", "_superoperator")]
+
+
+@pytest.mark.parametrize("value, text", [
+    (KrausMap([np.eye(2), np.zeros((2, 2))]), "KrausMap(n=2, rank=1)"),
+    (LeftRightMap([np.eye(3)] * 2, [np.eye(3)] * 2), "LeftRightMap(n=3, terms=2)"),
+    (GkslGenerator(np.zeros((2, 2)), [np.eye(2)] * 3), "GkslGenerator(n=2, jumps=3)"),
+    (PovmEffects([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])]),
+     "PovmEffects(n=2, outcomes=2)"),
+    (ProbabilityVector([0.25, 0.75]), "ProbabilityVector([0.25, 0.75])"),
+])
+def test_operator_values_name_their_sizes(value, text):
+    assert repr(value) == text
 
 
 # --- one operand-dimension check ------------------------------------------------

@@ -30,6 +30,25 @@ def test_feasible_square_system():
     assert result.witness.matrix.min() >= 0
 
 
+def test_unbounded_intervals_spread_the_sum_evenly():
+    # gamma_10 = [[1, 1], [0, 0]] has a zero row, so its free direction is
+    # that row's basis vector u, with singular value exactly 0. Below the
+    # rounding of the inverse (1e-300), the least-squares factor's column
+    # sums miss, and every row's interval for y is unbounded above: the sum
+    # y must still gain is spread evenly over the rows instead of as
+    # inf / inf. The candidate is then finite, its column-sum error that
+    # rounding, and the verdict a backward-error "not divisible" with no
+    # constraint violated.
+    g10 = np.array([[1.0, 1.0], [0.0, 0.0]])
+    result = _check(g10, g10, 1e-300)
+    report = result.candidate_validation
+    assert not result.divisible and result.route == "feasibility"
+    assert result.infeasibility == 0.0 and result.violated_constraints == ()
+    assert report.max_negative_entry == 0.0
+    assert 0 < report.max_column_sum_error <= 4 * np.finfo(float).eps
+    assert _check(g10, g10).divisible
+
+
 def test_infeasible_reports_violated_rows():
     # Any factor acting after the full mix has identical columns.
     result = _check(FLIP, MIX)

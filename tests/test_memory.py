@@ -119,6 +119,13 @@ class TestTwoStep:
         with pytest.raises(ValidationError):
             two_step_difference(HADAMARD, HADAMARD, np.eye(2), 0)
 
+    @pytest.mark.parametrize("x0", [-1, 2])
+    def test_basis_index_out_of_range_is_refused_first(self, x0):
+        # Refused before the realizations are compared or any kernel formed.
+        for u_y in (HADAMARD, np.eye(2)):
+            with pytest.raises(ValueError, match="out of range for dimension 2"):
+                two_step_difference(HADAMARD, HADAMARD, u_y, x0)
+
     def test_composition_gap_is_generic(self):
         # The squared-moduli map hardly ever respects composition.
         nonzero = 0

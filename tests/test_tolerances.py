@@ -1,7 +1,7 @@
 """The tolerance table in ``stoqlift._arrays`` is the one place a default
 tolerance is written down; the modules re-export its entries. A tolerance
-passed to a divisibility check must be a finite nonnegative number, as
-``--tol`` must."""
+passed to a divisibility check, or to any other public function, must be a
+finite nonnegative number, as ``--tol`` must."""
 
 import ast
 import importlib
@@ -13,9 +13,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from stoqlift import (ProbabilityVector, StochasticKernel, SuperOperator, _arrays,
-                      c_divisibility_check, environment_division_scenario,
-                      q_divisibility_check, theorem1_check)
+from stoqlift import (GkslGenerator, KernelFamily, KrausMap, ProbabilityVector,
+                      StochasticKernel, SuperOperator, SuperOperatorFamily, _arrays,
+                      c_divisibility_check, check_ck_family, check_cptp,
+                      choi_from_superoperator, ck_checklist, compatibility_check,
+                      diagonal_preservation_check, dictionary_kernel,
+                      environment_division_scenario, one_step_indistinguishable,
+                      povm_from_channel, q_divisibility_check, theorem1_check,
+                      theta_conjugation_lift, three_time_freedom)
 
 SRC = Path(_arrays.__file__).resolve().parent
 
@@ -116,3 +121,71 @@ def test_zero_tolerance_is_kept():
     report = environment_division_scenario(ProbabilityVector([1.0, 0.0]),
                                            SuperOperator.identity(4), I4, I4, 0.0)
     assert report.record_form and report.c_divisible
+
+
+# Every other public tolerance, each the one argument of a call on inputs
+# whose answer at in-range tolerances is known.
+E2 = np.eye(2)
+IDENTITY_MAP = KrausMap([E2])
+GRID = [0.0, 0.5, 1.0]
+RATE = [[-1.0, 2.0], [1.0, -2.0]]
+
+TOLERANCE_CALLS = {
+    "check_cptp(tol_tp)": (lambda t: check_cptp(I4, tol_tp=t).passed, True),
+    "check_cptp(tol_psd)": (lambda t: check_cptp(I4, tol_psd=t).passed, True),
+    "KrausMap(tol_tp)": (lambda t: KrausMap([E2], tol_tp=t).trace_preserving, True),
+    "ChoiMatrix.is_completely_positive": (
+        lambda t: choi_from_superoperator(I4).is_completely_positive(t), True),
+    "compatibility_check": (
+        lambda t: compatibility_check(IDENTITY_MAP, I2, tol=t).passed, True),
+    "theta_conjugation_lift": (
+        lambda t: theta_conjugation_lift(E2, tol_tp=t).trace_preserving, True),
+    "dictionary_kernel": (
+        lambda t: dictionary_kernel(IDENTITY_MAP, tol_tp=t).matrix.tolist(),
+        E2.tolist()),
+    "povm_from_channel": (
+        lambda t: len(povm_from_channel(IDENTITY_MAP, tol_tp=t).effects), 2),
+    "check_ck_family": (
+        lambda t: check_ck_family(KernelFamily.from_rate_matrix(RATE, GRID), t).passed,
+        True),
+    "ck_checklist": (
+        lambda t: ck_checklist(SuperOperatorFamily.from_generator(
+            GkslGenerator.zero(2), GRID), t).passed, True),
+    "diagonal_preservation_check": (
+        lambda t: diagonal_preservation_check(GkslGenerator.zero(2), t), True),
+    "one_step_indistinguishable": (lambda t: one_step_indistinguishable(E2, E2, t), True),
+    "three_time_freedom": (
+        lambda t: three_time_freedom(StochasticKernel(np.full((2, 2), 0.5)),
+                                     StochasticKernel(np.full((2, 2), 0.5)),
+                                     t).strictly_positive, True),
+}
+
+
+@pytest.mark.parametrize("name", TOLERANCE_CALLS)
+@pytest.mark.parametrize("tolerance", [np.nan, -1.0, np.inf, -1e-300, -np.inf])
+def test_every_public_tolerance_is_refused_unless_finite_and_nonnegative(
+        name, tolerance):
+    # Each answered before: check_cptp(identity) read passed=False at NaN
+    # and -1, one_step_indistinguishable(I, I) False, and
+    # three_time_freedom(I, I, -1) strictly_positive=True.
+    call, _ = TOLERANCE_CALLS[name]
+    with pytest.raises(ValueError, match=REFUSED):
+        call(tolerance)
+
+
+@pytest.mark.parametrize("name", TOLERANCE_CALLS)
+def test_every_public_tolerance_keeps_its_answers_in_range(name):
+    call, expected = TOLERANCE_CALLS[name]
+    for tolerance in (1e-9, 1e-3, 0.1):
+        assert call(tolerance) == expected
+
+
+def test_default_tolerances_keep_their_answers():
+    assert check_cptp(I4).passed and IDENTITY_MAP.trace_preserving
+    assert compatibility_check(IDENTITY_MAP, I2).passed
+    assert one_step_indistinguishable(E2, E2)
+    assert not three_time_freedom(I2, I2).strictly_positive
+    assert three_time_freedom(I2, I2, 0.0).min_entry == 0.0
+    assert check_ck_family(KernelFamily.from_rate_matrix(RATE, GRID)).passed
+    assert ck_checklist(SuperOperatorFamily.from_generator(GkslGenerator.zero(2),
+                                                           GRID)).passed
