@@ -1,6 +1,7 @@
 """Private array helpers shared across modules: the table of default
-tolerances, the one copy of each intake check, the matrix exponential and
-the base of the four types that hold one square matrix by value.
+tolerances, the one copy of each intake check (tolerance, positive step,
+basis index, square, Hermitian, PSD), the matrix exponential and the base
+of the four types that hold one square matrix by value.
 
 Every default tolerance of the package is assigned once, in the table below;
 the modules that use one import it from here, so ``stoqlift.kernels.TOL_DIV``
@@ -165,6 +166,18 @@ def require_tolerance(*tolerances: float) -> None:
                 f"tolerance must be a finite nonnegative number, got {tolerance}")
 
 
+def require_positive(value: float, what: str) -> None:
+    """Raise ``ValueError`` unless ``value``, a step or scale, is positive and finite."""
+    if not 0 < value < np.inf:  # NaN fails too
+        raise ValueError(f"{what} must be positive and finite, got {value}")
+
+
+def require_index(index: int, n: int) -> None:
+    """Raise ``ValueError`` unless ``index`` is a basis index ``0 .. n - 1``."""
+    if not 0 <= index < n:
+        raise ValueError(f"basis index {index} out of range for dimension {n}")
+
+
 def numerical_rank(s: np.ndarray, tolerance: float) -> int:
     """How many leading singular values (sorted descending) an inverse can use.
 
@@ -248,7 +261,9 @@ def square_stack(ops, name: str) -> np.ndarray:
 
 
 def require_hermitian(m: np.ndarray, tol: float, name: str) -> float:
-    """The worst entry of ``m - m^dagger``; raise unless it is at most ``tol``."""
+    """The worst entry of ``m - m^dagger``; raise unless it is at most ``tol``
+    (``ValueError`` for a ``tol`` that ``require_tolerance`` refuses)."""
+    require_tolerance(tol)
     return asymmetry_within(float(np.abs(m - m.conj().T).max()), tol, name)
 
 
@@ -268,7 +283,9 @@ def hermitian_part(m: np.ndarray) -> np.ndarray:
 
 def require_psd(m: np.ndarray, tol: float, name: str) -> None:
     """Raise unless the smallest eigenvalue of the Hermitian part of ``m`` (of
-    every matrix, for a stack) is at least ``-tol``."""
+    every matrix, for a stack) is at least ``-tol``, a tolerance that
+    ``require_tolerance`` accepts."""
+    require_tolerance(tol)
     min_eig = float(np.linalg.eigvalsh(hermitian_part(m)).min())
     if not min_eig >= -tol:
         raise ValidationError(

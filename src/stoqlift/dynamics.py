@@ -22,6 +22,7 @@ from .errors import DimensionMismatchError, ValidationError
 from .kernels import CkTripleResidual, RateMatrix, _TwoTimeFamily, _composition_triples
 from ._arrays import (CK_TOLERANCE, FD_STEP, TOL_HERM, TOL_TP, frozen as _frozen,
                       require_hermitian as _require_hermitian,
+                      require_positive as _require_positive,
                       require_tolerance as _require_tolerance, semigroup as _semigroup,
                       same_dimension as _same_dimension, square as _square,
                       square_stack as _square_stack)
@@ -105,8 +106,7 @@ def short_time_kraus(gen: GkslGenerator, dt: float) -> KrausMap:
     sqrt(dt). The map is trace preserving to O(dt^2) and reproduces the
     generator's action to first order.
     """
-    if not 0 < dt < np.inf:  # NaN fails too
-        raise ValueError(f"time step must be positive and finite, got {dt}")
+    _require_positive(dt, "time step")
     return KrausMap([np.eye(gen.n) + dt * gen._drift, *(np.sqrt(dt) * gen._jumps)])
 
 
@@ -226,9 +226,7 @@ def generator_from_family(family: SuperOperatorFamily, t: float,
     """Finite-difference time-local generator of a family at time ``t``: the
     derivative of ``superop(., t)`` at coincidence by the second-order
     one-sided rule on {t, t+h, t+2h}, as families only run forward in time."""
-    if not 0 < fd_step < np.inf:
-        raise ValueError(
-            f"finite-difference step must be positive and finite, got {fd_step}")
+    _require_positive(fd_step, "finite-difference step")
     here, plus, plus2 = (family.superop(t + k * fd_step, t).matrix for k in range(3))
     return SuperOperator((-3.0 * here + 4.0 * plus - plus2) / (2.0 * fd_step))
 

@@ -19,6 +19,8 @@ import numpy as np
 from ._arrays import (TOL_DIV, TOL_PROB, TOL_STOCH, MatrixValue as _MatrixValue,
                       frozen as _frozen,
                       numerical_rank as _numerical_rank,
+                      require_index as _require_index,
+                      require_positive as _require_positive,
                       require_tolerance as _require_tolerance,
                       same_dimension as _same_dimension, semigroup as _semigroup,
                       square as _square, strict_grid as _strict_grid)
@@ -60,13 +62,29 @@ def validate_kernel(matrix, tol_entry: float = TOL_PROB,
     ------
     DimensionMismatchError
         If the input is not a square matrix.
+    ValueError
+        If a tolerance is not a finite nonnegative number.
     """
+    _require_tolerance(tol_entry, tol_colsum)
     m = _square(matrix, "kernel", dtype=float)
     neg = -m.min()
     max_neg = 0.0 if neg <= 0.0 else float(neg)  # NaN stays NaN, -0.0 does not appear
     col_err = float(np.abs(m.sum(axis=0) - 1.0).max())
     passed = max_neg <= tol_entry and col_err <= tol_colsum
     return KernelValidationReport(passed, max_neg, col_err, tol_entry, tol_colsum)
+
+
+def _require_stochastic(matrix, what: str, tol_entry: float = TOL_PROB,
+                        tol_colsum: float = TOL_STOCH) -> None:
+    """Raise ``ValidationError``, with the ``validate_kernel`` report
+    attached, unless ``matrix`` is column-stochastic."""
+    report = validate_kernel(matrix, tol_entry, tol_colsum)
+    if not report.passed:
+        raise ValidationError(
+            f"{what} is not column-stochastic "
+            f"(worst negative entry {report.max_negative_entry:.3e}, "
+            f"worst column-sum error {report.max_column_sum_error:.3e})",
+            report=report)
 
 
 class ProbabilityVector:
@@ -82,6 +100,7 @@ class ProbabilityVector:
         if arr.size == 0:
             raise DimensionMismatchError("empty probability vector")
         tol_sum = tol if tol_sum is None else tol_sum
+        _require_tolerance(tol, tol_sum)
         min_entry = float(arr.min())
         if not min_entry >= -tol:
             raise ValidationError(
@@ -103,8 +122,7 @@ class ProbabilityVector:
     @classmethod
     def basis(cls, index: int, n: int) -> "ProbabilityVector":
         """Point mass on configuration ``index``, one of ``0 .. n - 1``."""
-        if not 0 <= index < n:
-            raise ValueError(f"basis index {index} out of range for dimension {n}")
+        _require_index(index, n)
         e = np.zeros(n)
         e[index] = 1.0
         return cls(e)
@@ -127,13 +145,7 @@ class StochasticKernel(_MatrixValue):
     def __init__(self, matrix, from_time: float | None = None,
                  to_time: float | None = None,
                  tol_entry: float = TOL_PROB, tol_colsum: float = TOL_STOCH):
-        report = validate_kernel(matrix, tol_entry=tol_entry, tol_colsum=tol_colsum)
-        if not report.passed:
-            raise ValidationError(
-                "matrix is not column-stochastic "
-                f"(worst negative entry {report.max_negative_entry:.3e}, "
-                f"worst column-sum error {report.max_column_sum_error:.3e})",
-                report=report)
+        _require_stochastic(matrix, "matrix", tol_entry, tol_colsum)
         m = np.asarray(matrix, dtype=float)
         if from_time is not None and to_time is not None and from_time == to_time:
             residual = np.abs(m - np.eye(m.shape[0])).max()
@@ -164,6 +176,7 @@ class RateMatrix(_MatrixValue):
     """
 
     def __init__(self, matrix, tol: float = TOL_STOCH):
+        _require_tolerance(tol)
         m = _square(matrix, "rate matrix", dtype=float)
         off_min = float(m[~np.eye(m.shape[0], dtype=bool)].min(initial=0.0))
         if not off_min >= -tol:
@@ -285,6 +298,7 @@ class KernelFamily(_TwoTimeFamily):
     def __init__(self, grid: Sequence[float],
                  kernel_fn: Callable[[float, float], object],
                  tol_identity: float = TOL_STOCH):
+        _require_tolerance(tol_identity)
         super().__init__(grid, kernel_fn)
         for s, residual in self.identity_residuals.items():
             if not residual <= tol_identity:
@@ -444,8 +458,13 @@ def c_divisibility_check(gamma_20: StochasticKernel, gamma_10: StochasticKernel,
     ``"feasibility"``). The least-squares Y with corrected column sums is
     tried first; one free direction (singular gamma_10 of nullity one
     included) is then decided by one interval per row, several by a norm
-    certificate and, failing that, a linear program. A ``tolerance`` that
-    is not a finite nonnegative number raises ``ValueError``.
+    certificate and, failing that, a linear program. A zero singular value's
+    box is all of R when ``|(gamma_20 v_l)_i| <= tolerance`` and empty
+    otherwise. A ``tolerance`` that is not a finite nonnegative number
+    raises ``ValueError``; a zero one accepts only an exact witness, so
+    ``[[1, 1], [0, 0]]`` over itself reads indivisible at 0 with no violated
+    constraint and ``infeasibility`` 0: its witness misses unit column sums
+    by one rounding, 2.2e-16, which ``candidate_validation`` shows.
     """
     _require_tolerance(tolerance)
     _same_dimension(gamma_20.n, gamma_10.n, "gamma_20", "gamma_10")
@@ -461,7 +480,6 @@ def c_divisibility_check(gamma_20: StochasticKernel, gamma_10: StochasticKernel,
         return _validated(x0, "inverse", tolerance)
 
     b, s, u = b[:, rank:], s[rank:], u[:, rank:]
-    # A zero singular value makes its box all of R or empty (b / 0 = +-inf).
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         y_ls = np.where(s > 0, b / s, 0.0)
         y = y_ls + (u.sum(axis=0) - y_ls.sum(axis=0)) / n
@@ -471,7 +489,10 @@ def c_divisibility_check(gamma_20: StochasticKernel, gamma_10: StochasticKernel,
                                 infeasibility=0.0)
             if result.divisible:
                 return result
-        lo, hi = (b - tolerance) / s, (b + tolerance) / s
+        # A zero singular value's box is all of R when |b| <= tolerance, else empty.
+        wide = np.where(np.abs(b) <= tolerance, np.inf, -np.inf)
+        lo = np.where(s > 0, (b - tolerance) / s, -wide)
+        hi = np.where(s > 0, (b + tolerance) / s, wide)
     if n - rank == 1:
         return _one_free_direction(x0, u[:, 0], lo[:, 0], hi[:, 0], y_ls[:, 0],
                                    tolerance)
@@ -505,8 +526,8 @@ def short_time_derivatives(family: KernelFamily, t: float,
     smallest steps they are second-order accurate for the first derivative.
     """
     hs = sorted({float(h) for h in steps})
-    if not all(0 < h < np.inf for h in hs):  # NaN fails too
-        raise ValueError("all step sizes must be positive and finite")
+    for h in hs:
+        _require_positive(h, "step size")
     if len(hs) < 2:
         raise ValueError("need at least two distinct step sizes")
     values = {h: family.kernel(t + h, t).matrix for h in hs}
@@ -551,25 +572,16 @@ def dtmc_to_ctmc_scaling(rate: RateMatrix, t_star: float, t: float,
     compared in sup-norm against ``exp(t R)``. Errors shrink as ``eps**2``.
     """
     target = _semigroup(rate.matrix, t, np.ones(rate.n))
-    if not 0 < t_star < np.inf:
-        raise ValueError(
-            f"microscopic time scale must be positive and finite, got {t_star}")
+    _require_positive(t_star, "microscopic time scale")
     rows = []
     for eps in epsilons:
         eps = float(eps)
-        if not 0 < eps < np.inf:
-            raise ValueError(f"epsilon must be positive and finite, got {eps}")
+        _require_positive(eps, "epsilon")
         dt = eps * eps * t_star
         if not (dt > 0 and t / dt < np.inf):
             raise ValueError(f"epsilon={eps} and t_star={t_star} give a step {dt} too small")
         step_matrix = np.eye(rate.n) + dt * rate.matrix
-        report = validate_kernel(step_matrix)
-        if not report.passed:
-            raise ValidationError(
-                f"epsilon={eps} is too large for the given rates: one-step "
-                "matrix fails stochastic validation "
-                f"(worst negative entry {report.max_negative_entry:.3e})",
-                report=report)
+        _require_stochastic(step_matrix, f"one-step matrix at epsilon={eps}")
         # Absolute nudge before floor: exact divisions like 1/0.1**2 land a
         # hair below the integer in binary floating point.
         n_steps = int(math.floor(t / dt + 1e-9))
@@ -601,8 +613,7 @@ def theta_markov_triviality_demo(theta_step: Callable[[float], np.ndarray],
     the product distance shrink as ``n`` grows, so a composition law over
     vanishing steps forces the trivial evolution.
     """
-    if not 0 < t_minus_s < np.inf:  # NaN fails too
-        raise ValueError(f"time span must be positive and finite, got {t_minus_s}")
+    _require_positive(t_minus_s, "time span")
     theta0 = np.asarray(theta_step(0.0))
     if not np.abs(theta0 - np.eye(theta0.shape[0])).max() <= tol_identity:
         raise ValidationError("theta_step(0) must be the identity")

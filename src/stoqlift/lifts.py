@@ -30,13 +30,14 @@ from ._arrays import (EPS, KRAUS_DROP_NORM, PINV_RCOND, TOL_DIV, TOL_HERM, TOL_P
                       inverse_certifies_full_rank as _inverse_certifies_full_rank,
                       numerical_rank as _numerical_rank,
                       require_hermitian as _require_hermitian,
+                      require_index as _require_index,
                       require_psd as _require_psd,
                       require_tolerance as _require_tolerance,
                       same_dimension as _same_dimension, square as _square,
                       square_stack as _square_stack)
 from .errors import DimensionMismatchError, ValidationError
 from .kernels import (KernelValidationReport, ProbabilityVector,
-                      StochasticKernel, validate_kernel)
+                      StochasticKernel, _require_stochastic, validate_kernel)
 
 
 def vec(matrix: np.ndarray) -> np.ndarray:
@@ -123,8 +124,7 @@ class DensityOperator(_MatrixValue):
     def basis_projector(cls, index: int, n: int) -> "DensityOperator":
         """Rank-one projector onto the ``index``-th configuration basis vector,
         ``index`` one of ``0 .. n - 1``."""
-        if not 0 <= index < n:
-            raise ValueError(f"basis index {index} out of range for dimension {n}")
+        _require_index(index, n)
         m = np.zeros((n, n), dtype=complex)
         m[index, index] = 1.0
         return cls(m)
@@ -176,6 +176,17 @@ class KrausMap:
         self.completeness_residual = float(
             np.abs(rows.conj().T @ rows - np.eye(n)).max())
         self.trace_preserving = self.completeness_residual <= tol_tp
+
+    def _require_trace_preserving(self, what: str, tol_tp: float | None = None) -> None:
+        """Raise ``ValidationError`` unless the completeness residual is at
+        most ``tol_tp`` (``ValueError`` for one ``require_tolerance``
+        refuses), or, when ``tol_tp`` is None, unless ``trace_preserving``."""
+        if tol_tp is not None:
+            _require_tolerance(tol_tp)
+        if not (self.trace_preserving if tol_tp is None
+                else self.completeness_residual <= tol_tp):
+            raise ValidationError(f"{what} is not trace preserving (completeness "
+                                  f"residual {self.completeness_residual:.3e})")
 
     @property
     def operators(self) -> tuple[np.ndarray, ...]:
@@ -640,11 +651,7 @@ def dictionary_kernel(kmap: KrausMap, tol_tp: float = TOL_TP) -> StochasticKerne
     Trace preservation of the map makes the result column-stochastic, so a
     non-trace-preserving map is rejected with its completeness residual.
     """
-    _require_tolerance(tol_tp)
-    if not kmap.completeness_residual <= tol_tp:
-        raise ValidationError(
-            "map is not trace preserving: completeness residual "
-            f"{kmap.completeness_residual:.3e} exceeds {tol_tp:.1e}")
+    kmap._require_trace_preserving("map", tol_tp)
     return StochasticKernel(kmap._induced[0],
                             tol_colsum=max(TOL_STOCH, kmap.completeness_residual * 2))
 
@@ -725,12 +732,7 @@ def barandes_column_lift(theta) -> KrausMap:
     channel, and it agrees with plain conjugation on every diagonal input.
     """
     th = _square(theta, "theta")
-    report = validate_kernel(np.abs(th) ** 2)
-    if not report.passed:
-        raise ValidationError(
-            "squared moduli of theta are not column-stochastic "
-            f"(worst column-sum error {report.max_column_sum_error:.3e})",
-            report=report)
+    _require_stochastic(np.abs(th) ** 2, "|theta|^2")
     n = th.shape[0]
     ops = np.zeros((n, n, n), dtype=complex)
     beta = np.arange(n)

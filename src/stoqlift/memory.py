@@ -21,6 +21,7 @@ from .kernels import StochasticKernel
 from ._arrays import (TOL_COMPOSE, TOL_HERM, TOL_INTERIOR, TOL_PSD, TOL_TP,
                       TOL_UNITARY, frozen as _frozen,
                       require_hermitian as _require_hermitian,
+                      require_index as _require_index,
                       require_psd as _require_psd,
                       require_tolerance as _require_tolerance,
                       same_dimension as _same_dimension, square as _square,
@@ -33,6 +34,7 @@ class PovmEffects:
 
     def __init__(self, effects: Sequence[np.ndarray], tol_herm: float = TOL_HERM,
                  tol_psd: float = TOL_PSD, tol_sum: float = TOL_TP):
+        _require_tolerance(tol_sum)
         stack = _frozen(_square_stack(effects, "effect"))
         if not len(stack):
             raise ValidationError("a POVM needs at least one effect")
@@ -103,9 +105,7 @@ def two_step_difference(v, u_x, u_y, x0: int) -> np.ndarray:
     entries always sum to zero (both kernels are column-stochastic), so a
     nonzero result redistributes probability rather than creating it.
     """
-    n = len(_square(u_x, "u_x"))
-    if not 0 <= x0 < n:
-        raise ValueError(f"basis index {x0} out of range for dimension {n}")
+    _require_index(x0, len(_square(u_x, "u_x")))
     if not one_step_indistinguishable(u_x, u_y):
         raise ValidationError(
             "u_x and u_y are not one-step indistinguishable; the comparison "
@@ -120,11 +120,7 @@ def povm_from_channel(lambda_ops: KrausMap, tol_tp: float = TOL_TP) -> PovmEffec
     projective readout into the POVM ``E_j = sum_b L_b^dagger P_j L_b``,
     whose entry ``[i, k]`` is ``sum_b conj(L_b[j, i]) L_b[j, k]``.
     """
-    _require_tolerance(tol_tp)
-    if not lambda_ops.completeness_residual <= tol_tp:
-        raise ValidationError(
-            "channel is not trace preserving (residual "
-            f"{lambda_ops.completeness_residual:.3e})")
+    lambda_ops._require_trace_preserving("channel", tol_tp)
     ops = lambda_ops._stack
     return PovmEffects(np.einsum("bji,bjk->jik", ops.conj(), ops),
                        tol_sum=max(TOL_TP, 2 * lambda_ops.completeness_residual))
@@ -150,11 +146,8 @@ def modified_readout_kernel(lambda_ops: KrausMap,
     would discard the interference between the branches.
     """
     _same_dimension(lambda_ops.n, evolution.n, "readout channel", "evolution")
-    for name, kmap in (("readout channel", lambda_ops), ("evolution", evolution)):
-        if not kmap.trace_preserving:
-            raise ValidationError(
-                f"{name} is not trace preserving "
-                f"(residual {kmap.completeness_residual:.3e})")
+    lambda_ops._require_trace_preserving("readout channel")
+    evolution._require_trace_preserving("evolution")
     # Every L_b K_a, b outer and a inner, as one broadcast product.
     composed = KrausMap((lambda_ops._stack[:, None] @ evolution._stack)
                         .reshape(-1, evolution.n, evolution.n))

@@ -49,6 +49,30 @@ def test_unbounded_intervals_spread_the_sum_evenly():
     assert _check(g10, g10).divisible
 
 
+def test_zero_singular_value_box_is_all_of_r_at_zero_tolerance():
+    # b along the exactly-zero singular value is exactly 0, so its box is
+    # all of R, not the NaN interval (0 - 0) / 0 that read every row
+    # violated with infinite infeasibility. A zero tolerance still accepts
+    # only an exact witness, and the witness misses unit column sums by one
+    # rounding.
+    g10 = np.array([[1.0, 1.0], [0.0, 0.0]])
+    result = _check(g10, g10, 0.0)
+    assert not result.divisible and result.route == "feasibility"
+    assert result.violated_constraints == () and result.infeasibility == 0.0
+    assert 0 < result.candidate_validation.max_column_sum_error <= 4 * np.finfo(float).eps
+
+
+def test_zero_singular_value_box_is_empty_where_b_is_not_zero():
+    # The identity has a component along gamma_10's null direction, which
+    # no factor can reach: both rows are violated at any tolerance below it.
+    g10 = np.array([[1.0, 1.0], [0.0, 0.0]])
+    for tolerance in (0.0, 1e-300, TOL_DIV):
+        result = _check(np.eye(2), g10, tolerance)
+        assert not result.divisible
+        assert result.violated_constraints == ("row[0]", "row[1]")
+        assert result.infeasibility == np.inf
+
+
 def test_infeasible_reports_violated_rows():
     # Any factor acting after the full mix has identical columns.
     result = _check(FLIP, MIX)

@@ -13,14 +13,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from stoqlift import (GkslGenerator, KernelFamily, KrausMap, ProbabilityVector,
+from stoqlift import (DensityOperator, GkslGenerator, KernelFamily, KrausMap,
+                      PovmEffects, ProbabilityVector, RateMatrix,
                       StochasticKernel, SuperOperator, SuperOperatorFamily, _arrays,
                       c_divisibility_check, check_ck_family, check_cptp,
                       choi_from_superoperator, ck_checklist, compatibility_check,
                       diagonal_preservation_check, dictionary_kernel,
                       environment_division_scenario, one_step_indistinguishable,
                       povm_from_channel, q_divisibility_check, theorem1_check,
-                      theta_conjugation_lift, three_time_freedom)
+                      theta_conjugation_lift, three_time_freedom, validate_kernel)
 
 SRC = Path(_arrays.__file__).resolve().parent
 
@@ -158,6 +159,29 @@ TOLERANCE_CALLS = {
         lambda t: three_time_freedom(StochasticKernel(np.full((2, 2), 0.5)),
                                      StochasticKernel(np.full((2, 2), 0.5)),
                                      t).strictly_positive, True),
+    # The validating constructors and their shared intake checks.
+    "validate_kernel(tol_entry)": (lambda t: validate_kernel(E2, tol_entry=t).passed, True),
+    "validate_kernel(tol_colsum)": (
+        lambda t: validate_kernel(E2, tol_colsum=t).passed, True),
+    "StochasticKernel(tol_entry)": (
+        lambda t: StochasticKernel(E2, tol_entry=t).matrix.tolist(), E2.tolist()),
+    "StochasticKernel(tol_colsum)": (
+        lambda t: StochasticKernel(E2, tol_colsum=t).matrix.tolist(), E2.tolist()),
+    "ProbabilityVector(tol)": (
+        lambda t: ProbabilityVector([1.0, 0.0], tol=t).entries.tolist(), [1.0, 0.0]),
+    "ProbabilityVector(tol_sum)": (
+        lambda t: ProbabilityVector([1.0, 0.0], tol_sum=t).entries.tolist(), [1.0, 0.0]),
+    "RateMatrix(tol)": (lambda t: RateMatrix(RATE, tol=t).matrix.tolist(), RATE),
+    "KernelFamily(tol_identity)": (
+        lambda t: KernelFamily(GRID, lambda t_, s: E2, tol_identity=t).grid.tolist(), GRID),
+    "DensityOperator(tol_herm)": (
+        lambda t: DensityOperator(E2 / 2, tol_herm=t).matrix.tolist(), (E2 / 2).tolist()),
+    "DensityOperator(tol_psd)": (
+        lambda t: DensityOperator(E2 / 2, tol_psd=t).matrix.tolist(), (E2 / 2).tolist()),
+    "GkslGenerator(tol_herm)": (lambda t: GkslGenerator(E2, tol_herm=t).n, 2),
+    "PovmEffects(tol_herm)": (lambda t: len(PovmEffects([E2], tol_herm=t).effects), 1),
+    "PovmEffects(tol_psd)": (lambda t: len(PovmEffects([E2], tol_psd=t).effects), 1),
+    "PovmEffects(tol_sum)": (lambda t: len(PovmEffects([E2], tol_sum=t).effects), 1),
 }
 
 
@@ -167,7 +191,8 @@ def test_every_public_tolerance_is_refused_unless_finite_and_nonnegative(
         name, tolerance):
     # Each answered before: check_cptp(identity) read passed=False at NaN
     # and -1, one_step_indistinguishable(I, I) False, and
-    # three_time_freedom(I, I, -1) strictly_positive=True.
+    # three_time_freedom(I, I, -1) strictly_positive=True; each constructor
+    # refused its valid input at NaN and -1 and built it at inf.
     call, _ = TOLERANCE_CALLS[name]
     with pytest.raises(ValueError, match=REFUSED):
         call(tolerance)
@@ -189,3 +214,25 @@ def test_default_tolerances_keep_their_answers():
     assert check_ck_family(KernelFamily.from_rate_matrix(RATE, GRID)).passed
     assert ck_checklist(SuperOperatorFamily.from_generator(GkslGenerator.zero(2),
                                                            GRID)).passed
+
+
+def test_constructors_keep_their_answers_at_the_defaults():
+    assert DensityOperator(E2 / 2).matrix.tolist() == (E2 / 2).tolist()
+    assert StochasticKernel(E2).matrix.tolist() == E2.tolist()
+    assert validate_kernel([[1.0, 0.0], [1e-11, 1.0]]).passed
+    assert ProbabilityVector([1.0 + 1e-13, -1e-13]).entries.tolist() == [1.0 + 1e-13, 0.0]
+    assert RateMatrix(RATE).matrix.tolist() == RATE
+    assert KernelFamily.from_rate_matrix(RATE, GRID).identity_residuals == {
+        0.0: 0.0, 0.5: 0.0, 1.0: 0.0}
+    assert GkslGenerator(E2).n == 2
+    assert len(PovmEffects([E2 / 2, E2 / 2]).effects) == 2
+
+
+@pytest.mark.parametrize("build", [
+    lambda: DensityOperator(np.diag([2.0, -1.0]), tol_psd=np.inf),
+    lambda: StochasticKernel([[2.0, 0.0], [0.0, 2.0]], tol_colsum=np.inf),
+])
+def test_an_infinite_tolerance_no_longer_builds_an_invalid_value(build):
+    # These built a state with eigenvalue -1 and a kernel whose columns sum to 2.
+    with pytest.raises(ValueError, match=REFUSED):
+        build()
