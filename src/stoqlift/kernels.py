@@ -359,11 +359,14 @@ class CDivisibilityResult:
     violated_constraints: tuple[str, ...] = ()
 
 
-def _validated(candidate, route, tol, **fields) -> CDivisibilityResult:
+def _validated(candidate, route, tol) -> CDivisibilityResult:
+    """The verdict on ``candidate``, the route's factor: its ``infeasibility``
+    is None on ``"inverse"`` and 0.0 on ``"feasibility"``, where the
+    certificate found the candidate."""
     report = validate_kernel(candidate, tol_entry=tol, tol_colsum=tol)
     witness = StochasticKernel._adopt(np.maximum(candidate, 0.0)) if report.passed else None
-    return CDivisibilityResult(report.passed, witness, route,
-                               candidate_validation=report, **fields)
+    return CDivisibilityResult(report.passed, witness, route, report,
+                               None if route == "inverse" else 0.0)
 
 
 def _infeasible(rows, infeasibility, colsum=False, report=None) -> CDivisibilityResult:
@@ -402,7 +405,7 @@ def _one_free_direction(x0, u, lo, hi, y_ls, tol) -> CDivisibilityResult:
         if np.isinf(slack).any():
             slack = np.isinf(slack).astype(float)
         y = y + miss * slack / slack.sum()
-    return _validated(x0 + np.outer(y, u), "feasibility", tol, infeasibility=0.0)
+    return _validated(x0 + np.outer(y, u), "feasibility", tol)
 
 
 def _several_free_directions(x0, u, lo, hi, tol) -> CDivisibilityResult:
@@ -435,8 +438,7 @@ def _several_free_directions(x0, u, lo, hi, tol) -> CDivisibilityResult:
     bounds = [*zip(lo.ravel(), hi.ravel())] + [(0.0, None)] * (m + 2 * n)
     res = linprog(cost, A_ub=a_ub, b_ub=(x0 + tol / 2.0).ravel(), A_eq=a_eq,
                   b_eq=1.0 - x0.sum(axis=0), bounds=bounds, method="highs")
-    result = _validated(x0 + res.x[:n * k].reshape(n, k) @ u.T, "feasibility",
-                        tol, infeasibility=0.0)
+    result = _validated(x0 + res.x[:n * k].reshape(n, k) @ u.T, "feasibility", tol)
     if result.divisible:
         return result
     entry_slack = res.x[n * k:n * k + m].reshape(n, n)
@@ -485,8 +487,7 @@ def c_divisibility_check(gamma_20: StochasticKernel, gamma_10: StochasticKernel,
         y = y_ls + (u.sum(axis=0) - y_ls.sum(axis=0)) / n
         # The column-sum correction moves the residual, so it is checked.
         if np.abs(y * s - b).max() <= tolerance:
-            result = _validated(x0 + y @ u.T, "feasibility", tolerance,
-                                infeasibility=0.0)
+            result = _validated(x0 + y @ u.T, "feasibility", tolerance)
             if result.divisible:
                 return result
         # A zero singular value's box is all of R when |b| <= tolerance, else empty.
@@ -524,19 +525,24 @@ def short_time_derivatives(family: KernelFamily, t: float,
     Kernels are only defined forward in time, so the stencils are one-sided,
     anchored at the exact identity value at zero elapsed time; with the two
     smallest steps they are second-order accurate for the first derivative.
+    A step pair whose products ``h1 h2``, ``h1 (h2 - h1)`` or ``h2 (h2 - h1)``,
+    which the stencils divide by, underflow to 0 or overflow raises
+    ``ValueError``.
     """
     hs = sorted({float(h) for h in steps})
     for h in hs:
         _require_positive(h, "step size")
     if len(hs) < 2:
         raise ValueError("need at least two distinct step sizes")
+    h1, h2 = hs[0], hs[1]
+    gap = h2 - h1
+    for product in (h1 * h2, h1 * gap, h2 * gap):
+        _require_positive(product, f"stencil product of the steps {h1} and {h2}")
     values = {h: family.kernel(t + h, t).matrix for h in hs}
     n = values[hs[0]].shape[0]
     eye = np.eye(n)
 
-    h1, h2 = hs[0], hs[1]
     g1, g2 = values[h1], values[h2]
-    gap = h2 - h1
     d1 = (-(h1 + h2) / (h1 * h2)) * eye \
         + (h2 / (h1 * gap)) * g1 - (h1 / (h2 * gap)) * g2
     d2 = 2.0 * (eye / (h1 * h2) - g1 / (h1 * gap) + g2 / (h2 * gap))
@@ -611,8 +617,10 @@ def theta_markov_triviality_demo(theta_step: Callable[[float], np.ndarray],
     the squared-moduli kernel is measured, and the n-fold kernel product is
     compared against the identity. Both the union bound ``n * alpha(h)`` and
     the product distance shrink as ``n`` grows, so a composition law over
-    vanishing steps forces the trivial evolution.
+    vanishing steps forces the trivial evolution. A ``tol_identity`` that is
+    not a finite nonnegative number raises ``ValueError``.
     """
+    _require_tolerance(tol_identity)
     _require_positive(t_minus_s, "time span")
     theta0 = np.asarray(theta_step(0.0))
     if not np.abs(theta0 - np.eye(theta0.shape[0])).max() <= tol_identity:

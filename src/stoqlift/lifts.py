@@ -815,6 +815,16 @@ class QDivisibilityResult:
     candidate: np.ndarray | None = None
 
 
+#: Why a candidate factor that is not CPTP settles no factorization, by route.
+_NOT_CPTP_REASONS = {
+    "inverse": "earlier map is invertible and its unique factor is not CPTP",
+    "lu-singular": ("earlier map is singular to LU but full rank at this "
+                    "tolerance, and its factor is not CPTP"),
+    "range": ("factor on the range of the earlier map is not CPTP; a CPTP "
+              "completion off that range is not searched"),
+}
+
+
 def q_divisibility_check(e_20: SuperOperator, e_10: SuperOperator,
                          tolerance: float = TOL_DIV) -> QDivisibilityResult:
     """Decide whether e_20 factors through e_10 as a quantum channel.
@@ -831,23 +841,32 @@ def q_divisibility_check(e_20: SuperOperator, e_10: SuperOperator,
     (``_arrays.inverse_certifies_full_rank``). Otherwise, LU singular
     included, one full SVD of e_10 is taken, so at most one SVD in all, and
     its singular values are cut by the classical check's rule
-    (``_arrays.numerical_rank``). With none cut, the CPTP check of the unique
-    factor ``e_20 @ inv(e_10)`` decides, formed as ``e_20 V S^-1 U^dagger``
-    if LU found e_10 singular; a factor beyond the float range is not
-    finite and not CPTP. When the inverse certified full rank, so it is
-    finite, only the rows of e_20 that are not zero are moved and
-    multiplied, unless they are all rows, into a factor that is +0 on every
-    other row: a canonical lift after e_10 has N nonzero rows of N^2. Those
-    rows carry the full product's bits, except a lone row, which numpy
-    forms as a matrix-vector product, rounded otherwise. The witness is
-    built with its Choi asymmetry preset from those rows and their partner
-    rows only (``_choi_asymmetry_of_rows``). With directions
-    cut, the candidate ``e_20 V_r S_r^-1 U_r^dagger`` must reproduce e_20 to
-    within ``tolerance + |candidate|_2 s_(r+1)``, or the pair is indivisible
-    (a rank obstruction when e_20 has the larger rank, else a residual given
-    in the input's scale); a candidate that does but is not CPTP is
-    inconclusive. A witness's Choi asymmetry above ``max(TOL_HERM,
-    tolerance)`` is not CPTP; a smaller one is symmetrized away first.
+    (``_arrays.numerical_rank``). That settles one of three routes:
+
+    - ``"inverse"``: the certificate proved full rank, or the SVD cut no
+      direction of an e_10 that LU inverted. The CPTP check of the unique
+      factor ``e_20 @ inv(e_10)`` decides; a factor beyond the float range
+      is not finite and not CPTP. When the inverse certified full rank, so
+      it is finite, only the rows of e_20 that are not zero are moved and
+      multiplied, unless they are all rows, into a factor that is +0 on
+      every other row: a canonical lift after e_10 has N nonzero rows of
+      N^2. Those rows carry the full product's bits, except a lone row,
+      which numpy forms as a matrix-vector product, rounded otherwise. The
+      witness is built with its Choi asymmetry preset from those rows and
+      their partner rows only (``_choi_asymmetry_of_rows``).
+    - ``"lu-singular"``: LU found e_10 singular but the SVD cut no
+      direction. The unique factor is formed as ``e_20 V S^-1 U^dagger``
+      and its CPTP check decides.
+    - ``"range"``: directions are cut. The candidate ``e_20 V_r S_r^-1
+      U_r^dagger`` must reproduce e_20 to within ``tolerance +
+      |candidate|_2 s_(r+1)``, or the pair is indivisible (a rank
+      obstruction when e_20 has the larger rank, else a residual given in
+      the input's scale); a candidate that does but is not CPTP is
+      inconclusive.
+
+    On the first two routes a factor that is not CPTP is indivisible. A
+    witness's Choi asymmetry above ``max(TOL_HERM, tolerance)`` is not
+    CPTP; a smaller one is symmetrized away first.
     """
     _require_tolerance(tolerance)
     _same_dimension(e_20.n, e_10.n, "e_20", "e_10")
@@ -864,63 +883,52 @@ def q_divisibility_check(e_20: SuperOperator, e_10: SuperOperator,
         inverse = np.linalg.inv(a_10)
     except np.linalg.LinAlgError:  # exactly singular to LU: the SVD decides
         inverse = None
-    inverted = inverse is not None
-    certified = inverted and _inverse_certifies_full_rank(a_10, inverse, tolerance)
     rank_10 = size = a_10.shape[0]
-    if not certified:
+    rows = None  # the rows of e_20 formed, when not all are
+    if inverse is not None and _inverse_certifies_full_rank(a_10, inverse, tolerance):
+        route = "inverse"
+        # A certified inverse is finite, so a zero row of e_20 has a zero row
+        # of the factor for image: only the other rows are moved and multiplied.
+        nonzero = e_20.matrix.any(axis=1)
+        rows = None if nonzero.all() else np.flatnonzero(nonzero)
+    else:
         u, s, vh = np.linalg.svd(a_10)
         rank_10 = _numerical_rank(s, tolerance)
-    unique = rank_10 == size
-    # A certified inverse is finite, so a zero row of e_20 has a zero row of
-    # the factor for image: only the other rows are moved and multiplied,
-    # unless that is all rows.
-    rows = np.flatnonzero(e_20.matrix.any(axis=1)) if certified else None
-    sparse = certified and rows.size < size
-    a_20 = np.ldexp((e_20.matrix[rows] if sparse else e_20.matrix).view(float),
+        route = "range" if rank_10 < size else "lu-singular" if inverse is None else "inverse"
+    a_20 = np.ldexp((e_20.matrix if rows is None else e_20.matrix[rows]).view(float),
                     k).view(complex)
-    if unique and inverted:
+    if route == "inverse":
         with np.errstate(over="ignore", invalid="ignore"):  # beyond the range: inf, NaN
             candidate = a_20 @ inverse
     else:
         scaled = a_20 @ vh[:rank_10].conj().T / s[:rank_10]
         candidate = scaled @ u[:, :rank_10].conj().T
-    if not unique:
+    if route == "range":
         recon = float(np.abs(candidate @ a_10 - a_20).max())
         if not recon <= tolerance + np.linalg.norm(scaled, 2) * s[rank_10]:
-            sv_20 = np.linalg.svd(a_20, compute_uv=False)
-            rank_20 = _numerical_rank(sv_20, tolerance)
+            rank_20 = _numerical_rank(np.linalg.svd(a_20, compute_uv=False), tolerance)
             reason = (f"rank obstruction: rank {rank_10} cannot factor rank {rank_20}"
                       if rank_10 < rank_20 else
                       f"no linear factorization exists "
                       f"(residual {np.ldexp(recon, -k):.3e})")
-            return QDivisibilityResult("indivisible", None, None, reason,
-                                       candidate=candidate)
-    if sparse:  # the formed rows, scattered into the inverse's memory, zeroed
+            return QDivisibilityResult("indivisible", None, None, reason, candidate=candidate)
+    if rows is not None:  # the formed rows, scattered into the inverse's memory, zeroed
         inverse.fill(0)
         inverse[rows] = candidate
         candidate = inverse
     del a_20, a_10, inverse  # read no more
     # The zero rows' terms repeat their partner rows', so the formed rows decide.
     witness = SuperOperator._adopt(candidate, _choi_asymmetry=_choi_asymmetry_of_rows(
-        candidate, e_10.n, rows if sparse else None))
+        candidate, e_10.n, rows))
     report = None
     if witness._choi_asymmetry <= max(TOL_HERM, tolerance):
         if witness._choi_asymmetry > TOL_HERM:
             witness = SuperOperator._adopt(_reshuffle(witness._hermitian_choi(), e_10.n))
         report = check_cptp(witness, tol_tp=max(TOL_TP, tolerance),
                             tol_psd=max(TOL_PSD, tolerance))
-        if report.passed:
-            reason = ("unique factor is CPTP" if unique
-                      else "pseudo-inverse factor is CPTP")
-            return QDivisibilityResult("divisible", witness, report, reason,
-                                       candidate=witness.matrix)
-    if not unique:
-        reason = ("factor on the range of the earlier map is not CPTP; a CPTP "
-                  "completion off that range is not searched")
-    elif inverted:
-        reason = "earlier map is invertible and its unique factor is not CPTP"
-    else:
-        reason = ("earlier map is singular to LU but full rank at this "
-                  "tolerance, and its factor is not CPTP")
-    return QDivisibilityResult("indivisible" if unique else "inconclusive",
-                               None, report, reason, candidate=witness.matrix)
+    passed = report is not None and report.passed
+    verdict = "divisible" if passed else "inconclusive" if route == "range" else "indivisible"
+    reason = (_NOT_CPTP_REASONS[route] if not passed else
+              "pseudo-inverse factor is CPTP" if route == "range" else "unique factor is CPTP")
+    return QDivisibilityResult(verdict, witness if passed else None, report, reason,
+                               candidate=witness.matrix)

@@ -8,6 +8,7 @@ the rule; an AST scan keeps the first two comparisons out of other modules.
 """
 
 import ast
+import re
 from pathlib import Path
 
 import numpy as np
@@ -72,6 +73,18 @@ def test_positive_and_finite_is_refused_in_one_wording(site, value):
 def test_positive_and_finite_accepts_a_value_just_above_zero(site):
     _, call, edge = POSITIVE_SITES[site]
     call(edge)
+
+
+@pytest.mark.parametrize("steps, product", [([1e-300, 2e-300], 0.0),
+                                            ([1e200, 3e200], np.inf)])
+def test_short_time_derivatives_refuses_a_step_pair_whose_product_leaves_the_range(
+        steps, product):
+    # Each step is positive and finite, but h1 * h2, which the stencils
+    # divide by, underflows or overflows: it raised ZeroDivisionError.
+    with pytest.raises(ValueError, match="^{}$".format(re.escape(
+            f"stencil product of the steps {steps[0]} and {steps[1]} "
+            f"must be positive and finite, got {product}"))):
+        short_time_derivatives(_kernel_family(), 0.0, steps)
 
 
 # --- basis index --------------------------------------------------------------

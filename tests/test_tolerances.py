@@ -21,7 +21,8 @@ from stoqlift import (DensityOperator, GkslGenerator, KernelFamily, KrausMap,
                       diagonal_preservation_check, dictionary_kernel,
                       environment_division_scenario, one_step_indistinguishable,
                       povm_from_channel, q_divisibility_check, theorem1_check,
-                      theta_conjugation_lift, three_time_freedom, validate_kernel)
+                      theta_conjugation_lift, theta_markov_triviality_demo,
+                      three_time_freedom, validate_kernel)
 
 SRC = Path(_arrays.__file__).resolve().parent
 
@@ -155,6 +156,9 @@ TOLERANCE_CALLS = {
     "diagonal_preservation_check": (
         lambda t: diagonal_preservation_check(GkslGenerator.zero(2), t), True),
     "one_step_indistinguishable": (lambda t: one_step_indistinguishable(E2, E2, t), True),
+    "theta_markov_triviality_demo": (
+        lambda t: theta_markov_triviality_demo(lambda h: E2, 1.0, [1, 2],
+                                               tol_identity=t)[1].product_distance, 0.0),
     "three_time_freedom": (
         lambda t: three_time_freedom(StochasticKernel(np.full((2, 2), 0.5)),
                                      StochasticKernel(np.full((2, 2), 0.5)),
