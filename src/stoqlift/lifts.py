@@ -815,7 +815,7 @@ class QDivisibilityResult:
     candidate: np.ndarray | None = None
 
 
-#: Why a candidate factor that is not CPTP settles no factorization, by route.
+#: The reason given, by route, when the candidate factor is not CPTP.
 _NOT_CPTP_REASONS = {
     "inverse": "earlier map is invertible and its unique factor is not CPTP",
     "lu-singular": ("earlier map is singular to LU but full rank at this "
